@@ -84,20 +84,18 @@ def extract_state(substrate: MultiDomainSubstrate, domain_id: int) -> StateMatri
     are one hop away, so each contributes half its length.
     """
     ids = substrate.domain_node_ids(domain_id)
-    avail = substrate.cpu_available[ids]
-    if substrate.num_links:
-        ends = substrate.link_ends.ravel()
-        sum_bw = substrate.available_bw_sums()[ids]
-        dis = np.bincount(
-            ends,
-            weights=np.repeat(substrate.link_length / 2.0, 2),
-            minlength=substrate.num_nodes,
-        )[ids]
-    else:
-        sum_bw = np.zeros(len(ids))
-        dis = np.zeros(len(ids))
-    raw = np.column_stack([avail, sum_bw, dis])
-    return StateMatrix(node_ids=[int(i) for i in ids], raw=raw, features=_minmax_normalize(raw))
+    raw = np.column_stack(
+        [
+            substrate.cpu_available[ids],
+            substrate.available_bw_sums()[ids],
+            substrate.incident_distance[ids],
+        ]
+    )
+    return StateMatrix(
+        node_ids=substrate.domain_node_list(domain_id),
+        raw=raw,
+        features=_minmax_normalize(raw),
+    )
 
 
 def scores(params: PolicyParams, state: StateMatrix) -> np.ndarray:

@@ -9,18 +9,11 @@ score highest. It approximates, not reproduces, full random-walk ranking.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
 from .policies import ranked_by_score
 from .substrate import MultiDomainSubstrate
-
-
-@dataclass(frozen=True)
-class RankScore:
-    node_id: int
-    score: float
 
 
 def _walk_pass(substrate: MultiDomainSubstrate, score: np.ndarray) -> np.ndarray:
@@ -37,25 +30,24 @@ def _walk_pass(substrate: MultiDomainSubstrate, score: np.ndarray) -> np.ndarray
     return out
 
 
-def noderank_scores(substrate: MultiDomainSubstrate) -> list[RankScore]:
+def noderank_scores(substrate: MultiDomainSubstrate) -> np.ndarray:
     """Two walk passes over available-cpu x incident-available-bandwidth."""
     score = substrate.cpu_available * substrate.available_bw_sums()
     score = _walk_pass(substrate, score)
-    score = _walk_pass(substrate, score)
-    return [RankScore(i, float(score[i])) for i in range(substrate.num_nodes)]
+    return _walk_pass(substrate, score)
 
 
-def random_ranking(substrate: MultiDomainSubstrate, seed: int) -> list[RankScore]:
+def random_ranking(substrate: MultiDomainSubstrate, seed: int) -> list[float]:
+    """One uniform score per node, drawn in node id order."""
     rng = random.Random(seed)
-    return [RankScore(i, rng.random()) for i in range(substrate.num_nodes)]
+    return [rng.random() for _ in range(substrate.num_nodes)]
 
 
 class NodeRankPolicy:
     """Deterministic provider ranking by the two-pass walk scores."""
 
     def __call__(self, substrate: MultiDomainSubstrate, vnr):
-        score = np.array([rs.score for rs in noderank_scores(substrate)])
-        return ranked_by_score(substrate, vnr, score)
+        return ranked_by_score(substrate, vnr, noderank_scores(substrate))
 
 
 class RandomPolicy:
@@ -65,6 +57,5 @@ class RandomPolicy:
         self._rng = random.Random(seed)
 
     def __call__(self, substrate: MultiDomainSubstrate, vnr):
-        ranking = random_ranking(substrate, self._rng.randrange(2**32))
-        score = np.array([rs.score for rs in ranking])
+        score = np.array(random_ranking(substrate, self._rng.randrange(2**32)))
         return ranked_by_score(substrate, vnr, score)

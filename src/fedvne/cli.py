@@ -78,11 +78,16 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _build_policy(name: str, config: ExperimentConfig, checkpoint):
+def _build_policy(name: str, config: ExperimentConfig, checkpoint, num_domains: int):
     if name == "hfl":
         if checkpoint is None:
             raise ConfigError("the hfl policy needs --checkpoint")
         domain_params, _ = load_checkpoint(checkpoint)
+        if len(domain_params) != num_domains:
+            raise ConfigError(
+                f"{checkpoint}: checkpoint has {len(domain_params)} domain lines, "
+                f"the substrate has {num_domains} domains"
+            )
         agents = {d: DomainAgent(d, p) for d, p in domain_params.items()}
         return HflPolicy(agents, record_traces=False)
     if name == "noderank":
@@ -178,7 +183,7 @@ def cmd_evaluate(args) -> int:
     substrate = workload.load_substrate(args.substrate)
     vnrs = workload.load_vnrs(args.vnrs)
     test_vnrs = _test_split(config, vnrs)
-    policy = _build_policy(config.policy, config, args.checkpoint)
+    policy = _build_policy(config.policy, config, args.checkpoint, substrate.num_domains)
     _, ledger, records = engine.run_simulation(substrate.copy(), test_vnrs, policy)
     _write_series(out_dir / "metrics.csv", ledger.series(config.metrics_interval))
     engine.write_decision_log(out_dir / "decisions.csv", records, test_vnrs)
@@ -200,7 +205,7 @@ def cmd_compare(args) -> int:
     series_by_policy = {}
     timing = []
     for position, name in enumerate(names):
-        policy = _build_policy(name, config, args.checkpoint)
+        policy = _build_policy(name, config, args.checkpoint, substrate.num_domains)
         started = time.perf_counter()
         _, ledger, records = engine.run_simulation(substrate.copy(), test_vnrs, policy)
         elapsed = time.perf_counter() - started

@@ -10,7 +10,6 @@ or rolled back without trace.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,31 +76,82 @@ def min_hop_path(
 ) -> list[int] | None:
     """Minimum-hop path over links with enough available bandwidth.
 
-    Breadth-first search expanding neighbors in ascending node id, which
-    yields the lexicographically smallest node sequence among minimum-hop
-    paths. Returns the ordered link ids, or None when no path is feasible.
+    Returns the ordered link ids of the lexicographically smallest node
+    sequence among minimum-hop paths, or None when no path is feasible.
+
+    The search is bidirectional: it alternately grows the smaller of the two
+    frontiers (from ``src`` and from ``dst``) by one full level, and stops at
+    the first level whose new nodes the other side has already reached. Until
+    then the two reached sets are disjoint, so every meeting node lies at the
+    same pair of distances ``(a, b)`` from ``src`` and ``dst``, ``a + b`` is
+    the shortest length, and the meeting nodes are exactly the nodes at
+    position ``a`` of the shortest paths. The nodes at positions below ``a``
+    are found by walking back from the meeting set one level at a time;
+    beyond ``a`` a node is on a shortest path exactly when its distance to
+    ``dst`` drops by one per hop. The path then follows, from ``src``, the
+    first neighbor in ascending id order that stays on a shortest path, which
+    is the lexicographically smallest choice at every position. Which
+    frontier grows first affects only the running time: the result depends
+    only on the subgraph of feasible links.
     """
     if src == dst:
         return []
+    adjacency = substrate.adjacency
     bw = substrate.bw_available
-    parent: dict[int, tuple[int, int]] = {src: (-1, -1)}
-    queue = deque([src])
-    while queue:
-        here = queue.popleft()
-        for neighbor, link_id in substrate.adjacency[here]:
-            if neighbor in parent or bw[link_id] < bw_demand:
-                continue
-            parent[neighbor] = (here, link_id)
-            if neighbor == dst:
-                path = []
-                node = dst
-                while node != src:
-                    node, link_id = parent[node]
-                    path.append(link_id)
-                path.reverse()
-                return path
-            queue.append(neighbor)
-    return None
+    from_src = {src: 0}
+    from_dst = {dst: 0}
+    src_frontier = [src]
+    dst_frontier = [dst]
+    meeting: set[int] = set()
+    while not meeting:
+        if len(src_frontier) <= len(dst_frontier):
+            frontier, reached, other = src_frontier, from_src, from_dst
+        else:
+            frontier, reached, other = dst_frontier, from_dst, from_src
+        level = reached[frontier[0]] + 1
+        grown = []
+        for here in frontier:
+            for neighbor, link_id in adjacency[here]:
+                if neighbor in reached or bw[link_id] < bw_demand:
+                    continue
+                reached[neighbor] = level
+                grown.append(neighbor)
+                if neighbor in other:
+                    meeting.add(neighbor)
+        if not grown:
+            return None
+        if frontier is src_frontier:
+            src_frontier = grown
+        else:
+            dst_frontier = grown
+
+    # on-path nodes at each distance from src, from the meeting set back to src
+    meet_level = from_src[next(iter(meeting))]
+    on_path = [meeting]
+    for level in range(meet_level - 1, 0, -1):
+        layer: set[int] = set()
+        for here in on_path[-1]:
+            for neighbor, link_id in adjacency[here]:
+                if from_src.get(neighbor) == level and not bw[link_id] < bw_demand:
+                    layer.add(neighbor)
+        on_path.append(layer)
+    on_path.reverse()
+
+    path = []
+    here = src
+    for layer in on_path:
+        for neighbor, link_id in adjacency[here]:
+            if neighbor in layer and not bw[link_id] < bw_demand:
+                path.append(link_id)
+                here = neighbor
+                break
+    for level in range(from_dst[here] - 1, -1, -1):
+        for neighbor, link_id in adjacency[here]:
+            if from_dst.get(neighbor) == level and not bw[link_id] < bw_demand:
+                path.append(link_id)
+                here = neighbor
+                break
+    return path
 
 
 def embed_nodes(
@@ -382,6 +432,7 @@ def replay_validate(
 # -- decision log -----------------------------------------------------------
 
 DECISION_LOG_HEADER = "vnr_id,t_s,accepted,revenue,cost,node_map,path_hops,link_paths"
+DECISION_LOG_FIELDS = DECISION_LOG_HEADER.count(",") + 1
 
 
 def _format_node_map(record: EmbeddingRecord) -> str:
@@ -411,26 +462,35 @@ def write_decision_log(path, records, vnrs) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _parse_decision(line: str) -> EmbeddingRecord:
+    fields = line.split(",")
+    if len(fields) != DECISION_LOG_FIELDS:
+        raise ValueError(f"expected {DECISION_LOG_FIELDS} fields, found {len(fields)}")
+    record = EmbeddingRecord(vnr_id=int(fields[0]))
+    record.accepted = bool(int(fields[2]))
+    record.revenue = float(fields[3])
+    record.cost = float(fields[4])
+    if fields[5]:
+        for pair in fields[5].split("|"):
+            v, node = pair.split(":")
+            record.node_map[int(v)] = int(node)
+    if fields[7]:
+        for chunk in fields[7].split("|"):
+            key, seq = chunk.split(":")
+            a, b = (int(x) for x in key.split("-"))
+            record.link_paths[(a, b)] = [int(x) for x in seq.split(">")] if seq else []
+    return record
+
+
 def read_decision_log(path) -> list[EmbeddingRecord]:
     with open(path) as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    if not lines or lines[0] != DECISION_LOG_HEADER:
+        lines = [(no, line.rstrip("\n")) for no, line in enumerate(fh, 1) if line.strip()]
+    if not lines or lines[0][1] != DECISION_LOG_HEADER:
         raise ValueError(f"{path}: not a decision log")
     records = []
-    for line in lines[1:]:
-        fields = line.split(",")
-        record = EmbeddingRecord(vnr_id=int(fields[0]))
-        record.accepted = bool(int(fields[2]))
-        record.revenue = float(fields[3])
-        record.cost = float(fields[4])
-        if fields[5]:
-            for pair in fields[5].split("|"):
-                v, node = pair.split(":")
-                record.node_map[int(v)] = int(node)
-        if fields[7]:
-            for chunk in fields[7].split("|"):
-                key, seq = chunk.split(":")
-                a, b = (int(x) for x in key.split("-"))
-                record.link_paths[(a, b)] = [int(x) for x in seq.split(">")] if seq else []
-        records.append(record)
+    for line_no, line in lines[1:]:
+        try:
+            records.append(_parse_decision(line))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {exc}") from exc
     return records

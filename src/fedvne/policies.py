@@ -21,9 +21,9 @@ def ranked_by_score(substrate: MultiDomainSubstrate, vnr, score: np.ndarray):
     dropped from that node's list; survivors are ordered by descending
     score, ties broken by ascending node id.
     """
-    order = sorted(range(substrate.num_nodes), key=lambda i: (-score[i], i))
-    avail = substrate.cpu_available
-    return [[nid for nid in order if avail[nid] >= demand] for demand in vnr.node_demands]
+    order = np.argsort(-score, kind="stable")
+    avail = substrate.cpu_available[order]
+    return [order[avail >= demand].tolist() for demand in vnr.node_demands]
 
 
 class HflPolicy:
@@ -57,26 +57,30 @@ class HflPolicy:
         self._last_states = {}
         self._node_domain = substrate.node_domain
         domains = sorted(self.agents)
-        ranked: dict[int, list[tuple[int, float, float]]] = {}
+        # per domain: node ids, available cpu and probabilities in rank order
+        ranked: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         for d in domains:
             agent = self.agents[d]
             state = extract_state(substrate, d)
             probs = forward(agent.params, state)
-            order = sorted(
-                range(len(state.node_ids)), key=lambda r: (-probs[r], state.node_ids[r])
+            # node ids ascend with the row, so a stable sort breaks ties by id
+            order = np.argsort(-probs, kind="stable")
+            ranked[d] = (
+                substrate.domain_node_ids(d)[order],
+                state.raw[order, 0],
+                probs[order],
             )
-            ranked[d] = [
-                (state.node_ids[r], float(state.raw[r, 0]), float(probs[r])) for r in order
-            ]
             self._last_states[d] = (state, probs)
         self._last_vnr_id = vnr.vnr_id
         candidates = []
         for demand in vnr.node_demands:
             blocks = []
             for d in domains:
-                feasible = [node_id for node_id, cpu, _ in ranked[d] if cpu >= demand]
-                mass = sum(p for _, cpu, p in ranked[d] if cpu >= demand)
-                blocks.append((-mass, d, feasible))
+                ids, cpu, probs = ranked[d]
+                ok = cpu >= demand
+                # summed left to right in rank order; the block order depends on it
+                mass = sum(probs[ok].tolist())
+                blocks.append((-mass, d, ids[ok].tolist()))
             blocks.sort(key=lambda b: (b[0], b[1]))
             candidates.append([node_id for _, _, ids in blocks for node_id in ids])
         return candidates

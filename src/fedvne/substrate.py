@@ -189,11 +189,16 @@ class MultiDomainSubstrate:
         self._domain_nodes = [
             np.flatnonzero(self.node_domain == d) for d in range(self.num_domains)
         ]
+        self._domain_node_lists = [ids.tolist() for ids in self._domain_nodes]
+        # per node, half the Euclidean length of every incident link (one hop away)
+        self.incident_distance = np.zeros(self.num_nodes)
         if self.num_links:
             delta = self.coords[self.link_ends[:, 0]] - self.coords[self.link_ends[:, 1]]
-            self.link_length = np.hypot(delta[:, 0], delta[:, 1])
-        else:
-            self.link_length = np.zeros(0)
+            self.incident_distance = np.bincount(
+                self.link_ends.ravel(),
+                weights=np.repeat(np.hypot(delta[:, 0], delta[:, 1]) / 2.0, 2),
+                minlength=self.num_nodes,
+            )
 
     # -- accessors -----------------------------------------------------
 
@@ -223,6 +228,10 @@ class MultiDomainSubstrate:
 
     def domain_node_ids(self, domain_id: int) -> np.ndarray:
         return self._domain_nodes[domain_id]
+
+    def domain_node_list(self, domain_id: int) -> list[int]:
+        """The domain's node ids in ascending order, as a shared read-only list."""
+        return self._domain_node_lists[domain_id]
 
     def available_bw_sums(self) -> np.ndarray:
         """Per node, the sum of available bandwidth on incident links."""

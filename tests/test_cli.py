@@ -304,3 +304,57 @@ def test_validate_flags_tampered_log(tmp_path, capsys):
          "--decisions", str(decisions)] + tiny_flags()
     )
     assert code == 2
+
+
+def test_validate_malformed_log_names_file_and_line(tmp_path, capsys):
+    substrate_path, vnrs_path = generate_tiny(tmp_path)
+    eval_out = tmp_path / "eval"
+    cli.main(
+        ["evaluate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
+         "--policy", "noderank", "--out-dir", str(eval_out)] + tiny_flags()
+    )
+    decisions = eval_out / "decisions.csv"
+    lines = decisions.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[3] = "abc"
+    lines[2] = ",".join(fields)
+    decisions.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = cli.main(
+        ["validate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
+         "--decisions", str(decisions)] + tiny_flags()
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{decisions}:3:" in err and "'abc'" in err
+
+
+def train_tiny(tmp_path):
+    substrate_path, vnrs_path = generate_tiny(tmp_path)
+    train_out = tmp_path / "train"
+    assert cli.main(
+        ["train", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
+         "--out-dir", str(train_out)] + tiny_flags()
+    ) == 0
+    return substrate_path, vnrs_path, train_out / "checkpoint.txt"
+
+
+@pytest.mark.parametrize("command", ["evaluate", "compare"])
+@pytest.mark.parametrize("domain_lines", [1, 3])
+def test_checkpoint_domain_count_must_match_substrate(tmp_path, capsys, command, domain_lines):
+    substrate_path, vnrs_path, checkpoint = train_tiny(tmp_path)
+    lines = checkpoint.read_text().splitlines()
+    domain_rows, global_row = lines[:-1], lines[-1]
+    assert len(domain_rows) == TINY["num_domains"] == 2
+    rows = (domain_rows * 2)[:domain_lines] + [global_row]
+    mismatched = tmp_path / "mismatched.txt"
+    mismatched.write_text("\n".join(rows) + "\n")
+    capsys.readouterr()
+    code = cli.main(
+        [command, "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
+         "--checkpoint", str(mismatched), "--out-dir", str(tmp_path / "out")] + tiny_flags()
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(mismatched) in err
+    assert f"{domain_lines} domain lines" in err and "2 domains" in err

@@ -1,0 +1,213 @@
+"""Property tests: the fast search and ranking routines against plain references.
+
+Each reference below is the straightforward definition the engine and the
+policies must agree with exactly: a unidirectional breadth-first search that
+expands neighbors in ascending id, and rankings built by ``sorted`` with an
+explicit (-score, node id) key.
+"""
+
+from collections import deque
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from _helpers import make_vnr
+from fedvne.agent import DomainAgent, PolicyParams, extract_state, forward
+from fedvne.engine import min_hop_path
+from fedvne.policies import HflPolicy, ranked_by_score
+from fedvne.substrate import MultiDomainSubstrate
+
+SETTINGS = settings(max_examples=150, deadline=None)
+
+
+def reference_min_hop_path(substrate, src, dst, bw_demand):
+    """Unidirectional BFS; the first path found to dst is the lexicographically smallest."""
+    if src == dst:
+        return []
+    bw = substrate.bw_available
+    parent = {src: (-1, -1)}
+    queue = deque([src])
+    while queue:
+        here = queue.popleft()
+        for neighbor, link_id in substrate.adjacency[here]:
+            if neighbor in parent or bw[link_id] < bw_demand:
+                continue
+            parent[neighbor] = (here, link_id)
+            if neighbor == dst:
+                path = []
+                node = dst
+                while node != src:
+                    node, link_id = parent[node]
+                    path.append(link_id)
+                path.reverse()
+                return path
+            queue.append(neighbor)
+    return None
+
+
+def reference_ranked_by_score(substrate, vnr, score):
+    order = sorted(range(substrate.num_nodes), key=lambda i: (-score[i], i))
+    avail = substrate.cpu_available
+    return [[nid for nid in order if avail[nid] >= demand] for demand in vnr.node_demands]
+
+
+def reference_hfl_candidates(agents, substrate, vnr):
+    """Domain-blocked candidate lists built one Python list per demand and domain."""
+    domains = sorted(agents)
+    ranked = {}
+    for d in domains:
+        state = extract_state(substrate, d)
+        probs = forward(agents[d].params, state)
+        order = sorted(range(len(state.node_ids)), key=lambda r: (-probs[r], state.node_ids[r]))
+        ranked[d] = [(state.node_ids[r], float(state.raw[r, 0]), float(probs[r])) for r in order]
+    candidates = []
+    for demand in vnr.node_demands:
+        blocks = []
+        for d in domains:
+            feasible = [node_id for node_id, cpu, _ in ranked[d] if cpu >= demand]
+            mass = sum(p for _, cpu, p in ranked[d] if cpu >= demand)
+            blocks.append((-mass, d, feasible))
+        blocks.sort(key=lambda b: (b[0], b[1]))
+        candidates.append([node_id for _, _, ids in blocks for node_id in ids])
+    return candidates
+
+
+# -- substrates --------------------------------------------------------------
+
+
+def build(node_domains, edges, draw, cpu_values=(0.0, 10.0, 20.0, 30.0), bw_values=None):
+    """Substrate over ``edges`` with drawn availability and small integer coordinates."""
+    n = len(node_domains)
+    bw_values = bw_values or (0.0, 1.0, 2.0, 3.0, 5.0)
+    bw = draw(st.lists(st.sampled_from(bw_values), min_size=len(edges), max_size=len(edges)))
+    cpu = draw(st.lists(st.sampled_from(cpu_values), min_size=n, max_size=n))
+    coord = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(lambda c: (float(c[0]), float(c[1])))
+    coords = draw(st.lists(coord, min_size=n, max_size=n))
+    capacity = [c + 10.0 for c in cpu]
+    return MultiDomainSubstrate(
+        max(node_domains) + 1, node_domains, coords, capacity, edges, [b + 1.0 for b in bw],
+        cpu_available=cpu, bw_available=bw,
+    )
+
+
+@st.composite
+def random_substrates(draw, max_nodes=24):
+    """Connected multi-domain graph: a spanning tree per domain, a chain of
+    inter-domain links, then random extra links."""
+    num_domains = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(1, max(1, max_nodes // num_domains)),
+                          min_size=num_domains, max_size=num_domains))
+    node_domains = [d for d, size in enumerate(sizes) for _ in range(size)]
+    n = len(node_domains)
+    edges = set()
+    start = 0
+    for size in sizes:
+        for i in range(start + 1, start + size):
+            edges.add((draw(st.integers(start, i - 1)), i))
+        start += size
+    starts = [sum(sizes[:d]) for d in range(num_domains)]
+    for d in range(1, num_domains):
+        a = draw(st.integers(starts[d - 1], starts[d] - 1))
+        b = draw(st.integers(starts[d], starts[d] + sizes[d] - 1))
+        edges.add((a, b))
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+    for a, b in extra:
+        if a != b and (a, b) not in edges and (b, a) not in edges:
+            edges.add((a, b))
+    # relabel nodes so that the id order is unrelated to the construction order
+    perm = draw(st.permutations(range(n)))
+    domains = [0] * n
+    for i in range(n):
+        domains[perm[i]] = node_domains[i]
+    relabeled = sorted((perm[a], perm[b]) for a, b in edges)
+    return build(domains, relabeled, draw)
+
+
+@st.composite
+def grid_substrates(draw):
+    """Grid with relabeled nodes: many minimum-hop paths of equal length."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(2, 5))
+    perm = draw(st.permutations(range(rows * cols)))
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            here = perm[r * cols + c]
+            if c + 1 < cols:
+                edges.append((here, perm[r * cols + c + 1]))
+            if r + 1 < rows:
+                edges.append((here, perm[(r + 1) * cols + c]))
+    return build([0] * (rows * cols), edges, draw, bw_values=(1.0, 1.0, 1.0, 2.0, 0.0))
+
+
+@st.composite
+def bipartite_substrates(draw):
+    """Complete bipartite graph with relabeled nodes: every cross pair is one hop apart,
+    every same-side pair has one two-hop path per node on the other side."""
+    left, right = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    perm = draw(st.permutations(range(left + right)))
+    edges = [(perm[a], perm[left + b]) for a in range(left) for b in range(right)]
+    return build([0] * (left + right), edges, draw, bw_values=(1.0, 1.0, 2.0, 0.0))
+
+
+any_substrate = st.one_of(random_substrates(), grid_substrates(), bipartite_substrates())
+
+
+# -- min-hop search ------------------------------------------------------------
+
+
+@SETTINGS
+@given(sub=any_substrate, data=st.data())
+def test_min_hop_path_matches_unidirectional_bfs(sub, data):
+    node = st.integers(0, sub.num_nodes - 1)
+    demand = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 6.0])
+    queries = data.draw(st.lists(st.tuples(node, node, demand), min_size=1, max_size=12))
+    for src, dst, bw_demand in queries:
+        assert min_hop_path(sub, src, dst, bw_demand) == reference_min_hop_path(
+            sub, src, dst, bw_demand
+        )
+
+
+@SETTINGS
+@given(sub=any_substrate, data=st.data())
+def test_min_hop_path_is_a_feasible_walk(sub, data):
+    node = st.integers(0, sub.num_nodes - 1)
+    src, dst = data.draw(node), data.draw(node)
+    path = min_hop_path(sub, src, dst, 1.0)
+    if path is None:
+        return
+    here = src
+    for link_id in path:
+        assert sub.bw_available[link_id] >= 1.0
+        a, b = (int(x) for x in sub.link_ends[link_id])
+        assert here in (a, b)
+        here = b if here == a else a
+    assert here == dst
+
+
+# -- ranking ---------------------------------------------------------------------
+
+
+@SETTINGS
+@given(sub=random_substrates(), data=st.data())
+def test_ranked_by_score_matches_sorted_definition(sub, data):
+    n = sub.num_nodes
+    score = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=float)
+    demands = data.draw(st.lists(st.sampled_from([0.0, 5.0, 10.0, 20.0, 30.0, 40.0]),
+                                 min_size=1, max_size=6))
+    vnr = make_vnr(node_demands=demands)
+    assert ranked_by_score(sub, vnr, score) == reference_ranked_by_score(sub, vnr, score)
+
+
+@SETTINGS
+@given(sub=random_substrates(), data=st.data())
+def test_hfl_candidates_match_per_demand_lists(sub, data):
+    weight = st.sampled_from([0.0, 0.0, 1.0, -1.0, 0.5, 2.0])
+    agents = {
+        d: DomainAgent(d, PolicyParams(np.array(data.draw(st.lists(weight, min_size=3, max_size=3))), 0.0))
+        for d in range(sub.num_domains)
+    }
+    demands = data.draw(st.lists(st.sampled_from([0.0, 5.0, 10.0, 20.0, 30.0, 40.0]),
+                                 min_size=1, max_size=6))
+    vnr = make_vnr(node_demands=demands)
+    assert HflPolicy(agents)(sub, vnr) == reference_hfl_candidates(agents, sub, vnr)
