@@ -9,7 +9,7 @@ per batch of completed episodes, with the batch-mean reward as baseline.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,11 +45,11 @@ class PolicyParams:
 class DecisionTrace:
     """One episode's placement decisions inside a single domain.
 
-    Each sample is (state, chosen row index, probability vector) for one
-    embedded virtual node; the episode reward is shared by all samples.
+    Each sample is (state, chosen row index) for one embedded virtual node;
+    the episode reward is shared by all samples.
     """
 
-    samples: list[tuple[StateMatrix, int, np.ndarray]]
+    samples: list[tuple[StateMatrix, int]]
     reward: float
 
 
@@ -116,13 +116,6 @@ def log_probs(params: PolicyParams, state: StateMatrix) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum())
 
 
-def rank_candidates(params: PolicyParams, state: StateMatrix, cpu_demand: float) -> list[int]:
-    """Feasible domain nodes in descending probability, ties by node id."""
-    p = forward(params, state)
-    order = sorted(range(len(state.node_ids)), key=lambda r: (-p[r], state.node_ids[r]))
-    return [state.node_ids[r] for r in order if state.raw[r, 0] >= cpu_demand]
-
-
 def episode_reward(record, reject_reward: float = 0.0) -> float:
     """Revenue-to-cost ratio of an accepted request; reject_reward otherwise."""
     if not record.accepted or record.cost <= 0:
@@ -140,7 +133,7 @@ def batch_loss(params: PolicyParams, traces, baseline: float | None = None) -> f
     count = 0
     for trace in traces:
         advantage = trace.reward - baseline
-        for state, chosen, _ in trace.samples:
+        for state, chosen in trace.samples:
             total += -advantage * log_probs(params, state)[chosen]
             count += 1
     return total / count if count else 0.0
@@ -171,7 +164,7 @@ def train_step(
     grad_bias = 0.0
     loss = 0.0
     for trace, advantage in zip(traces, advantages):
-        for state, chosen, _ in trace.samples:
+        for state, chosen in trace.samples:
             lp = log_probs(params, state)
             p = np.exp(lp)
             loss += -advantage * lp[chosen]
@@ -203,9 +196,6 @@ class DomainAgent:
         self.pending_samples = 0
         self._pending_loss_weighted = 0.0
         self.pending_rewards: list[float] = []
-        self.pending_actions: list[int] = []
-        self.first_state: StateMatrix | None = None
-        self.last_state: StateMatrix | None = None
 
     @property
     def pending_loss(self) -> float:
@@ -215,11 +205,6 @@ class DomainAgent:
 
     def add_trace(self, trace: DecisionTrace) -> None:
         self.buffer.append(trace)
-        for state, chosen, _ in trace.samples:
-            self.pending_actions.append(state.node_ids[chosen])
-            if self.first_state is None:
-                self.first_state = state
-            self.last_state = state
 
     def train(self, learning_rate: float, baseline: float | None = None) -> TrainStepResult:
         result = train_step(self.params, self.buffer, learning_rate, baseline)
@@ -236,9 +221,6 @@ class DomainAgent:
         self.pending_samples = 0
         self._pending_loss_weighted = 0.0
         self.pending_rewards = []
-        self.pending_actions = []
-        self.first_state = None
-        self.last_state = None
 
 
 # -- checkpoints -------------------------------------------------------------
@@ -258,14 +240,20 @@ def save_checkpoint(path, domain_params: dict[int, PolicyParams], global_params:
 
 def load_checkpoint(path) -> tuple[dict[int, PolicyParams], PolicyParams]:
     with open(path) as fh:
-        rows = [line.split() for line in fh if line.strip()]
+        rows = [(no, line.split()) for no, line in enumerate(fh, 1) if line.strip()]
     if len(rows) < 2:
         raise ValueError(f"{path}: checkpoint needs at least one domain and a global line")
     params = []
-    for row in rows:
+    for line_no, row in rows:
+        where = f"{path}:{line_no}"
         if len(row) != NUM_FEATURES + 1:
-            raise ValueError(f"{path}: each checkpoint line needs {NUM_FEATURES + 1} values")
-        values = [float(x) for x in row]
+            raise ValueError(f"{where}: each checkpoint line needs {NUM_FEATURES + 1} values")
+        try:
+            values = [float(x) for x in row]
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        if not np.isfinite(values).all():
+            raise ValueError(f"{where}: checkpoint values must be finite")
         params.append(PolicyParams(kernel=np.array(values[:NUM_FEATURES]), bias=values[-1]))
     domains = {d: p for d, p in enumerate(params[:-1])}
     return domains, params[-1]

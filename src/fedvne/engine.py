@@ -18,18 +18,14 @@ from . import metrics
 from .substrate import MultiDomainSubstrate
 
 
-class EmbeddingFailure(Exception):
-    pass
-
-
-class NodeMappingFailed(EmbeddingFailure):
+class NodeMappingFailed(Exception):
     def __init__(self, virtual_node: int, partial_map: dict[int, int]):
         super().__init__(f"no feasible candidate left for virtual node {virtual_node}")
         self.virtual_node = virtual_node
         self.partial_map = partial_map
 
 
-class LinkMappingFailed(EmbeddingFailure):
+class LinkMappingFailed(Exception):
     def __init__(self, virtual_link: tuple[int, int], partial_paths: dict):
         super().__init__(f"no feasible path for virtual link {virtual_link}")
         self.virtual_link = virtual_link
@@ -63,12 +59,7 @@ class EmbeddingRecord:
 class SimEvent:
     time: float
     vnr_id: int
-    kind: str = field(compare=False)
-    record: EmbeddingRecord | None = field(compare=False, default=None)
-
-
-ARRIVAL = "arrival"
-DEPARTURE = "departure"
+    record: EmbeddingRecord = field(compare=False)
 
 
 def min_hop_path(
@@ -246,7 +237,6 @@ def run_simulation(
     substrate: MultiDomainSubstrate,
     vnrs,
     policy_provider,
-    ledger: metrics.MetricsLedger | None = None,
     on_record=None,
 ):
     """Drive the request lifecycle over a sorted stream.
@@ -255,8 +245,7 @@ def run_simulation(
     departures are drained at end of run. Individual embedding failures are
     recorded, never raised. Returns (substrate, ledger, records).
     """
-    if ledger is None:
-        ledger = metrics.MetricsLedger()
+    ledger = metrics.MetricsLedger()
     records: list[EmbeddingRecord] = []
     pending: list[SimEvent] = []
     last_t = None
@@ -270,7 +259,7 @@ def run_simulation(
         ledger.record_vnr(vnr.t_s, record.revenue, record.cost, record.accepted)
         records.append(record)
         if record.accepted:
-            heapq.heappush(pending, SimEvent(vnr.t_e, vnr.vnr_id, DEPARTURE, record))
+            heapq.heappush(pending, SimEvent(vnr.t_e, vnr.vnr_id, record))
         if on_record is not None:
             on_record(vnr, record)
     while pending:

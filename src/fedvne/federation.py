@@ -3,17 +3,17 @@
 Only parameter messages cross domain boundaries: uploads carry (params,
 sample count, local loss) and the broadcast carries the aggregated global
 parameters. Raw states, traces, and request contents never leave the domain
-that produced them; the per-domain snapshot assembled for logging holds each
-domain's own report, keyed by domain.
+that produced them; for the round log, each round also reports every domain's
+mean episode reward since the previous round.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .agent import DomainAgent, PolicyParams, StateMatrix
+from .agent import DomainAgent, PolicyParams
 
 
 class EmptyRound(Exception):
@@ -35,31 +35,12 @@ class ParamUpload:
 
 
 @dataclass
-class DomainReport:
-    domain_id: int
-    state: StateMatrix | None
-    actions: list[int]
-    reward_sum: float
-    reward_mean: float
-    next_state: StateMatrix | None
-
-
-@dataclass
-class FederatedSnapshot:
-    states: dict[int, StateMatrix | None]
-    actions: dict[int, list[int]]
-    rewards: dict[int, float]
-    next_states: dict[int, StateMatrix | None]
-
-
-@dataclass
 class FederationRound:
     round_id: int
     uploads: list[ParamUpload]
     global_params: PolicyParams
     global_loss: float
-    snapshot: FederatedSnapshot
-    reward_means: dict[int, float] = field(default_factory=dict)
+    reward_means: dict[int, float]
 
 
 def aggregate(uploads) -> PolicyParams:
@@ -87,18 +68,6 @@ def global_loss(uploads) -> float:
     return sum(u.sample_count * u.local_loss for u in uploads) / total
 
 
-def assemble_snapshot(reports) -> FederatedSnapshot:
-    """Concatenate per-domain reports, keyed by domain id."""
-    if not reports:
-        raise EmptyRound("no domain reports to assemble")
-    return FederatedSnapshot(
-        states={r.domain_id: r.state for r in reports},
-        actions={r.domain_id: list(r.actions) for r in reports},
-        rewards={r.domain_id: r.reward_sum for r in reports},
-        next_states={r.domain_id: r.next_state for r in reports},
-    )
-
-
 class Coordinator:
     """Runs synchronous rounds over a fixed set of registered domains."""
 
@@ -119,7 +88,7 @@ class Coordinator:
         registered domain has not trained since the previous round.
         """
         uploads = []
-        reports = []
+        reward_means = {}
         for d in self.domain_ids:
             agent = agents[d]
             if agent.pending_samples <= 0:
@@ -128,16 +97,7 @@ class Coordinator:
                 ParamUpload(d, agent.params.copy(), agent.pending_samples, agent.pending_loss)
             )
             rewards = agent.pending_rewards
-            reports.append(
-                DomainReport(
-                    domain_id=d,
-                    state=agent.first_state,
-                    actions=list(agent.pending_actions),
-                    reward_sum=float(sum(rewards)),
-                    reward_mean=float(np.mean(rewards)) if rewards else 0.0,
-                    next_state=agent.last_state,
-                )
-            )
+            reward_means[d] = float(np.mean(rewards)) if rewards else 0.0
         params = aggregate(uploads)
         loss = global_loss(uploads)
         for d in self.domain_ids:
@@ -149,6 +109,5 @@ class Coordinator:
             uploads=uploads,
             global_params=params,
             global_loss=loss,
-            snapshot=assemble_snapshot(reports),
-            reward_means={r.domain_id: r.reward_mean for r in reports},
+            reward_means=reward_means,
         )

@@ -64,45 +64,6 @@ class MetricsLedger:
         if accepted:
             self.accepted_count += 1
 
-    def merge(self, other: "MetricsLedger") -> "MetricsLedger":
-        merged = MetricsLedger()
-        for event in sorted(self.events + other.events, key=lambda e: e.t):
-            merged.record_vnr(event.t, event.revenue, event.cost, event.accepted)
-        return merged
-
-    def _window(self, t_max: float) -> tuple[float, float, int, int]:
-        revenue = cost = 0.0
-        accepted = total = 0
-        for event in self.events:
-            if event.t > t_max:
-                break
-            revenue += event.revenue
-            cost += event.cost
-            total += 1
-            accepted += int(event.accepted)
-        return revenue, cost, accepted, total
-
-    def ltar(self, t_max: float) -> float:
-        """Cumulative revenue per unit time up to t_max."""
-        if t_max <= 0:
-            raise UndefinedMetric("ltar needs a positive time horizon")
-        revenue, _, _, _ = self._window(t_max)
-        return revenue / t_max
-
-    def ltar2c(self, t_max: float) -> float:
-        """Cumulative revenue over cumulative cost up to t_max."""
-        revenue, cost, _, _ = self._window(t_max)
-        if cost <= 0:
-            raise UndefinedMetric("ltar2c is undefined while cumulative cost is zero")
-        return revenue / cost
-
-    def acc(self, t_max: float) -> float:
-        """Fraction of requests accepted up to t_max."""
-        _, _, accepted, total = self._window(t_max)
-        if total == 0:
-            raise UndefinedMetric("acc is undefined before the first request")
-        return accepted / total
-
     def series(self, interval: float) -> list[tuple[float, float, float | None, float]]:
         """Sample (t, ltar, ltar2c, acc) every ``interval`` time units.
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .agent import DecisionTrace, DomainAgent, episode_reward, extract_state, forward
+from .agent import DecisionTrace, DomainAgent, StateMatrix, episode_reward, extract_state, forward
 from .substrate import MultiDomainSubstrate
 
 
@@ -50,7 +50,7 @@ class HflPolicy:
         self.record_traces = record_traces
         self.reject_reward = reject_reward
         self._last_vnr_id: int | None = None
-        self._last_states: dict[int, tuple] = {}
+        self._last_states: dict[int, StateMatrix] = {}
         self._node_domain = None
 
     def __call__(self, substrate: MultiDomainSubstrate, vnr):
@@ -70,7 +70,7 @@ class HflPolicy:
                 state.raw[order, 0],
                 probs[order],
             )
-            self._last_states[d] = (state, probs)
+            self._last_states[d] = state
         self._last_vnr_id = vnr.vnr_id
         candidates = []
         for demand in vnr.node_demands:
@@ -96,8 +96,8 @@ class HflPolicy:
         for v in sorted(record.node_map):
             node_id = record.node_map[v]
             d = int(self._node_domain[node_id])
-            state, probs = self._last_states[d]
+            state = self._last_states[d]
             row = state.node_ids.index(node_id)
-            samples.setdefault(d, []).append((state, row, probs))
+            samples.setdefault(d, []).append((state, row))
         for d, sample_list in samples.items():
             self.agents[d].add_trace(DecisionTrace(samples=sample_list, reward=reward))

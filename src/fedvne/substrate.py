@@ -2,12 +2,10 @@
 
 The substrate is mutated in place by a single owner (the simulation loop).
 Policies and feature extractors may read the public arrays but must never
-write them; node and link accessors return immutable snapshots.
+write them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,11 +13,7 @@ INTRA = "intra"
 INTER = "inter"
 
 
-class SubstrateError(Exception):
-    """Base class for resource-allocation failures."""
-
-
-class InsufficientCpu(SubstrateError):
+class InsufficientCpu(Exception):
     def __init__(self, node_id: int, demand: float, available: float):
         super().__init__(
             f"node {node_id}: cpu demand {demand} exceeds available {available}"
@@ -29,7 +23,7 @@ class InsufficientCpu(SubstrateError):
         self.available = available
 
 
-class InsufficientBandwidth(SubstrateError):
+class InsufficientBandwidth(Exception):
     def __init__(self, link_id: int, demand: float, available: float):
         super().__init__(
             f"link {link_id}: bw demand {demand} exceeds available {available}"
@@ -39,31 +33,8 @@ class InsufficientBandwidth(SubstrateError):
         self.available = available
 
 
-class DoubleRelease(SubstrateError):
+class DoubleRelease(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class SubstrateNode:
-    """Read-only snapshot of one physical node."""
-
-    node_id: int
-    domain_id: int
-    coord: tuple[float, float]
-    cpu_capacity: float
-    cpu_available: float
-
-
-@dataclass(frozen=True)
-class SubstrateLink:
-    """Read-only snapshot of one physical link."""
-
-    link_id: int
-    endpoint_a: int
-    endpoint_b: int
-    kind: str
-    bw_capacity: float
-    bw_available: float
 
 
 class MultiDomainSubstrate:
@@ -201,26 +172,6 @@ class MultiDomainSubstrate:
             )
 
     # -- accessors -----------------------------------------------------
-
-    def node(self, node_id: int) -> SubstrateNode:
-        return SubstrateNode(
-            node_id=node_id,
-            domain_id=int(self.node_domain[node_id]),
-            coord=(float(self.coords[node_id, 0]), float(self.coords[node_id, 1])),
-            cpu_capacity=float(self.cpu_capacity[node_id]),
-            cpu_available=float(self.cpu_available[node_id]),
-        )
-
-    def link(self, link_id: int) -> SubstrateLink:
-        a, b = (int(x) for x in self.link_ends[link_id])
-        return SubstrateLink(
-            link_id=link_id,
-            endpoint_a=a,
-            endpoint_b=b,
-            kind=self.link_kind(link_id),
-            bw_capacity=float(self.bw_capacity[link_id]),
-            bw_available=float(self.bw_available[link_id]),
-        )
 
     def link_kind(self, link_id: int) -> str:
         a, b = self.link_ends[link_id]

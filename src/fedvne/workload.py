@@ -249,11 +249,11 @@ def _bridge_components(n: int, edges: list[tuple[int, int]], rng: random.Random)
     return bridges
 
 
-def rebase_stream(vnrs, origin: float | None = None) -> list[VirtualNetworkRequest]:
+def rebase_stream(vnrs) -> list[VirtualNetworkRequest]:
     """Shift arrival/departure times so the stream's clock starts at zero."""
     if not vnrs:
         return []
-    base = vnrs[0].t_s if origin is None else origin
+    base = vnrs[0].t_s
     return [
         VirtualNetworkRequest(
             vnr_id=v.vnr_id,
@@ -381,6 +381,7 @@ def load_vnrs(path) -> list[VirtualNetworkRequest]:
         raise ParseError(path, line_no, "first line must be the request count") from None
 
     stream = []
+    seen_ids: set[int] = set()
     for _ in range(count):
         line_no, fields = next_line("request header")
         if len(fields) != 5:
@@ -393,6 +394,9 @@ def load_vnrs(path) -> list[VirtualNetworkRequest]:
             n, m = int(fields[3]), int(fields[4])
         except ValueError:
             raise ParseError(path, line_no, "malformed request header") from None
+        if vnr_id in seen_ids:
+            raise ParseError(path, line_no, f"duplicate request id {vnr_id}")
+        seen_ids.add(vnr_id)
         demands = []
         for _ in range(n):
             line_no, fields = next_line("cpu demand")

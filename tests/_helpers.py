@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from fedvne.agent import extract_state, forward
 from fedvne.engine import EmbeddingRecord
 from fedvne.substrate import MultiDomainSubstrate
 from fedvne.workload import VirtualNetworkRequest
@@ -39,3 +40,24 @@ def applied_record(vnr, node_map, link_paths):
     record.accepted = True
     record.outstanding = True
     return record
+
+
+def reference_hfl_candidates(agents, substrate, vnr):
+    """Domain-blocked candidate lists built one Python list per demand and domain."""
+    domains = sorted(agents)
+    ranked = {}
+    for d in domains:
+        state = extract_state(substrate, d)
+        probs = forward(agents[d].params, state)
+        order = sorted(range(len(state.node_ids)), key=lambda r: (-probs[r], state.node_ids[r]))
+        ranked[d] = [(state.node_ids[r], float(state.raw[r, 0]), float(probs[r])) for r in order]
+    candidates = []
+    for demand in vnr.node_demands:
+        blocks = []
+        for d in domains:
+            feasible = [node_id for node_id, cpu, _ in ranked[d] if cpu >= demand]
+            mass = sum(p for _, cpu, p in ranked[d] if cpu >= demand)
+            blocks.append((-mass, d, feasible))
+        blocks.sort(key=lambda b: (b[0], b[1]))
+        candidates.append([node_id for _, _, ids in blocks for node_id in ids])
+    return candidates

@@ -317,7 +317,7 @@ def test_c4_gradient_check():
             samples = []
             for _ in range(rng.randint(1, 3)):
                 state = random_state(rng, rng.randint(2, 7))
-                samples.append((state, rng.randrange(len(state.node_ids)), None))
+                samples.append((state, rng.randrange(len(state.node_ids))))
             traces.append(DecisionTrace(samples=samples, reward=rng.random()))
         params = PolicyParams(
             np.array([rng.uniform(-1, 1) for _ in range(3)]), rng.uniform(-0.5, 0.5)
@@ -355,7 +355,7 @@ def test_c4_gradient_check():
 def ready_agent(domain_id, kernel, bias):
     agent = DomainAgent(domain_id, PolicyParams(np.array(kernel, dtype=float), float(bias)))
     state = StateMatrix([0, 1], np.ones((2, 3)), np.full((2, 3), 0.5))
-    agent.add_trace(DecisionTrace([(state, 0, None)], 1.0))
+    agent.add_trace(DecisionTrace([(state, 0)], 1.0))
     agent.train(0.0)
     return agent
 

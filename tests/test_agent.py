@@ -7,6 +7,7 @@ import pytest
 from _helpers import applied_record, make_substrate, make_vnr
 from fedvne.agent import (
     DecisionTrace,
+    DomainAgent,
     PolicyParams,
     StateMatrix,
     batch_loss,
@@ -15,11 +16,11 @@ from fedvne.agent import (
     forward,
     init_params,
     load_checkpoint,
-    rank_candidates,
     save_checkpoint,
     train_step,
 )
 from fedvne.engine import EmbeddingRecord
+from fedvne.policies import HflPolicy
 
 
 def params_of(kernel, bias=0.0):
@@ -37,7 +38,7 @@ def random_batch(rng, n_traces=4):
         samples = []
         for _ in range(rng.randint(1, 3)):
             state = random_state(rng, rng.randint(2, 6))
-            samples.append((state, rng.randrange(len(state.node_ids)), None))
+            samples.append((state, rng.randrange(len(state.node_ids))))
         traces.append(DecisionTrace(samples=samples, reward=rng.random()))
     return traces
 
@@ -164,33 +165,42 @@ def test_forward_properties():
 # -- ranking ------------------------------------------------------------------
 
 
+def hfl_ranking(substrate, params, demand):
+    """The HflPolicy candidate list for one virtual node on a one-domain substrate."""
+    policy = HflPolicy({0: DomainAgent(0, params)})
+    return policy(substrate, make_vnr(node_demands=(demand,)))[0]
+
+
+def path_substrate(cpu):
+    return make_substrate([0] * len(cpu), cpu, [(i, i + 1, 10.0) for i in range(len(cpu) - 1)])
+
+
 def test_rank_candidates_all_infeasible():
-    state = StateMatrix([0, 1], np.array([[5.0, 0, 0], [7.0, 0, 0]]), np.zeros((2, 3)))
-    assert rank_candidates(params_of([1, 0, 0]), state, 10.0) == []
+    assert hfl_ranking(path_substrate([5.0, 7.0]), params_of([1, 0, 0]), 10.0) == []
 
 
 def test_rank_candidates_tie_breaks_by_node_id():
-    state = StateMatrix([4, 2, 9], np.full((3, 3), 10.0), np.full((3, 3), 0.5))
-    assert rank_candidates(params_of([1, 1, 1]), state, 1.0) == [2, 4, 9]
+    # nodes 0 and 2 carry exactly the same probability
+    assert hfl_ranking(path_substrate([10.0, 20.0, 10.0]), params_of([1, 0, 0]), 1.0) == [1, 0, 2]
 
 
 def test_rank_candidates_filters_then_sorts():
-    # node 1 carries the top probability but cannot host the demand
-    state = StateMatrix(
-        [1, 2, 3],
-        np.array([[5.0, 0, 0], [20.0, 0, 0], [20.0, 0, 0]]),
-        np.array([[1.0, 0, 0], [0.6, 0, 0], [0.2, 0, 0]]),
-    )
-    assert rank_candidates(params_of([1, 0, 0]), state, 10.0) == [2, 3]
+    # node 0 carries the top probability but cannot host the demand
+    sub = path_substrate([5.0, 20.0, 15.0])
+    assert hfl_ranking(sub, params_of([-1, 0, 0]), 10.0) == [2, 1]
 
 
 def test_rank_candidates_invariant_under_monotone_transform():
     rng = random.Random(11)
-    state = random_state(rng, 6)
+    links = [(i, i + 1, rng.uniform(10, 50)) for i in range(5)] + [(0, 3, 20.0), (1, 5, 35.0)]
+    coords = [(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(6)]
+    cpu = [rng.uniform(10, 50) for _ in range(6)]
+    sub = make_substrate([0] * 6, cpu, links, coords=coords)
     params = params_of([1.5, -0.5, 0.25], 0.1)
-    base = rank_candidates(params, state, 0.0)
+    base = hfl_ranking(sub, params, 0.0)
     scaled = params_of(params.kernel * 3.0, params.bias * 3.0)  # order-preserving
-    assert rank_candidates(scaled, state, 0.0) == base
+    assert hfl_ranking(sub, scaled, 0.0) == base
+    assert sorted(base) == list(range(6))
 
 
 # -- rewards ------------------------------------------------------------------
@@ -219,7 +229,7 @@ def test_episode_reward_two_hop():
 
 def test_train_step_zero_rewards_is_noop():
     rng = random.Random(5)
-    traces = [DecisionTrace([(random_state(rng, 4), 1, None)], 0.0) for _ in range(3)]
+    traces = [DecisionTrace([(random_state(rng, 4), 1)], 0.0) for _ in range(3)]
     params = params_of([0.5, 0.5, 0.5], 0.1)
     result = train_step(params, traces, 0.1)
     assert result.degenerate
@@ -230,7 +240,7 @@ def test_train_step_zero_rewards_is_noop():
 def test_train_step_single_trace_explicit_baseline():
     rng = random.Random(6)
     state = random_state(rng, 5)
-    trace = DecisionTrace([(state, 2, None)], 1.0)
+    trace = DecisionTrace([(state, 2)], 1.0)
     params = params_of([0.2, -0.3, 0.4], 0.0)
     result = train_step(params, [trace], 1.0, baseline=0.0)
     assert not result.degenerate
@@ -250,7 +260,7 @@ def test_train_step_single_trace_explicit_baseline():
 def test_train_step_duplicate_traces_same_loss():
     rng = random.Random(7)
     state = random_state(rng, 4)
-    trace = DecisionTrace([(state, 0, None)], 0.8)
+    trace = DecisionTrace([(state, 0)], 0.8)
     params = params_of([0.1, 0.2, 0.3], 0.0)
     single = batch_loss(params, [trace], baseline=0.0)
     double = batch_loss(params, [trace, trace], baseline=0.0)
@@ -259,7 +269,7 @@ def test_train_step_duplicate_traces_same_loss():
 
 def test_train_step_default_baseline_is_batch_mean():
     rng = random.Random(8)
-    traces = [DecisionTrace([(random_state(rng, 4), 1, None)], r) for r in (0.2, 0.8)]
+    traces = [DecisionTrace([(random_state(rng, 4), 1)], r) for r in (0.2, 0.8)]
     params = params_of([0.3, 0.3, 0.3], 0.0)
     explicit = train_step(params, traces, 0.5, baseline=0.5)
     default = train_step(params, traces, 0.5)

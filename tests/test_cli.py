@@ -358,3 +358,48 @@ def test_checkpoint_domain_count_must_match_substrate(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert str(mismatched) in err
     assert f"{domain_lines} domain lines" in err and "2 domains" in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "compare"])
+@pytest.mark.parametrize(
+    "bad_line, message",
+    [
+        ("abc 0.0 0.0 0.0", "could not convert string to float: 'abc'"),
+        ("nan 0.0 0.0 0.0", "checkpoint values must be finite"),
+        ("0.1 inf 0.0 0.0", "checkpoint values must be finite"),
+        ("0.1 0.2 0.3", "each checkpoint line needs 4 values"),
+    ],
+)
+def test_bad_checkpoint_line_names_file_and_line(tmp_path, capsys, command, bad_line, message):
+    substrate_path, vnrs_path = generate_tiny(tmp_path)
+    checkpoint = tmp_path / "checkpoint.txt"
+    checkpoint.write_text(f"0.1 0.2 0.3 0.0\n{bad_line}\n0.1 0.2 0.3 0.0\n")
+    capsys.readouterr()
+    code = cli.main(
+        [command, "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
+         "--checkpoint", str(checkpoint), "--out-dir", str(tmp_path / "out")] + tiny_flags()
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{checkpoint}:2: {message}" in err
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "validate"])
+def test_duplicate_request_id_names_file_and_line(tmp_path, capsys, command):
+    substrate_path, vnrs_path = generate_tiny(tmp_path)
+    lines = vnrs_path.read_text().splitlines()
+    headers = [i for i, line in enumerate(lines) if len(line.split()) == 5]
+    fields = lines[headers[1]].split()
+    fields[0] = "0"
+    lines[headers[1]] = " ".join(fields)
+    vnrs_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    argv = [command, "--substrate", str(substrate_path), "--vnrs", str(vnrs_path)]
+    if command == "validate":
+        argv += ["--decisions", str(tmp_path / "decisions.csv")]
+    else:
+        argv += ["--policy", "noderank", "--out-dir", str(tmp_path / "out")]
+    code = cli.main(argv + tiny_flags())
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{vnrs_path}:{headers[1] + 1}: duplicate request id 0" in err

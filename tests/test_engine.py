@@ -149,7 +149,7 @@ def test_run_simulation_single_feasible_vnr():
     initial = sub.resource_vector()
     vnr = make_vnr(node_demands=(10.0,), t_s=1.0, t_e=100.0)
     _, ledger, records = run_simulation(sub, [vnr], lambda s, v: [[0, 1]])
-    assert ledger.acc(1.0) == 1.0
+    assert ledger.summary()[2] == 1.0
     assert records[0].accepted
     assert not records[0].outstanding  # departure drained at end of run
     assert sub.resource_vector().tobytes() == initial.tobytes()

@@ -7,12 +7,10 @@ import pytest
 from fedvne.agent import DecisionTrace, DomainAgent, PolicyParams, StateMatrix
 from fedvne.federation import (
     Coordinator,
-    DomainReport,
     EmptyRound,
     MissingUpload,
     ParamUpload,
     aggregate,
-    assemble_snapshot,
     global_loss,
 )
 
@@ -25,7 +23,7 @@ def agent_with_pending(domain_id, kernel, bias, reward=0.5):
     """An agent that has trained once and is ready to upload."""
     agent = DomainAgent(domain_id, PolicyParams(np.array(kernel, dtype=float), bias))
     state = StateMatrix([0, 1], np.ones((2, 3)), np.full((2, 3), 0.5))
-    agent.add_trace(DecisionTrace([(state, 0, None)], reward))
+    agent.add_trace(DecisionTrace([(state, 0)], reward))
     agent.train(0.0)  # zero step: upload bookkeeping without moving params
     return agent
 
@@ -138,7 +136,7 @@ def test_two_round_trace_matches_hand_computation():
     def local_step(agent):
         agent.params.kernel = agent.params.kernel - 0.25 * (agent.params.kernel - target)
         state = StateMatrix([0], np.ones((1, 3)), np.full((1, 3), 0.5))
-        agent.add_trace(DecisionTrace([(state, 0, None)], 1.0))
+        agent.add_trace(DecisionTrace([(state, 0)], 1.0))
         agent.train(0.0)
 
     agents = {
@@ -159,26 +157,17 @@ def test_two_round_trace_matches_hand_computation():
     assert second.round_id == 2
 
 
-def test_assemble_snapshot():
-    reports = [
-        DomainReport(0, None, [3, 5], reward_sum=0.75, reward_mean=0.375, next_state=None),
-        DomainReport(1, None, [], reward_sum=0.0, reward_mean=0.0, next_state=None),
-    ]
-    snapshot = assemble_snapshot(reports)
-    assert snapshot.rewards == {0: 0.75, 1: 0.0}
-    assert snapshot.actions == {0: [3, 5], 1: []}
-    with pytest.raises(EmptyRound):
-        assemble_snapshot([])
-
-
-def test_snapshot_preserves_per_domain_rewards():
-    rewards = [0.5, 0.25, 0.0, 1.0]
-    reports = [
-        DomainReport(d, None, [], reward_sum=r, reward_mean=r, next_state=None)
-        for d, r in enumerate(rewards)
-    ]
-    snapshot = assemble_snapshot(reports)
-    assert [snapshot.rewards[d] for d in range(4)] == rewards
+def test_run_round_reports_mean_pending_reward_per_domain():
+    agents = {0: agent_with_pending(0, [0, 0, 0], 0.0, reward=0.25)}
+    state = StateMatrix([0, 1], np.ones((2, 3)), np.full((2, 3), 0.5))
+    agents[0].add_trace(DecisionTrace([(state, 1)], 1.0))
+    agents[0].train(0.0)
+    # samples but no recorded rewards: the round reports a mean of 0.0
+    agents[1] = DomainAgent(1, PolicyParams(np.zeros(3), 0.0))
+    agents[1].pending_samples = 1
+    fed_round = Coordinator(agents.keys()).run_round(agents)
+    assert fed_round.reward_means == {0: 0.625, 1: 0.0}
+    assert all(not a.pending_rewards for a in agents.values())
 
 
 def test_uploads_carry_only_parameter_messages():

@@ -60,35 +60,34 @@ def make_ledger(events):
 
 def test_ltar_single_event():
     ledger = make_ledger([(10.0, 225.0, 225.0, True)])
-    assert ledger.ltar(100.0) == 2.25
+    assert ledger.series(100.0) == [(100.0, 2.25, 1.0, 1.0)]
+    assert ledger.summary()[0] == 22.5
 
 
 def test_all_rejections():
     ledger = make_ledger([(1.0, 0.0, 0.0, False), (2.0, 0.0, 0.0, False)])
-    assert ledger.acc(10.0) == 0.0
-    assert ledger.ltar(10.0) == 0.0
-    with pytest.raises(UndefinedMetric):
-        ledger.ltar2c(10.0)
+    assert ledger.series(10.0) == [(10.0, 0.0, None, 0.0)]
+    assert ledger.summary() == (0.0, None, 0.0)
 
 
 def test_ltar2c_direct():
     ledger = make_ledger([(1.0, 100.0, 100.0, True), (2.0, 200.0, 400.0, True)])
-    assert ledger.ltar2c(10.0) == pytest.approx(0.6)
+    assert ledger.series(10.0)[0][2] == pytest.approx(0.6)
+    assert ledger.summary()[1] == pytest.approx(0.6)
 
 
 def test_window_excludes_later_events():
     ledger = make_ledger([(1.0, 100.0, 100.0, True), (50.0, 200.0, 400.0, True)])
-    assert ledger.ltar2c(10.0) == 1.0
-    assert ledger.acc(10.0) == 1.0
-    assert ledger.ltar(10.0) == 10.0
+    rows = ledger.series(10.0)
+    assert rows[0] == (10.0, 10.0, 1.0, 1.0)
+    assert rows[-1] == (50.0, 6.0, 0.6, 1.0)
 
 
 def test_undefined_metrics():
     ledger = MetricsLedger()
-    with pytest.raises(UndefinedMetric):
-        ledger.ltar(0.0)
-    with pytest.raises(UndefinedMetric):
-        ledger.acc(10.0)
+    with pytest.raises(ValueError):
+        ledger.series(0.0)
+    assert ledger.series(10.0) == []
     with pytest.raises(UndefinedMetric):
         ledger.summary()
 
@@ -97,19 +96,11 @@ def test_identities_hold():
     ledger = make_ledger(
         [(1.0, 100.0, 120.0, True), (2.0, 0.0, 0.0, False), (3.0, 50.0, 50.0, True)]
     )
-    assert 0.0 <= ledger.acc(10.0) <= 1.0
-    assert 0.0 < ledger.ltar2c(10.0) <= 1.0
+    for ltar2c, acc in [row[2:] for row in ledger.series(1.0)] + [ledger.summary()[1:]]:
+        assert 0.0 <= acc <= 1.0
+        assert 0.0 < ltar2c <= 1.0
     assert ledger.revenue_sum <= ledger.cost_sum
     assert ledger.accepted_count <= ledger.total_count
-
-
-def test_merge_matches_streaming():
-    events_a = [(1.0, 10.0, 12.0, True), (4.0, 0.0, 0.0, False)]
-    events_b = [(2.0, 30.0, 30.0, True), (9.0, 5.0, 10.0, True)]
-    merged = make_ledger(events_a).merge(make_ledger(events_b))
-    streamed = make_ledger(sorted(events_a + events_b))
-    assert merged == streamed
-    assert merged.series(2.0) == streamed.series(2.0)
 
 
 def test_series_sampling():

@@ -1,9 +1,10 @@
 """Property tests: the fast search and ranking routines against plain references.
 
-Each reference below is the straightforward definition the engine and the
-policies must agree with exactly: a unidirectional breadth-first search that
-expands neighbors in ascending id, and rankings built by ``sorted`` with an
-explicit (-score, node id) key.
+Each reference is the straightforward definition the engine and the policies
+must agree with exactly: a unidirectional breadth-first search that expands
+neighbors in ascending id, and rankings built by ``sorted`` with an explicit
+(-score, node id) key (the hfl one, shared with ``test_policies``, lives in
+``_helpers``).
 """
 
 from collections import deque
@@ -12,8 +13,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import make_vnr
-from fedvne.agent import DomainAgent, PolicyParams, extract_state, forward
+from _helpers import make_vnr, reference_hfl_candidates
+from fedvne.agent import DomainAgent, PolicyParams
 from fedvne.engine import min_hop_path
 from fedvne.policies import HflPolicy, ranked_by_score
 from fedvne.substrate import MultiDomainSubstrate
@@ -50,27 +51,6 @@ def reference_ranked_by_score(substrate, vnr, score):
     order = sorted(range(substrate.num_nodes), key=lambda i: (-score[i], i))
     avail = substrate.cpu_available
     return [[nid for nid in order if avail[nid] >= demand] for demand in vnr.node_demands]
-
-
-def reference_hfl_candidates(agents, substrate, vnr):
-    """Domain-blocked candidate lists built one Python list per demand and domain."""
-    domains = sorted(agents)
-    ranked = {}
-    for d in domains:
-        state = extract_state(substrate, d)
-        probs = forward(agents[d].params, state)
-        order = sorted(range(len(state.node_ids)), key=lambda r: (-probs[r], state.node_ids[r]))
-        ranked[d] = [(state.node_ids[r], float(state.raw[r, 0]), float(probs[r])) for r in order]
-    candidates = []
-    for demand in vnr.node_demands:
-        blocks = []
-        for d in domains:
-            feasible = [node_id for node_id, cpu, _ in ranked[d] if cpu >= demand]
-            mass = sum(p for _, cpu, p in ranked[d] if cpu >= demand)
-            blocks.append((-mass, d, feasible))
-        blocks.sort(key=lambda b: (b[0], b[1]))
-        candidates.append([node_id for _, _, ids in blocks for node_id in ids])
-    return candidates
 
 
 # -- substrates --------------------------------------------------------------

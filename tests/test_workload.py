@@ -166,6 +166,15 @@ def test_load_vnrs_rejects_unsorted_stream(tmp_path):
         load_vnrs(path)
 
 
+def test_load_vnrs_rejects_duplicate_id(tmp_path):
+    path = tmp_path / "vnrs.txt"
+    path.write_text("2\n0 1.0 2.0 1 0\n10.0\n0 3.0 4.0 1 0\n10.0\n")
+    with pytest.raises(ParseError) as exc:
+        load_vnrs(path)
+    assert exc.value.line_no == 4
+    assert "duplicate request id 0" in str(exc.value)
+
+
 def test_rebase_stream_shifts_clock():
     stream = generate_vnr_stream(small_config(), 31)[10:]
     shifted = rebase_stream(stream)
