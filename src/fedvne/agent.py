@@ -65,37 +65,29 @@ def init_params(rng: random.Random) -> PolicyParams:
     return PolicyParams(kernel=kernel, bias=0.0)
 
 
-def _minmax_normalize(raw: np.ndarray) -> np.ndarray:
-    lo = raw.min(axis=0)
-    hi = raw.max(axis=0)
-    span = hi - lo
-    out = np.full_like(raw, 0.5)
-    for c in range(raw.shape[1]):
-        if span[c] > 0:
-            out[:, c] = (raw[:, c] - lo[c]) / span[c]
-    return out
-
-
-def extract_state(substrate: MultiDomainSubstrate, domain_id: int) -> StateMatrix:
-    """Build the domain's state matrix from a substrate snapshot.
+def extract_state(substrate: MultiDomainSubstrate) -> list[StateMatrix]:
+    """Build every domain's state matrix from one substrate snapshot.
 
     Incident sums include inter-domain links. The distance column weights
     each incident link's Euclidean length by 1/(1 + hops); incident links
-    are one hop away, so each contributes half its length.
+    are one hop away, so each contributes half its length. The states'
+    arrays are row slices of one matrix in ``substrate.domain_order``.
     """
-    ids = substrate.domain_node_ids(domain_id)
+    bounds, rows = substrate.domain_bounds, substrate.domain_rows
+    if any(a == b for a, b in bounds):
+        raise ValueError("every domain needs at least one node")
     raw = np.column_stack(
-        [
-            substrate.cpu_available[ids],
-            substrate.available_bw_sums()[ids],
-            substrate.incident_distance[ids],
-        ]
-    )
-    return StateMatrix(
-        node_ids=substrate.domain_node_list(domain_id),
-        raw=raw,
-        features=_minmax_normalize(raw),
-    )
+        [substrate.cpu_available, substrate.available_bw_sums(), substrate.incident_distance]
+    )[substrate.domain_order]
+    lo = np.minimum.reduceat(raw, substrate.domain_starts[:-1])
+    span = (np.maximum.reduceat(raw, substrate.domain_starts[:-1]) - lo)[rows]
+    # min-max normalized per domain and column; constant columns map to 0.5
+    features = np.full_like(raw, 0.5)
+    np.divide(raw - lo[rows], span, out=features, where=span > 0)
+    return [
+        StateMatrix(substrate.domain_node_list(d), raw[a:b], features[a:b])
+        for d, (a, b) in enumerate(bounds)
+    ]
 
 
 def scores(params: PolicyParams, state: StateMatrix) -> np.ndarray:
@@ -163,13 +155,19 @@ def train_step(
     grad_kernel = np.zeros(NUM_FEATURES)
     grad_bias = 0.0
     loss = 0.0
+    state = None
     for trace, advantage in zip(traces, advantages):
-        for state, chosen in trace.samples:
-            lp = log_probs(params, state)
-            p = np.exp(lp)
+        for sample_state, chosen in trace.samples:
+            # a trace's samples share one state: its softmax is computed once per run
+            if sample_state is not state:
+                state = sample_state
+                lp = log_probs(params, state)
+                p = np.exp(lp)
+                expected_features = p @ state.features
+                mass_error = p.sum() - 1.0
             loss += -advantage * lp[chosen]
-            grad_kernel += advantage * (p @ state.features - state.features[chosen])
-            grad_bias += advantage * (p.sum() - 1.0)
+            grad_kernel += advantage * (expected_features - state.features[chosen])
+            grad_bias += advantage * mass_error
     loss /= n_samples
     grad_kernel /= n_samples
     grad_bias /= n_samples

@@ -151,10 +151,12 @@ def embed_nodes(
     """Greedy node placement.
 
     Virtual nodes are processed in descending cpu demand; each takes the
-    highest-priority candidate not already used by this request that still
-    has enough cpu. Allocations are applied as they are made and rolled back
-    in full on failure.
+    highest-priority candidate not already used by this request that has
+    enough cpu. Allocations are applied as they are made and rolled back in
+    full on failure. Cpu is read once, at entry: during the stage only nodes
+    this request took change, and those are skipped as used.
     """
+    cpu = substrate.cpu_available.tolist()
     order = sorted(range(vnr.num_nodes), key=lambda v: (-vnr.node_demands[v], v))
     node_map: dict[int, int] = {}
     used: set[int] = set()
@@ -163,7 +165,7 @@ def embed_nodes(
         demand = vnr.node_demands[v]
         chosen = None
         for node_id in ranked_candidates[v]:
-            if node_id not in used and substrate.cpu_available[node_id] >= demand:
+            if cpu[node_id] >= demand and node_id not in used:
                 chosen = node_id
                 break
         if chosen is None:

@@ -157,10 +157,15 @@ class MultiDomainSubstrate:
             adj[int(b)].append((int(a), lid))
         # sorted by neighbor id so that path searches are deterministic
         self.adjacency: list[list[tuple[int, int]]] = [sorted(e) for e in adj]
-        self._domain_nodes = [
-            np.flatnonzero(self.node_domain == d) for d in range(self.num_domains)
-        ]
-        self._domain_node_lists = [ids.tolist() for ids in self._domain_nodes]
+        # node ids grouped by domain, ascending inside each domain: domain d owns
+        # positions a:b of domain_order, (a, b) = domain_bounds[d]; domain_rows
+        # holds each position's domain
+        self.domain_order = np.argsort(self.node_domain, kind="stable")
+        self.domain_rows = self.node_domain[self.domain_order]
+        self.domain_starts = np.searchsorted(self.domain_rows, np.arange(self.num_domains + 1))
+        starts = self.domain_starts.tolist()
+        self.domain_bounds = list(zip(starts[:-1], starts[1:]))
+        self._domain_node_lists = [self.domain_order[a:b].tolist() for a, b in self.domain_bounds]
         # per node, half the Euclidean length of every incident link (one hop away)
         self.incident_distance = np.zeros(self.num_nodes)
         if self.num_links:
@@ -178,7 +183,8 @@ class MultiDomainSubstrate:
         return INTRA if self.node_domain[a] == self.node_domain[b] else INTER
 
     def domain_node_ids(self, domain_id: int) -> np.ndarray:
-        return self._domain_nodes[domain_id]
+        a, b = self.domain_bounds[domain_id]
+        return self.domain_order[a:b]
 
     def domain_node_list(self, domain_id: int) -> list[int]:
         """The domain's node ids in ascending order, as a shared read-only list."""

@@ -7,6 +7,7 @@ whitespace-separated text; lines starting with ``#`` are ignored.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -287,6 +288,13 @@ def save_substrate(path, substrate: MultiDomainSubstrate) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _finite(path: str, line_no: int, text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ParseError(path, line_no, f"number must be finite, got {text}")
+    return value
+
+
 def _data_lines(path):
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -322,7 +330,7 @@ def load_substrate(path) -> MultiDomainSubstrate:
         try:
             node_id = int(fields[0])
             domain = int(fields[1])
-            x, y, capacity = (float(f) for f in fields[2:])
+            x, y, capacity = (_finite(path, line_no, f) for f in fields[2:])
         except ValueError:
             raise ParseError(path, line_no, "malformed node line") from None
         if node_id != i:
@@ -338,7 +346,7 @@ def load_substrate(path) -> MultiDomainSubstrate:
             raise ParseError(path, line_no, "link line must be '<a> <b> <bw>'")
         try:
             a, b = int(fields[0]), int(fields[1])
-            capacity = float(fields[2])
+            capacity = _finite(path, line_no, fields[2])
         except ValueError:
             raise ParseError(path, line_no, "malformed link line") from None
         if not (0 <= a < num_nodes and 0 <= b < num_nodes):
@@ -390,7 +398,7 @@ def load_vnrs(path) -> list[VirtualNetworkRequest]:
             )
         try:
             vnr_id = int(fields[0])
-            t_s, t_e = float(fields[1]), float(fields[2])
+            t_s, t_e = _finite(path, line_no, fields[1]), _finite(path, line_no, fields[2])
             n, m = int(fields[3]), int(fields[4])
         except ValueError:
             raise ParseError(path, line_no, "malformed request header") from None
@@ -400,9 +408,11 @@ def load_vnrs(path) -> list[VirtualNetworkRequest]:
         demands = []
         for _ in range(n):
             line_no, fields = next_line("cpu demand")
+            if len(fields) != 1:
+                raise ParseError(path, line_no, "cpu demand line must hold one number")
             try:
-                demands.append(float(fields[0]))
-            except (ValueError, IndexError):
+                demands.append(_finite(path, line_no, fields[0]))
+            except ValueError:
                 raise ParseError(path, line_no, "malformed cpu demand") from None
         links = []
         for _ in range(m):
@@ -410,7 +420,7 @@ def load_vnrs(path) -> list[VirtualNetworkRequest]:
             if len(fields) != 3:
                 raise ParseError(path, line_no, "virtual link must be '<a> <b> <bw>'")
             try:
-                links.append((int(fields[0]), int(fields[1]), float(fields[2])))
+                links.append((int(fields[0]), int(fields[1]), _finite(path, line_no, fields[2])))
             except ValueError:
                 raise ParseError(path, line_no, "malformed virtual link") from None
         vnr = VirtualNetworkRequest(

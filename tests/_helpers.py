@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from fedvne.agent import extract_state, forward
+import numpy as np
+
+from fedvne.agent import StateMatrix, forward
 from fedvne.engine import EmbeddingRecord
 from fedvne.substrate import MultiDomainSubstrate
 from fedvne.workload import VirtualNetworkRequest
@@ -42,12 +44,40 @@ def applied_record(vnr, node_map, link_paths):
     return record
 
 
+def reference_extract_state(substrate, domain_id):
+    """One domain's state matrix, built from that domain's rows alone."""
+    ids = np.flatnonzero(substrate.node_domain == domain_id)
+    raw = np.column_stack(
+        [
+            substrate.cpu_available[ids],
+            substrate.available_bw_sums()[ids],
+            substrate.incident_distance[ids],
+        ]
+    )
+    lo = raw.min(axis=0)
+    span = raw.max(axis=0) - lo
+    features = np.full_like(raw, 0.5)
+    for c in range(raw.shape[1]):
+        if span[c] > 0:
+            features[:, c] = (raw[:, c] - lo[c]) / span[c]
+    return StateMatrix(node_ids=ids.tolist(), raw=raw, features=features)
+
+
+def feasible_view(substrate, vnr, candidates):
+    """Each virtual node's candidates that have enough available cpu for it."""
+    cpu = substrate.cpu_available
+    return [
+        [node_id for node_id in ranked if cpu[node_id] >= demand]
+        for ranked, demand in zip(candidates, vnr.node_demands)
+    ]
+
+
 def reference_hfl_candidates(agents, substrate, vnr):
-    """Domain-blocked candidate lists built one Python list per demand and domain."""
+    """Domain-blocked feasible candidate lists built one Python list per demand and domain."""
     domains = sorted(agents)
     ranked = {}
     for d in domains:
-        state = extract_state(substrate, d)
+        state = reference_extract_state(substrate, d)
         probs = forward(agents[d].params, state)
         order = sorted(range(len(state.node_ids)), key=lambda r: (-probs[r], state.node_ids[r]))
         ranked[d] = [(state.node_ids[r], float(state.raw[r, 0]), float(probs[r])) for r in order]

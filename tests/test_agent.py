@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from _helpers import applied_record, make_substrate, make_vnr
+from _helpers import applied_record, feasible_view, make_substrate, make_vnr
 from fedvne.agent import (
     DecisionTrace,
     DomainAgent,
@@ -16,6 +16,7 @@ from fedvne.agent import (
     forward,
     init_params,
     load_checkpoint,
+    log_probs,
     save_checkpoint,
     train_step,
 )
@@ -78,7 +79,7 @@ def analytic_gradient(params, traces, learning_rate=1.0):
 
 def test_extract_state_single_isolated_node():
     sub = make_substrate([0], [40.0], [])
-    state = extract_state(sub, 0)
+    state = extract_state(sub)[0]
     assert state.raw.shape == (1, 3)
     assert state.raw[0, 1] == 0.0 and state.raw[0, 2] == 0.0
     assert (state.features[0] == 0.5).all()  # constant columns normalize to 0.5
@@ -86,7 +87,7 @@ def test_extract_state_single_isolated_node():
 
 def test_extract_state_two_node_domain():
     sub = make_substrate([0, 0], [40.0, 40.0], [(0, 1, 40.0)], coords=[(0.0, 0.0), (3.0, 4.0)])
-    state = extract_state(sub, 0)
+    state = extract_state(sub)[0]
     assert state.raw[:, 1].tolist() == [40.0, 40.0]
     assert state.raw[:, 2].tolist() == [2.5, 2.5]  # distance 5 over 1 + 1 hop
 
@@ -95,7 +96,7 @@ def test_extract_state_uses_available_not_capacity():
     sub = make_substrate([0, 0], [40.0, 40.0], [(0, 1, 40.0)])
     sub.allocate_node(0, 10.0)
     sub.allocate_path([0], 5.0)
-    state = extract_state(sub, 0)
+    state = extract_state(sub)[0]
     assert state.raw[0, 0] == 30.0
     assert state.raw[0, 1] == 35.0
 
@@ -104,7 +105,7 @@ def test_extract_state_includes_inter_domain_links():
     sub = make_substrate(
         [0, 0, 1], [40.0] * 3, [(0, 1, 10.0), (1, 2, 20.0)], num_domains=2
     )
-    state = extract_state(sub, 0)
+    state = extract_state(sub)[0]
     assert state.raw[1, 1] == 30.0  # node 1 counts its inter-domain link
 
 
@@ -114,7 +115,7 @@ def test_extract_state_default_scale_shape():
 
     sub = generate_substrate(ExperimentConfig(), 2)
     for d in range(4):
-        state = extract_state(sub, d)
+        state = extract_state(sub)[d]
         assert state.features.shape == (25, 3)
         assert np.isfinite(state.features).all()
         assert state.features.min() >= 0.0 and state.features.max() <= 1.0
@@ -166,9 +167,10 @@ def test_forward_properties():
 
 
 def hfl_ranking(substrate, params, demand):
-    """The HflPolicy candidate list for one virtual node on a one-domain substrate."""
+    """The feasible HflPolicy candidates for one virtual node on a one-domain substrate."""
     policy = HflPolicy({0: DomainAgent(0, params)})
-    return policy(substrate, make_vnr(node_demands=(demand,)))[0]
+    vnr = make_vnr(node_demands=(demand,))
+    return feasible_view(substrate, vnr, policy(substrate, vnr))[0]
 
 
 def path_substrate(cpu):
@@ -274,6 +276,31 @@ def test_train_step_default_baseline_is_batch_mean():
     explicit = train_step(params, traces, 0.5, baseline=0.5)
     default = train_step(params, traces, 0.5)
     assert np.allclose(explicit.params.kernel, default.params.kernel)
+
+
+def test_train_step_reuse_never_crosses_states():
+    rng = random.Random(12)
+    a, b = random_state(rng, 4), random_state(rng, 4)
+    traces = [
+        DecisionTrace([(a, 0), (b, 1), (a, 2)], 0.9),
+        DecisionTrace([(b, 3), (b, 0), (a, 1)], 0.2),
+    ]
+    params = params_of([0.37, -1.3, 0.8], 0.25)
+    # the softmax recomputed for every sample, accumulated in the same order
+    baseline = float(np.mean([t.reward for t in traces]))
+    loss, grad_kernel, grad_bias = 0.0, np.zeros(3), 0.0
+    for trace in traces:
+        advantage = trace.reward - baseline
+        for state, chosen in trace.samples:
+            lp = log_probs(params, state)
+            p = np.exp(lp)
+            loss += -advantage * lp[chosen]
+            grad_kernel += advantage * (p @ state.features - state.features[chosen])
+            grad_bias += advantage * (p.sum() - 1.0)
+    result = train_step(params, traces, 0.1)
+    assert result.loss == float(loss / 6)
+    assert result.params.kernel.tobytes() == (params.kernel - 0.1 * (grad_kernel / 6)).tobytes()
+    assert result.params.bias == params.bias - 0.1 * (grad_bias / 6)
 
 
 def test_gradient_matches_finite_differences():

@@ -2,6 +2,7 @@ import numpy as np
 
 from _helpers import make_substrate, make_vnr
 from fedvne.baselines import NodeRankPolicy, RandomPolicy, noderank_scores, random_ranking
+from fedvne.engine import embed_nodes
 
 
 def scores_array(substrate):
@@ -80,9 +81,9 @@ def test_policies_respect_provider_contract():
     for policy in (NodeRankPolicy(), RandomPolicy(3)):
         candidates = policy(sub, vnr)
         assert len(candidates) == 2
-        for ranked in candidates:
-            assert 1 not in ranked  # node 1 cannot host the demand
-            assert set(ranked) <= {0, 2}
+        node_map = embed_nodes(sub.copy(), vnr, candidates)
+        assert 1 not in node_map.values()  # node 1 cannot host the demand
+        assert set(node_map.values()) == {0, 2}
 
 
 def test_noderank_policy_is_pure_and_deterministic():

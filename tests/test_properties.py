@@ -2,9 +2,11 @@
 
 Each reference is the straightforward definition the engine and the policies
 must agree with exactly: a unidirectional breadth-first search that expands
-neighbors in ascending id, and rankings built by ``sorted`` with an explicit
-(-score, node id) key (the hfl one, shared with ``test_policies``, lives in
-``_helpers``).
+neighbors in ascending id, per-domain state extraction, and filtered rankings
+built by ``sorted`` with an explicit (-score, node id) key (the hfl ranking and
+the state extraction, shared with other test modules, live in ``_helpers``).
+Providers return unfiltered orders, so rankings are compared through their
+feasible view and through the node stage that consumes them.
 """
 
 from collections import deque
@@ -13,9 +15,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import make_vnr, reference_hfl_candidates
-from fedvne.agent import DomainAgent, PolicyParams
-from fedvne.engine import min_hop_path
+from _helpers import feasible_view, make_vnr, reference_extract_state, reference_hfl_candidates
+from fedvne.agent import DomainAgent, PolicyParams, extract_state, forward
+from fedvne.engine import NodeMappingFailed, embed_nodes, min_hop_path
 from fedvne.policies import HflPolicy, ranked_by_score
 from fedvne.substrate import MultiDomainSubstrate
 
@@ -176,7 +178,8 @@ def test_ranked_by_score_matches_sorted_definition(sub, data):
     demands = data.draw(st.lists(st.sampled_from([0.0, 5.0, 10.0, 20.0, 30.0, 40.0]),
                                  min_size=1, max_size=6))
     vnr = make_vnr(node_demands=demands)
-    assert ranked_by_score(sub, vnr, score) == reference_ranked_by_score(sub, vnr, score)
+    ranked = ranked_by_score(sub, vnr, score)
+    assert feasible_view(sub, vnr, ranked) == reference_ranked_by_score(sub, vnr, score)
 
 
 @SETTINGS
@@ -190,4 +193,64 @@ def test_hfl_candidates_match_per_demand_lists(sub, data):
     demands = data.draw(st.lists(st.sampled_from([0.0, 5.0, 10.0, 20.0, 30.0, 40.0]),
                                  min_size=1, max_size=6))
     vnr = make_vnr(node_demands=demands)
-    assert HflPolicy(agents)(sub, vnr) == reference_hfl_candidates(agents, sub, vnr)
+    candidates = HflPolicy(agents)(sub, vnr)
+    assert feasible_view(sub, vnr, candidates) == reference_hfl_candidates(agents, sub, vnr)
+
+
+# -- all-domain state pass and unfiltered orders ----------------------------------
+
+# non-dyadic weights and nonzero biases, so that every rounding step shows
+weights = st.one_of(st.sampled_from([0.0, 0.37, -1.3, 2.0]), st.floats(-3.0, 3.0))
+biases = st.one_of(st.sampled_from([0.25, -0.7, 1.1]), st.floats(-2.0, 2.0))
+
+
+def draw_agents(data, num_domains):
+    return {
+        d: DomainAgent(
+            d, PolicyParams(np.array(data.draw(st.lists(weights, min_size=3, max_size=3))),
+                            data.draw(biases))
+        )
+        for d in range(num_domains)
+    }
+
+
+def node_stage(sub, vnr, candidates):
+    """Node map, or failing virtual node and partial map, plus the resources left."""
+    copy = sub.copy()
+    try:
+        outcome = embed_nodes(copy, vnr, candidates)
+    except NodeMappingFailed as failure:
+        outcome = (failure.virtual_node, failure.partial_map)
+    return outcome, copy.resource_vector().tobytes()
+
+
+@SETTINGS
+@given(sub=random_substrates(), data=st.data())
+def test_extract_state_matches_per_domain_reference(sub, data):
+    agents = draw_agents(data, sub.num_domains)
+    states = extract_state(sub)
+    assert len(states) == sub.num_domains
+    for d, state in enumerate(states):
+        ref = reference_extract_state(sub, d)
+        assert state.node_ids == ref.node_ids
+        assert state.raw.tobytes() == ref.raw.tobytes()
+        assert state.features.tobytes() == ref.features.tobytes()
+        params = agents[d].params
+        assert forward(params, state).tobytes() == forward(params, ref).tobytes()
+
+
+@SETTINGS
+@given(sub=random_substrates(), data=st.data())
+def test_node_stage_matches_filtered_reference(sub, data):
+    demand = st.one_of(st.sampled_from([0.0, 5.0, 10.0, 20.0, 30.0, 40.0]), st.floats(0.0, 40.0))
+    vnr = make_vnr(node_demands=data.draw(st.lists(demand, min_size=1, max_size=6)))
+    agents = draw_agents(data, sub.num_domains)
+    assert node_stage(sub, vnr, HflPolicy(agents)(sub, vnr)) == node_stage(
+        sub, vnr, reference_hfl_candidates(agents, sub, vnr)
+    )
+    n = sub.num_nodes
+    score = np.array(data.draw(st.lists(st.sampled_from([-1.3, 0.0, 0.37, 2.0]),
+                                        min_size=n, max_size=n)))
+    assert node_stage(sub, vnr, ranked_by_score(sub, vnr, score)) == node_stage(
+        sub, vnr, reference_ranked_by_score(sub, vnr, score)
+    )

@@ -175,6 +175,39 @@ def test_load_vnrs_rejects_duplicate_id(tmp_path):
     assert "duplicate request id 0" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "text, line_no",
+    [
+        ("1\n0 0.0 5.0 1 0\n10.0 99.0\n", 3),  # surplus field on a cpu-demand line
+        ("1\n0 0.0 5.0 1 0\nnan\n", 3),
+        ("1\n0 0.0 5.0 2 1\n10.0\n10.0\n0 1 inf\n", 5),
+        ("1\n0 0.0 inf 1 0\n10.0\n", 2),
+    ],
+)
+def test_load_vnrs_rejects_surplus_fields_and_non_finite_numbers(tmp_path, text, line_no):
+    path = tmp_path / "vnrs.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError) as exc:
+        load_vnrs(path)
+    assert exc.value.line_no == line_no
+
+
+@pytest.mark.parametrize(
+    "node_line, link_line, line_no",
+    [
+        ("0 0 0.0 nan 10.0", "0 1 5.0", 2),
+        ("0 0 0.0 0.0 nan", "0 1 5.0", 2),
+        ("0 0 0.0 0.0 10.0", "0 1 inf", 4),
+    ],
+)
+def test_load_substrate_rejects_non_finite_numbers(tmp_path, node_line, link_line, line_no):
+    path = tmp_path / "sub.txt"
+    path.write_text(f"2 1 1\n{node_line}\n1 0 1.0 0.0 10.0\n{link_line}\n")
+    with pytest.raises(ParseError) as exc:
+        load_substrate(path)
+    assert exc.value.line_no == line_no
+
+
 def test_rebase_stream_shifts_clock():
     stream = generate_vnr_stream(small_config(), 31)[10:]
     shifted = rebase_stream(stream)
