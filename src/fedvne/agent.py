@@ -74,8 +74,6 @@ def extract_state(substrate: MultiDomainSubstrate) -> list[StateMatrix]:
     arrays are row slices of one matrix in ``substrate.domain_order``.
     """
     bounds, rows = substrate.domain_bounds, substrate.domain_rows
-    if any(a == b for a, b in bounds):
-        raise ValueError("every domain needs at least one node")
     raw = np.column_stack(
         [substrate.cpu_available, substrate.available_bw_sums(), substrate.incident_distance]
     )[substrate.domain_order]
@@ -204,8 +202,8 @@ class DomainAgent:
     def add_trace(self, trace: DecisionTrace) -> None:
         self.buffer.append(trace)
 
-    def train(self, learning_rate: float, baseline: float | None = None) -> TrainStepResult:
-        result = train_step(self.params, self.buffer, learning_rate, baseline)
+    def train(self, learning_rate: float) -> TrainStepResult:
+        result = train_step(self.params, self.buffer, learning_rate)
         self.params = result.params
         samples = sum(len(t.samples) for t in self.buffer)
         self.pending_samples += samples

@@ -25,6 +25,7 @@ from .config import (
     ConfigError,
     ExperimentConfig,
     apply_overrides,
+    field_types,
     load_config,
 )
 from .policies import HflPolicy
@@ -48,14 +49,13 @@ def _fmt(value) -> str:
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help=f"config file (default: ${CONFIG_ENV_VAR} if set)")
-    types = {"int": int, "float": float, "str": str}
-    for f in dataclasses.fields(ExperimentConfig):
+    for name, kind in field_types().items():
         parser.add_argument(
-            "--" + f.name.replace("_", "-"),
-            dest=f.name,
-            type=types[f.type],
+            "--" + name.replace("_", "-"),
+            dest=name,
+            type=kind,
             default=None,
-            help=f"override config key {f.name}",
+            help=f"override config key {name}",
         )
 
 
@@ -110,7 +110,7 @@ def _write_series(path: Path, rows) -> None:
 
 
 def _summary_line(name: str, ledger) -> str:
-    if not ledger.events:
+    if not ledger.records:
         return f"{name}: no requests processed"
     ltar, ltar2c, acc = ledger.summary()
     return f"{name}: ltar={_fmt(ltar)} ltar2c={_fmt(ltar2c)} acc={_fmt(acc)}"
@@ -161,9 +161,11 @@ def cmd_train(args) -> int:
     header += ["window_acc", "window_ltar2c"]
     lines = [",".join(header)]
     for row in result.round_rows:
-        fields = [str(row.round_id), _fmt(row.global_loss)]
-        fields += [_fmt(row.local_losses.get(d, 0.0)) for d in domains]
-        fields += [_fmt(row.reward_means.get(d, 0.0)) for d in domains]
+        fed_round = row.fed_round
+        # uploads come in ascending domain order, one per domain
+        fields = [str(fed_round.round_id), _fmt(fed_round.global_loss)]
+        fields += [_fmt(u.local_loss) for u in fed_round.uploads]
+        fields += [_fmt(fed_round.reward_means[d]) for d in domains]
         fields += [_fmt(row.window_acc), _fmt(row.window_ltar2c)]
         lines.append(",".join(fields))
     round_log_path = out_dir / "round_log.csv"
@@ -172,7 +174,7 @@ def cmd_train(args) -> int:
     print(f"{checkpoint_path}")
     print(f"{round_log_path} rounds={len(result.round_rows)}")
     if result.round_rows:
-        print(f"final global_loss={_fmt(result.round_rows[-1].global_loss)}")
+        print(f"final global_loss={_fmt(result.round_rows[-1].fed_round.global_loss)}")
     return 0
 
 
@@ -186,7 +188,7 @@ def cmd_evaluate(args) -> int:
     policy = _build_policy(config.policy, config, args.checkpoint, substrate.num_domains)
     _, ledger, records = engine.run_simulation(substrate.copy(), test_vnrs, policy)
     _write_series(out_dir / "metrics.csv", ledger.series(config.metrics_interval))
-    engine.write_decision_log(out_dir / "decisions.csv", records, test_vnrs)
+    engine.write_decision_log(out_dir / "decisions.csv", records)
     print(_summary_line(config.policy, ledger))
     return 0
 
@@ -211,9 +213,7 @@ def cmd_compare(args) -> int:
         elapsed = time.perf_counter() - started
         column = f"{name}#{position}" if names.count(name) > 1 else name
         series_by_policy[column] = ledger.series(config.metrics_interval)
-        engine.write_decision_log(
-            out_dir / f"decisions_{column.replace('#', '_')}.csv", records, test_vnrs
-        )
+        engine.write_decision_log(out_dir / f"decisions_{column.replace('#', '_')}.csv", records)
         windows = max(1, -(-len(test_vnrs) // config.batch_size))
         timing.append((column, elapsed / windows))
         print(_summary_line(column, ledger))

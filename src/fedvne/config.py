@@ -92,13 +92,13 @@ class ExperimentConfig:
         return "\n".join(lines) + "\n"
 
 
-def _field_types() -> dict[str, type]:
+def field_types() -> dict[str, type]:
     types = {"int": int, "float": float, "str": str}
     return {f.name: types[f.type] for f in dataclasses.fields(ExperimentConfig)}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
-    field_types = _field_types()
+    types = field_types()
     values: dict[str, object] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -109,10 +109,10 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in field_types:
+        if key not in types:
             raise ConfigError(f"{source}:{line_no}: unknown key '{key}'")
         try:
-            values[key] = field_types[key](value)
+            values[key] = types[key](value)
         except ValueError:
             raise ConfigError(f"{source}:{line_no}: bad value for '{key}'") from None
     config = ExperimentConfig(**values)

@@ -36,8 +36,9 @@ class LinkMappingFailed(Exception):
 class EmbeddingRecord:
     """Outcome of one embedding attempt.
 
-    ``node_map`` assigns each virtual node a substrate node id and
-    ``link_paths`` assigns each virtual link an ordered substrate-link path.
+    ``t_s`` is the request's arrival time. ``node_map`` assigns each
+    virtual node a substrate node id and ``link_paths`` assigns each virtual
+    link an ordered substrate-link path.
     The consumed demands are kept alongside so the record is self-contained
     for release. ``outstanding`` is True while the record holds resources.
     For rejected requests the maps retain the partial choices made before
@@ -45,6 +46,7 @@ class EmbeddingRecord:
     """
 
     vnr_id: int
+    t_s: float = 0.0
     node_map: dict[int, int] = field(default_factory=dict)
     link_paths: dict[tuple[int, int], list[int]] = field(default_factory=dict)
     revenue: float = 0.0
@@ -210,7 +212,7 @@ def attempt_embedding(
     substrate: MultiDomainSubstrate, vnr, ranked_candidates
 ) -> EmbeddingRecord:
     """Run both stages; returns a record either fully applied or fully rolled back."""
-    record = EmbeddingRecord(vnr_id=vnr.vnr_id)
+    record = EmbeddingRecord(vnr_id=vnr.vnr_id, t_s=vnr.t_s)
     try:
         node_map = embed_nodes(substrate, vnr, ranked_candidates)
     except NodeMappingFailed as failure:
@@ -248,7 +250,7 @@ def run_simulation(
     recorded, never raised. Returns (substrate, ledger, records).
     """
     ledger = metrics.MetricsLedger()
-    records: list[EmbeddingRecord] = []
+    records: list[EmbeddingRecord] = ledger.records
     pending: list[SimEvent] = []
     last_t = None
     for vnr in vnrs:
@@ -258,7 +260,6 @@ def run_simulation(
         while pending and pending[0].time <= vnr.t_s:
             substrate.release(heapq.heappop(pending).record)
         record = attempt_embedding(substrate, vnr, policy_provider(substrate, vnr))
-        ledger.record_vnr(vnr.t_s, record.revenue, record.cost, record.accepted)
         records.append(record)
         if record.accepted:
             heapq.heappush(pending, SimEvent(vnr.t_e, vnr.vnr_id, record))
@@ -439,13 +440,12 @@ def _format_paths(record: EmbeddingRecord) -> tuple[str, str]:
     return hops, paths
 
 
-def write_decision_log(path, records, vnrs) -> None:
-    by_id = {v.vnr_id: v for v in vnrs}
+def write_decision_log(path, records) -> None:
     lines = [DECISION_LOG_HEADER]
     for record in records:
         hops, paths = _format_paths(record)
         lines.append(
-            f"{record.vnr_id},{repr(by_id[record.vnr_id].t_s)},{int(record.accepted)},"
+            f"{record.vnr_id},{repr(record.t_s)},{int(record.accepted)},"
             f"{repr(record.revenue)},{repr(record.cost)},"
             f"{_format_node_map(record)},{hops},{paths}"
         )
@@ -457,7 +457,7 @@ def _parse_decision(line: str) -> EmbeddingRecord:
     fields = line.split(",")
     if len(fields) != DECISION_LOG_FIELDS:
         raise ValueError(f"expected {DECISION_LOG_FIELDS} fields, found {len(fields)}")
-    record = EmbeddingRecord(vnr_id=int(fields[0]))
+    record = EmbeddingRecord(vnr_id=int(fields[0]), t_s=float(fields[1]))
     record.accepted = bool(int(fields[2]))
     record.revenue = float(fields[3])
     record.cost = float(fields[4])

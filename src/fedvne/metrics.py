@@ -1,8 +1,10 @@
 """Per-request revenue/cost and the long-term evaluation indicators.
 
-The long-term indicators are event-time sums: revenue and cost accrue at the
-arrival instant of each accepted request, and the time series reports the
-cumulative values at a fixed sampling interval.
+The long-term indicators are event-time sums over a run's embedding records:
+revenue and cost accrue at the arrival instant of each accepted request, and
+the time series reports the cumulative values at a fixed sampling interval.
+Records are added one at a time in arrival order from 0.0; the builtin float
+``sum`` compensates from Python 3.12 on and would round differently.
 """
 
 from __future__ import annotations
@@ -36,58 +38,39 @@ def vnr_cost(vnr, record) -> float:
     return duration * total
 
 
-@dataclass(frozen=True)
-class MetricEvent:
-    t: float
-    revenue: float
-    cost: float
-    accepted: bool
-
-
 @dataclass
 class MetricsLedger:
-    """Time-ordered accumulator of embedding outcomes."""
+    """The embedding records of one run, in arrival order.
 
-    events: list[MetricEvent] = field(default_factory=list)
-    revenue_sum: float = 0.0
-    cost_sum: float = 0.0
-    accepted_count: int = 0
-    total_count: int = 0
+    The indicators are computed from the records themselves: a rejected
+    record carries zero revenue and zero cost.
+    """
 
-    def record_vnr(self, t: float, revenue: float, cost: float, accepted: bool) -> None:
-        if self.events and t < self.events[-1].t:
-            raise ValueError("ledger events must be recorded in time order")
-        self.events.append(MetricEvent(t, revenue, cost, accepted))
-        self.revenue_sum += revenue
-        self.cost_sum += cost
-        self.total_count += 1
-        if accepted:
-            self.accepted_count += 1
+    records: list = field(default_factory=list)
 
     def series(self, interval: float) -> list[tuple[float, float, float | None, float]]:
         """Sample (t, ltar, ltar2c, acc) every ``interval`` time units.
 
-        Rows begin at the first sampling point with at least one event;
+        Rows begin at the first sampling point with at least one record;
         ltar2c is None while cumulative cost is still zero.
         """
         if interval <= 0:
             raise ValueError("sampling interval must be positive")
-        if not self.events:
+        records = self.records
+        if not records:
             return []
-        end = self.events[-1].t
+        end = records[-1].t_s
         rows = []
         revenue = cost = 0.0
         accepted = total = 0
-        idx = 0
         t = interval
         while True:
-            while idx < len(self.events) and self.events[idx].t <= t:
-                event = self.events[idx]
-                revenue += event.revenue
-                cost += event.cost
+            while total < len(records) and records[total].t_s <= t:
+                record = records[total]
+                revenue += record.revenue
+                cost += record.cost
+                accepted += int(record.accepted)
                 total += 1
-                accepted += int(event.accepted)
-                idx += 1
             if total > 0:
                 ratio = revenue / cost if cost > 0 else None
                 rows.append((t, revenue / t, ratio, accepted / total))
@@ -98,9 +81,15 @@ class MetricsLedger:
 
     def summary(self) -> tuple[float, float | None, float]:
         """(ltar, ltar2c, acc) over the whole recorded horizon."""
-        if not self.events:
+        if not self.records:
             raise UndefinedMetric("summary is undefined for an empty ledger")
-        end = self.events[-1].t
-        ltar = self.revenue_sum / end if end > 0 else 0.0
-        ratio = self.revenue_sum / self.cost_sum if self.cost_sum > 0 else None
-        return ltar, ratio, self.accepted_count / self.total_count
+        revenue = cost = 0.0
+        accepted = 0
+        for record in self.records:
+            revenue += record.revenue
+            cost += record.cost
+            accepted += int(record.accepted)
+        end = self.records[-1].t_s
+        ltar = revenue / end if end > 0 else 0.0
+        ratio = revenue / cost if cost > 0 else None
+        return ltar, ratio, accepted / len(self.records)

@@ -37,6 +37,25 @@ class DoubleRelease(Exception):
     pass
 
 
+def union_find(n: int, edges):
+    """Join the endpoints of every edge over nodes 0..n-1; returns the root lookup.
+
+    Edges are joined in order with ``parent[find(a)] = find(b)``, so a
+    component's root id is a function of the edge order.
+    """
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        parent[find(a)] = find(b)
+    return find
+
+
 class MultiDomainSubstrate:
     """Physical network partitioned into domains.
 
@@ -117,38 +136,20 @@ class MultiDomainSubstrate:
         self._check_connectivity()
 
     def _check_connectivity(self) -> None:
-        parent = list(range(self.num_nodes))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        intra_parent = list(range(self.num_nodes))
-
-        def find_intra(x: int) -> int:
-            while intra_parent[x] != x:
-                intra_parent[x] = intra_parent[intra_parent[x]]
-                x = intra_parent[x]
-            return x
-
-        for a, b in self.link_ends:
-            a, b = int(a), int(b)
-            parent[find(a)] = find(b)
-            if self.node_domain[a] == self.node_domain[b]:
-                intra_parent[find_intra(a)] = find_intra(b)
-
-        if self.num_nodes > 1:
-            root = find(0)
-            if any(find(i) != root for i in range(1, self.num_nodes)):
-                raise ValueError("substrate graph is not connected")
+        edges = self.link_ends.tolist()
+        domains = self.node_domain.tolist()
+        find = union_find(self.num_nodes, edges)
+        find_intra = union_find(self.num_nodes, [(a, b) for a, b in edges if domains[a] == domains[b]])
+        root = find(0)
+        if any(find(i) != root for i in range(1, self.num_nodes)):
+            raise ValueError("substrate graph is not connected")
         for d in range(self.num_domains):
-            members = np.flatnonzero(self.node_domain == d)
-            if len(members) > 1:
-                root = find_intra(int(members[0]))
-                if any(find_intra(int(i)) != root for i in members[1:]):
-                    raise ValueError(f"domain {d} is not connected by intra-domain links")
+            members = np.flatnonzero(self.node_domain == d).tolist()
+            if not members:
+                raise ValueError(f"domain {d} has no nodes")
+            root = find_intra(members[0])
+            if any(find_intra(i) != root for i in members[1:]):
+                raise ValueError(f"domain {d} is not connected by intra-domain links")
 
     def _build_indexes(self) -> None:
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.num_nodes)]

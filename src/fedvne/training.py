@@ -4,7 +4,8 @@ Each epoch replays the training stream on a fresh copy of the substrate.
 Every ``batch_size`` completed episodes, each domain with buffered traces
 takes one gradient step; a federation round runs as soon as every domain
 has trained since the previous round (a domain that saw no placements keeps
-the round deferred until it catches up).
+the round deferred until it catches up). The result keeps each round with
+running counters over the episodes of its window, not the episodes' records.
 """
 
 from __future__ import annotations
@@ -14,21 +15,31 @@ from dataclasses import dataclass, field
 
 from .agent import DomainAgent, PolicyParams, init_params
 from .engine import run_simulation
-from .federation import Coordinator, ParamUpload, aggregate
+from .federation import Coordinator, FederationRound, ParamUpload, aggregate
 from .policies import HflPolicy
 from .substrate import MultiDomainSubstrate
 
 
 @dataclass
 class RoundRow:
-    round_id: int
-    global_loss: float
-    local_losses: dict[int, float]
-    reward_means: dict[int, float]
-    window_episodes: int
-    window_accepted: int
-    window_revenue: float
-    window_cost: float
+    """One federation round plus running counters over the episodes of its window.
+
+    The window keeps counters, not the episodes' records: a domain that never
+    trains holds every round back, so a window can span every episode of
+    every epoch. ``fed_round`` is set when the round closes the window.
+    """
+
+    fed_round: FederationRound | None = None
+    window_episodes: int = 0
+    window_accepted: int = 0
+    window_revenue: float = 0.0
+    window_cost: float = 0.0
+
+    def add(self, record) -> None:
+        self.window_episodes += 1
+        self.window_accepted += int(record.accepted)
+        self.window_revenue += record.revenue
+        self.window_cost += record.cost
 
     @property
     def window_acc(self) -> float:
@@ -40,22 +51,10 @@ class RoundRow:
 
 
 @dataclass
-class EpisodeRow:
-    epoch: int
-    index: int
-    vnr_id: int
-    t_s: float
-    accepted: bool
-    revenue: float
-    cost: float
-
-
-@dataclass
 class TrainResult:
     domain_params: dict[int, PolicyParams]
     global_params: PolicyParams
     round_rows: list[RoundRow] = field(default_factory=list)
-    episode_rows: list[EpisodeRow] = field(default_factory=list)
 
 
 class Trainer:
@@ -79,7 +78,6 @@ class Trainer:
         self.learning_rate = learning_rate
         self.batch_size = batch_size
         self.epochs = epochs
-        self.reject_reward = reject_reward
         rng = random.Random(seed)
         self.agents = {
             d: DomainAgent(d, init_params(rng)) for d in range(substrate.num_domains)
@@ -87,17 +85,11 @@ class Trainer:
         self.coordinator = Coordinator(self.agents.keys())
         self.policy = HflPolicy(self.agents, record_traces=True, reject_reward=reject_reward)
         self.round_rows: list[RoundRow] = []
-        self.episode_rows: list[EpisodeRow] = []
-        self._epoch = 0
+        self._window = RoundRow()
         self._since_boundary = 0
-        self._window_episodes = 0
-        self._window_accepted = 0
-        self._window_revenue = 0.0
-        self._window_cost = 0.0
 
     def run(self) -> TrainResult:
-        for epoch in range(self.epochs):
-            self._epoch = epoch
+        for _ in range(self.epochs):
             run_simulation(self.template.copy(), self.vnrs, self.policy, on_record=self._on_record)
             self._boundary()  # flush a partial final batch of the epoch
         global_params = self.coordinator.global_params
@@ -110,26 +102,11 @@ class Trainer:
             domain_params={d: a.params.copy() for d, a in self.agents.items()},
             global_params=global_params,
             round_rows=self.round_rows,
-            episode_rows=self.episode_rows,
         )
 
     def _on_record(self, vnr, record) -> None:
         self.policy.finish_episode(vnr, record)
-        self.episode_rows.append(
-            EpisodeRow(
-                epoch=self._epoch,
-                index=len(self.episode_rows),
-                vnr_id=vnr.vnr_id,
-                t_s=vnr.t_s,
-                accepted=record.accepted,
-                revenue=record.revenue,
-                cost=record.cost,
-            )
-        )
-        self._window_episodes += 1
-        self._window_accepted += int(record.accepted)
-        self._window_revenue += record.revenue
-        self._window_cost += record.cost
+        self._window.add(record)
         self._since_boundary += 1
         if self._since_boundary >= self.batch_size:
             self._boundary()
@@ -141,20 +118,6 @@ class Trainer:
                 self.agents[d].train(self.learning_rate)
         if not self.coordinator.ready(self.agents):
             return
-        fed_round = self.coordinator.run_round(self.agents)
-        self.round_rows.append(
-            RoundRow(
-                round_id=fed_round.round_id,
-                global_loss=fed_round.global_loss,
-                local_losses={u.domain_id: u.local_loss for u in fed_round.uploads},
-                reward_means=dict(fed_round.reward_means),
-                window_episodes=self._window_episodes,
-                window_accepted=self._window_accepted,
-                window_revenue=self._window_revenue,
-                window_cost=self._window_cost,
-            )
-        )
-        self._window_episodes = 0
-        self._window_accepted = 0
-        self._window_revenue = 0.0
-        self._window_cost = 0.0
+        self._window.fed_round = self.coordinator.run_round(self.agents)
+        self.round_rows.append(self._window)
+        self._window = RoundRow()

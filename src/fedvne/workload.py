@@ -11,7 +11,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .substrate import MultiDomainSubstrate
+from .substrate import MultiDomainSubstrate, union_find
 
 
 class ParseError(Exception):
@@ -55,14 +55,6 @@ def validate_vnr(vnr: VirtualNetworkRequest) -> None:
     if n < 1:
         raise ValidationError(f"vnr {vnr.vnr_id}: needs at least one virtual node")
     seen: set[tuple[int, int]] = set()
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for a, b, bw in vnr.link_demands:
         if not (0 <= a < n and 0 <= b < n):
             raise ValidationError(f"vnr {vnr.vnr_id}: virtual link endpoint out of range")
@@ -74,13 +66,12 @@ def validate_vnr(vnr: VirtualNetworkRequest) -> None:
         seen.add(key)
         if bw < 0:
             raise ValidationError(f"vnr {vnr.vnr_id}: negative bandwidth demand")
-        parent[find(a)] = find(b)
     if any(d < 0 for d in vnr.node_demands):
         raise ValidationError(f"vnr {vnr.vnr_id}: negative cpu demand")
-    if n > 1:
-        root = find(0)
-        if any(find(i) != root for i in range(1, n)):
-            raise ValidationError(f"vnr {vnr.vnr_id}: virtual topology is not connected")
+    find = union_find(n, [(a, b) for a, b, _ in vnr.link_demands])
+    root = find(0)
+    if any(find(i) != root for i in range(1, n)):
+        raise ValidationError(f"vnr {vnr.vnr_id}: virtual topology is not connected")
 
 
 # -- generation ----------------------------------------------------------
@@ -226,16 +217,7 @@ def generate_vnr_stream(config, seed: int) -> list[VirtualNetworkRequest]:
 
 def _bridge_components(n: int, edges: list[tuple[int, int]], rng: random.Random):
     """Minimum extra edges joining the components of an edge-sampled graph."""
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edges:
-        parent[find(a)] = find(b)
+    find = union_find(n, edges)
     components: dict[int, list[int]] = {}
     for i in range(n):
         components.setdefault(find(i), []).append(i)
@@ -295,32 +277,39 @@ def _finite(path: str, line_no: int, text: str) -> float:
     return value
 
 
-def _data_lines(path):
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            yield line_no, text.split()
+def _line_reader(path):
+    """Returns next_line(what) -> (line number, fields) of the file's next data line."""
 
+    def data_lines():
+        with open(path) as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                text = raw.strip()
+                if not text or text.startswith("#"):
+                    continue
+                yield line_no, text.split()
 
-def load_substrate(path) -> MultiDomainSubstrate:
-    lines = _data_lines(path)
-    path = str(path)
+    lines = data_lines()
 
     def next_line(what: str):
         try:
             return next(lines)
         except StopIteration:
-            raise ParseError(path, 0, f"unexpected end of file, expected {what}") from None
+            raise ParseError(str(path), 0, f"unexpected end of file, expected {what}") from None
 
-    line_no, header = next_line("header")
+    return next_line
+
+
+def load_substrate(path) -> MultiDomainSubstrate:
+    next_line = _line_reader(path)
+    path = str(path)
+
+    header_line, header = next_line("header")
     if len(header) != 3:
-        raise ParseError(path, line_no, "header must be '<nodes> <links> <domains>'")
+        raise ParseError(path, header_line, "header must be '<nodes> <links> <domains>'")
     try:
         num_nodes, num_links, num_domains = (int(x) for x in header)
     except ValueError:
-        raise ParseError(path, line_no, "header fields must be integers") from None
+        raise ParseError(path, header_line, "header fields must be integers") from None
 
     node_domains, coords, cpu = [], [], []
     for i in range(num_nodes):
@@ -357,7 +346,7 @@ def load_substrate(path) -> MultiDomainSubstrate:
     try:
         return MultiDomainSubstrate(num_domains, node_domains, coords, cpu, link_ends, bw)
     except ValueError as exc:
-        raise ValidationError(str(exc)) from None
+        raise ValidationError(f"{path}:{header_line}: {exc}") from None
 
 
 def save_vnrs(path, vnrs) -> None:
@@ -373,14 +362,8 @@ def save_vnrs(path, vnrs) -> None:
 
 
 def load_vnrs(path) -> list[VirtualNetworkRequest]:
-    lines = _data_lines(path)
+    next_line = _line_reader(path)
     path = str(path)
-
-    def next_line(what: str):
-        try:
-            return next(lines)
-        except StopIteration:
-            raise ParseError(path, 0, f"unexpected end of file, expected {what}") from None
 
     line_no, header = next_line("request count")
     try:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from fedvne import training
 from fedvne.agent import StateMatrix, forward
 from fedvne.engine import EmbeddingRecord
 from fedvne.substrate import MultiDomainSubstrate
@@ -30,6 +31,29 @@ def make_vnr(vnr_id=0, node_demands=(10.0,), link_demands=(), t_s=0.0, t_e=10.0)
         t_s=t_s,
         t_e=t_e,
     )
+
+
+def train_with_episodes(trainer):
+    """Run ``trainer``; returns its result and every episode's (accepted, revenue, cost).
+
+    Episodes are captured in order through the ``on_record`` callback of the
+    simulations the trainer runs.
+    """
+    episodes = []
+    run_simulation = training.run_simulation
+
+    def capturing(*args, on_record, **kwargs):
+        def both(vnr, record):
+            episodes.append((record.accepted, record.revenue, record.cost))
+            on_record(vnr, record)
+
+        return run_simulation(*args, on_record=both, **kwargs)
+
+    training.run_simulation = capturing
+    try:
+        return trainer.run(), episodes
+    finally:
+        training.run_simulation = run_simulation
 
 
 def applied_record(vnr, node_map, link_paths):

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from _helpers import train_with_episodes
 from fedvne import cli, engine, workload
 from fedvne.agent import (
     DecisionTrace,
@@ -69,7 +70,7 @@ def trained(instances):
             seed=seed,
             reject_reward=cfg.reject_reward,
         )
-        out[seed] = trainer.run()
+        out[seed] = train_with_episodes(trainer)
     return out
 
 
@@ -81,7 +82,8 @@ def evaluations(instances, trained):
         substrate, vnrs = instances[seed]
         test = workload.rebase_stream(vnrs[cfg.train_count : cfg.train_count + cfg.test_count])
         per_policy = {}
-        agents = {d: DomainAgent(d, p.copy()) for d, p in trained[seed].domain_params.items()}
+        result, _ = trained[seed]
+        agents = {d: DomainAgent(d, p.copy()) for d, p in result.domain_params.items()}
         for name, policy in (
             ("hfl", HflPolicy(agents)),
             ("noderank", NodeRankPolicy()),
@@ -412,23 +414,23 @@ def test_c5_federation_algebra():
 # -- criterion 6: training convergence trend -------------------------------------
 
 
-def third_stats(rows):
-    third = len(rows) // 3
+def third_stats(episodes):
+    third = len(episodes) // 3
 
     def stats(chunk):
-        acc = sum(r.accepted for r in chunk) / len(chunk)
-        revenue = sum(r.revenue for r in chunk)
-        cost = sum(r.cost for r in chunk)
+        acc = sum(accepted for accepted, _, _ in chunk) / len(chunk)
+        revenue = sum(revenue for _, revenue, _ in chunk)
+        cost = sum(cost for _, _, cost in chunk)
         return acc, revenue / cost if cost > 0 else 0.0
 
-    return stats(rows[:third]), stats(rows[-third:])
+    return stats(episodes[:third]), stats(episodes[-third:])
 
 
 def test_c6_training_convergence_trend(trained):
     improved = 0
     detail = []
     for seed in SEEDS:
-        (acc_first, r2c_first), (acc_final, r2c_final) = third_stats(trained[seed].episode_rows)
+        (acc_first, r2c_first), (acc_final, r2c_final) = third_stats(trained[seed][1])
         ok = acc_final > acc_first and r2c_final > r2c_first
         improved += ok
         detail.append(f"{seed}:{'+' if ok else '-'}")
@@ -515,7 +517,8 @@ def test_round_log_loss_trend(trained):
     # majority-of-seeds property rather than a per-seed guarantee
     non_increasing = 0
     for seed in SEEDS:
-        losses = np.array([r.global_loss for r in trained[seed].round_rows])
+        result, _ = trained[seed]
+        losses = np.array([r.fed_round.global_loss for r in result.round_rows])
         half = losses[len(losses) // 2 :]
         slope = np.polyfit(np.arange(len(half)), half, 1)[0]
         non_increasing += slope <= 0.0

@@ -405,6 +405,22 @@ def test_duplicate_request_id_names_file_and_line(tmp_path, capsys, command):
     assert f"{vnrs_path}:{headers[1] + 1}: duplicate request id 0" in err
 
 
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_domain_without_nodes_names_file_and_line(tmp_path, capsys, command):
+    substrate_path, vnrs_path = generate_tiny(tmp_path)
+    lines = substrate_path.read_text().splitlines()
+    nodes, links, domains = lines[0].split()
+    lines[0] = f"{nodes} {links} {int(domains) + 1}"
+    substrate_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    argv = [command, "--substrate", str(substrate_path), "--vnrs", str(vnrs_path)]
+    if command == "compare":
+        argv += ["--policies", "noderank"]
+    code = cli.main(argv + ["--out-dir", str(tmp_path / "out")] + tiny_flags())
+    assert code == 2
+    assert f"{substrate_path}:1: domain {domains} has no nodes" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("which", ["substrate", "vnrs"])
 def test_non_finite_input_names_file_and_line(tmp_path, capsys, which):
     substrate_path, vnrs_path = generate_tiny(tmp_path)

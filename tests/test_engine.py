@@ -140,7 +140,7 @@ def test_run_simulation_empty_stream():
     sub = make_substrate([0] * 2, [50.0] * 2, [(0, 1, 30.0)])
     before = sub.resource_vector()
     _, ledger, records = run_simulation(sub, [], lambda s, v: [])
-    assert records == [] and ledger.total_count == 0
+    assert records == [] and ledger.records == []
     assert sub.resource_vector().tobytes() == before.tobytes()
 
 
@@ -168,7 +168,7 @@ def test_run_simulation_matches_hand_event_trace():
     provider = lambda s, v: [[0]]
     _, ledger, records = run_simulation(sub, vnrs, provider)
     assert [r.accepted for r in records] == [True, False, True]
-    assert ledger.accepted_count == 2 and ledger.total_count == 3
+    assert ledger.records == records and ledger.summary()[2] == 2 / 3
 
 
 def test_run_simulation_rejects_unsorted_stream():
@@ -193,13 +193,14 @@ def test_decision_log_round_trip(tmp_path):
     sub = make_substrate([0] * 3, [50.0] * 3, [(0, 1, 30.0), (1, 2, 30.0)])
     vnrs = [
         make_vnr(0, node_demands=(10.0, 10.0), link_demands=((0, 1, 5.0),), t_s=0.0, t_e=9.0),
-        make_vnr(1, node_demands=(45.0, 45.0, 45.0), t_s=1.0, t_e=9.0),
+        make_vnr(1, node_demands=(45.0, 45.0, 45.0), t_s=1.0 / 3.0, t_e=9.0),
     ]
     _, _, records = run_simulation(sub, vnrs, lambda s, v: [[0, 1, 2]] * v.num_nodes)
     path = tmp_path / "decisions.csv"
-    write_decision_log(path, records, vnrs)
+    write_decision_log(path, records)
     loaded = read_decision_log(path)
     assert [r.vnr_id for r in loaded] == [r.vnr_id for r in records]
+    assert [r.t_s for r in loaded] == [v.t_s for v in vnrs]
     for got, want in zip(loaded, records):
         assert got.accepted == want.accepted
         assert got.node_map == want.node_map

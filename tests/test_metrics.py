@@ -52,10 +52,13 @@ def test_cost_rejected_record():
 
 
 def make_ledger(events):
-    ledger = MetricsLedger()
-    for event in events:
-        ledger.record_vnr(*event)
-    return ledger
+    """A ledger over one record per (t_s, revenue, cost, accepted) event."""
+    return MetricsLedger(
+        [
+            EmbeddingRecord(vnr_id=i, t_s=t, revenue=revenue, cost=cost, accepted=accepted)
+            for i, (t, revenue, cost, accepted) in enumerate(events)
+        ]
+    )
 
 
 def test_ltar_single_event():
@@ -99,8 +102,8 @@ def test_identities_hold():
     for ltar2c, acc in [row[2:] for row in ledger.series(1.0)] + [ledger.summary()[1:]]:
         assert 0.0 <= acc <= 1.0
         assert 0.0 < ltar2c <= 1.0
-    assert ledger.revenue_sum <= ledger.cost_sum
-    assert ledger.accepted_count <= ledger.total_count
+    # revenue 150 of cost 170 over 3 time units; 2 of 3 accepted
+    assert ledger.summary() == (150.0 / 3.0, 150.0 / 170.0, 2 / 3)
 
 
 def test_series_sampling():

@@ -2,7 +2,13 @@ import dataclasses
 
 import numpy as np
 
-from _helpers import feasible_view, make_substrate, make_vnr, reference_hfl_candidates
+from _helpers import (
+    feasible_view,
+    make_substrate,
+    make_vnr,
+    reference_hfl_candidates,
+    train_with_episodes,
+)
 from fedvne import engine, workload
 from fedvne.agent import DomainAgent, PolicyParams
 from fedvne.config import ExperimentConfig
@@ -110,12 +116,14 @@ def test_trainer_is_deterministic():
             epochs=cfg.epochs,
             seed=5,
         )
-        return trainer.run()
+        return train_with_episodes(trainer)
 
-    first, second = run(), run()
+    (first, first_episodes), (second, second_episodes) = run(), run()
     assert np.array_equal(first.global_params.kernel, second.global_params.kernel)
-    assert [r.global_loss for r in first.round_rows] == [r.global_loss for r in second.round_rows]
-    assert [r.accepted for r in first.episode_rows] == [r.accepted for r in second.episode_rows]
+    assert [r.fed_round.global_loss for r in first.round_rows] == [
+        r.fed_round.global_loss for r in second.round_rows
+    ]
+    assert first_episodes == second_episodes
 
 
 def test_trainer_single_domain_collapse():
@@ -137,7 +145,7 @@ def test_trainer_round_windows_cover_episodes():
     trainer = Trainer(sub, vnrs, learning_rate=1.0, batch_size=10, epochs=2, seed=7)
     result = trainer.run()
     total_window = sum(r.window_episodes for r in result.round_rows)
-    assert total_window == len(result.episode_rows)
+    assert total_window == 2 * len(vnrs)  # every episode of both epochs
     for row in result.round_rows:
         assert 0.0 <= row.window_acc <= 1.0
         if row.window_ltar2c is not None:

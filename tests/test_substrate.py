@@ -164,6 +164,12 @@ def test_structural_validation():
         make_substrate([0, 1, 1], [10.0] * 3, [(0, 1, 5.0), (0, 2, 5.0)], num_domains=2)
 
 
+def test_domain_without_nodes_rejected():
+    # the two nodes use domains 0 and 1 of the three declared
+    with pytest.raises(ValueError, match="domain 2 has no nodes"):
+        make_substrate([0, 1], [10.0] * 2, [(0, 1, 5.0)], num_domains=3)
+
+
 def test_link_kind_derivation():
     sub = make_substrate([0, 0, 1], [10.0] * 3, [(0, 1, 5.0), (1, 2, 5.0)], num_domains=2)
     assert sub.link_kind(0) == "intra"
