@@ -12,7 +12,7 @@ import random
 
 import numpy as np
 
-from .policies import ranked_by_score
+from .policies import SubstrateSnapshot, ranked_by_score
 from .substrate import MultiDomainSubstrate
 
 
@@ -44,10 +44,19 @@ def random_ranking(substrate: MultiDomainSubstrate, seed: int) -> list[float]:
 
 
 class NodeRankPolicy:
-    """Deterministic provider ranking by the two-pass walk scores."""
+    """Deterministic provider ranking by the two-pass walk scores.
+
+    The order is scored again only when the substrate snapshot changed.
+    """
+
+    def __init__(self):
+        self._snapshot = SubstrateSnapshot()
+        self._order: list[int] = []
 
     def __call__(self, substrate: MultiDomainSubstrate, vnr):
-        return ranked_by_score(substrate, vnr, noderank_scores(substrate))
+        if self._snapshot.changed(substrate):
+            self._order = ranked_by_score(noderank_scores(substrate))
+        return [self._order] * vnr.num_nodes
 
 
 class RandomPolicy:
@@ -58,4 +67,4 @@ class RandomPolicy:
 
     def __call__(self, substrate: MultiDomainSubstrate, vnr):
         score = np.array(random_ranking(substrate, self._rng.randrange(2**32)))
-        return ranked_by_score(substrate, vnr, score)
+        return [ranked_by_score(score)] * vnr.num_nodes

@@ -299,7 +299,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, workload.InfeasibleTopology) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (workload.ParseError, workload.ValidationError, OSError, ValueError, RuntimeError) as exc:

@@ -12,6 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
+# the most sampling points ``MetricsLedger.series`` builds; a finer interval is refused
+MAX_SERIES_ROWS = 1_000_000
+
+
 class UndefinedMetric(Exception):
     pass
 
@@ -52,7 +56,9 @@ class MetricsLedger:
         """Sample (t, ltar, ltar2c, acc) every ``interval`` time units.
 
         Rows begin at the first sampling point with at least one record;
-        ltar2c is None while cumulative cost is still zero.
+        ltar2c is None while cumulative cost is still zero. An interval that
+        would need more than ``MAX_SERIES_ROWS`` sampling points is refused
+        with ValueError before any row is built.
         """
         if interval <= 0:
             raise ValueError("sampling interval must be positive")
@@ -60,6 +66,12 @@ class MetricsLedger:
         if not records:
             return []
         end = records[-1].t_s
+        points = end / interval
+        if points > MAX_SERIES_ROWS:
+            raise ValueError(
+                f"sampling every {interval} up to t={end} needs about {points:.6g} rows, "
+                f"above the limit of {MAX_SERIES_ROWS}"
+            )
         rows = []
         revenue = cost = 0.0
         accepted = total = 0

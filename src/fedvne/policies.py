@@ -4,9 +4,16 @@ A policy provider is a callable (substrate, vnr) -> candidate orders, one
 descending-priority list of substrate node ids per virtual node. An order
 may hold nodes that cannot host its virtual node: the engine's node stage
 skips those, along with nodes the request already uses, so providers do not
-filter. Virtual nodes may share one list, and nobody mutates it. A provider
-must be a pure function of the substrate snapshot; the trained multi-domain
-policy and the baselines all satisfy the same contract.
+filter. Virtual nodes may share one list, and nobody mutates it, so a
+provider may also hand out the same list on later calls.
+
+A provider may keep state between calls only if its output stays a function
+of the substrate snapshot (the topology and the bytes of ``cpu_available``
+and ``bw_available``), the request and, for the trained multi-domain policy,
+the values of the domains' parameters. Both ranking providers keep their last
+ranking and redo it only when ``SubstrateSnapshot`` or the parameters say it
+is stale. ``RandomPolicy`` is the one provider whose output is not a function
+of the snapshot: it draws fresh scores per arrival.
 """
 
 from __future__ import annotations
@@ -17,24 +24,50 @@ from .agent import DecisionTrace, DomainAgent, StateMatrix, episode_reward, extr
 from .substrate import MultiDomainSubstrate
 
 
-def ranked_by_score(substrate: MultiDomainSubstrate, vnr, score: np.ndarray):
-    """One order for every virtual node: descending score, ties by ascending node id."""
-    order = np.argsort(-score, kind="stable").tolist()
-    return [order] * vnr.num_nodes
+def ranked_by_score(score: np.ndarray) -> list[int]:
+    """Node ids by descending score, ties by ascending node id."""
+    return np.argsort(-score, kind="stable").tolist()
+
+
+class SubstrateSnapshot:
+    """Tells a provider whether the substrate changed since its last ranking.
+
+    A snapshot is the topology plus the bytes of both availability arrays.
+    ``MultiDomainSubstrate.copy()`` shares every topology attribute, so the
+    identity of the adjacency list stands for the topology. A held reference
+    keeps that list alive, so its identity cannot be reused by another one.
+    """
+
+    def __init__(self):
+        self._topology = None
+        self._cpu = b""
+        self._bw = b""
+
+    def changed(self, substrate: MultiDomainSubstrate) -> bool:
+        """True when ``substrate`` differs from the previous call's; remembers it."""
+        cpu = substrate.cpu_available.tobytes()
+        bw = substrate.bw_available.tobytes()
+        if substrate.adjacency is self._topology and cpu == self._cpu and bw == self._bw:
+            return False
+        self._topology, self._cpu, self._bw = substrate.adjacency, cpu, bw
+        return True
 
 
 class HflPolicy:
     """Multi-domain policy backed by one agent per domain.
 
-    Each call extracts every domain's state and turns it into allocation
-    probabilities with that domain's parameters. The global ranking is
-    domain-blocked per virtual node: domains are ordered by the probability
-    mass their feasible nodes carry, and inside each block all the domain's
-    nodes follow its probabilities. Requests therefore pack into the domain
-    whose agent currently offers the most allocatable probability instead of
-    scattering across all domains. With ``record_traces`` enabled,
-    ``finish_episode`` distributes the episode's decisions back to the
-    owning domains' trace buffers.
+    Each domain's state is turned into allocation probabilities with that
+    domain's parameters. The global ranking is domain-blocked per virtual
+    node: domains are ordered by the probability mass their feasible nodes
+    carry, and inside each block all the domain's nodes follow its
+    probabilities. Requests therefore pack into the domain whose agent
+    currently offers the most allocatable probability instead of scattering
+    across all domains. The states are extracted again only when the
+    substrate snapshot changed, and the probabilities and per-domain orders
+    only when the snapshot or a parameter value changed; the block order
+    depends on the request and is computed on every call. With
+    ``record_traces`` enabled, ``finish_episode`` distributes the episode's
+    decisions back to the owning domains' trace buffers.
     """
 
     def __init__(
@@ -49,13 +82,36 @@ class HflPolicy:
         self._last_vnr_id: int | None = None
         self._last_states: list[StateMatrix] = []
         self._node_domain = None
+        self._snapshot = SubstrateSnapshot()
+        self._param_key = None
+        # padded per-domain cpu and probabilities in rank order, the per-domain
+        # ranked id lists, and the joined list of every block order seen so far
+        self._cpu = self._prob = None
+        self._lists: list[list[int]] = []
+        self._joined: dict[tuple, list[int]] = {}
 
     def __call__(self, substrate: MultiDomainSubstrate, vnr):
-        self._last_states = extract_state(substrate)
         self._last_vnr_id = vnr.vnr_id
         self._node_domain = substrate.node_domain
+        params = [self.agents[d].params for d in range(substrate.num_domains)]
+        param_key = [(p.kernel.tobytes(), p.bias) for p in params]
+        if self._snapshot.changed(substrate):
+            self._last_states = extract_state(substrate)
+            self._param_key = None
+        if param_key != self._param_key:
+            self._param_key = param_key
+            self._rank(substrate, params)
+        feasible = self._cpu >= np.array(vnr.node_demands)[:, None, None]
+        mass = np.cumsum(np.where(feasible, self._prob, 0.0), axis=-1)[..., -1]
+        blocks = [tuple(b) for b in np.argsort(-mass, axis=1, kind="stable").tolist()]
+        joined = self._joined
+        for b in blocks:
+            if b not in joined:
+                joined[b] = [node_id for d in b for node_id in self._lists[d]]
+        return [joined[b] for b in blocks]
+
+    def _rank(self, substrate: MultiDomainSubstrate, params) -> None:
         bounds, rows = substrate.domain_bounds, substrate.domain_rows
-        params = [self.agents[d].params for d in range(len(bounds))]
         # the softmax of forward() per domain; only the matrix product and the
         # sum stay per domain, because their all-node forms round differently
         z = np.concatenate([s.features @ p.kernel for s, p in zip(self._last_states, params)])
@@ -69,17 +125,13 @@ class HflPolicy:
         # adds the feasible probabilities strictly left to right, as the block
         # order's definition does (padding adds exact zeros); ties keep domain order
         cells = (rows, np.arange(len(rows)) - substrate.domain_starts[rows])
-        cpu = np.zeros((len(bounds), max(b - a for a, b in bounds)))
-        cpu[cells] = substrate.cpu_available[ids]
-        prob = np.zeros_like(cpu)
-        prob[cells] = probs[order]
-        feasible = cpu >= np.array(vnr.node_demands)[:, None, None]
-        mass = np.cumsum(np.where(feasible, prob, 0.0), axis=-1)[..., -1]
-        blocks = [tuple(b) for b in np.argsort(-mass, axis=1, kind="stable").tolist()]
+        self._cpu = np.zeros((len(bounds), max(b - a for a, b in bounds)))
+        self._cpu[cells] = substrate.cpu_available[ids]
+        self._prob = np.zeros_like(self._cpu)
+        self._prob[cells] = probs[order]
         ranked = ids.tolist()
-        lists = [ranked[a:b] for a, b in bounds]
-        joined = {b: [node_id for d in b for node_id in lists[d]] for b in set(blocks)}
-        return [joined[b] for b in blocks]
+        self._lists = [ranked[a:b] for a, b in bounds]
+        self._joined = {}
 
     def finish_episode(self, vnr, record) -> None:
         """Turn a finished embedding attempt into per-domain decision traces."""

@@ -323,7 +323,9 @@ def load_substrate(path) -> MultiDomainSubstrate:
         except ValueError:
             raise ParseError(path, line_no, "malformed node line") from None
         if node_id != i:
-            raise ValidationError(f"node ids must be sequential from 0, got {node_id} at position {i}")
+            raise ValidationError(
+                f"{path}:{line_no}: node ids must be sequential from 0, got {node_id} at position {i}"
+            )
         node_domains.append(domain)
         coords.append((x, y))
         cpu.append(capacity)
@@ -339,7 +341,7 @@ def load_substrate(path) -> MultiDomainSubstrate:
         except ValueError:
             raise ParseError(path, line_no, "malformed link line") from None
         if not (0 <= a < num_nodes and 0 <= b < num_nodes):
-            raise ValidationError(f"link endpoint ({a}, {b}) refers to a missing node")
+            raise ValidationError(f"{path}:{line_no}: link endpoint ({a}, {b}) refers to a missing node")
         link_ends.append((a, b))
         bw.append(capacity)
 
@@ -374,19 +376,19 @@ def load_vnrs(path) -> list[VirtualNetworkRequest]:
     stream = []
     seen_ids: set[int] = set()
     for _ in range(count):
-        line_no, fields = next_line("request header")
+        header_line, fields = next_line("request header")
         if len(fields) != 5:
             raise ParseError(
-                path, line_no, "request header must be '<id> <t_s> <t_e> <nodes> <links>'"
+                path, header_line, "request header must be '<id> <t_s> <t_e> <nodes> <links>'"
             )
         try:
             vnr_id = int(fields[0])
-            t_s, t_e = _finite(path, line_no, fields[1]), _finite(path, line_no, fields[2])
+            t_s, t_e = _finite(path, header_line, fields[1]), _finite(path, header_line, fields[2])
             n, m = int(fields[3]), int(fields[4])
         except ValueError:
-            raise ParseError(path, line_no, "malformed request header") from None
+            raise ParseError(path, header_line, "malformed request header") from None
         if vnr_id in seen_ids:
-            raise ParseError(path, line_no, f"duplicate request id {vnr_id}")
+            raise ParseError(path, header_line, f"duplicate request id {vnr_id}")
         seen_ids.add(vnr_id)
         demands = []
         for _ in range(n):
@@ -413,10 +415,11 @@ def load_vnrs(path) -> list[VirtualNetworkRequest]:
             t_s=t_s,
             t_e=t_e,
         )
-        validate_vnr(vnr)
+        try:
+            validate_vnr(vnr)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{header_line}: {exc}") from None
+        if stream and t_s < stream[-1].t_s:
+            raise ValidationError(f"{path}:{header_line}: request stream is not sorted by arrival time")
         stream.append(vnr)
-
-    for earlier, later in zip(stream, stream[1:]):
-        if later.t_s < earlier.t_s:
-            raise ValidationError("request stream is not sorted by arrival time")
     return stream

@@ -117,6 +117,32 @@ def test_generate_invalid_range_exits_one(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--num-links", "5"], "5 links cannot connect 4 domains of 25 nodes"),
+        (["--num-domains", "1", "--nodes-per-domain", "1", "--num-links", "1"],
+         "1 links exceed the simple-graph maximum"),
+    ],
+)
+def test_generate_infeasible_topology_exits_one(tmp_path, capsys, flags, message):
+    code = cli.main(["generate", "--out-dir", str(tmp_path)] + flags)
+    assert code == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+def test_evaluate_too_fine_metrics_interval_exits_two(tmp_path, capsys):
+    substrate_path, vnrs_path = generate_tiny(tmp_path)
+    capsys.readouterr()
+    code = cli.main(
+        ["evaluate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
+         "--policy", "noderank", "--metrics-interval", "1e-9", "--out-dir", str(tmp_path / "out")]
+        + tiny_flags()
+    )
+    assert code == 2
+    assert "above the limit of 1000000" in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_one(tmp_path):
     assert cli.main(["generate", "--no-such-flag"]) == 1
 
@@ -438,3 +464,42 @@ def test_non_finite_input_names_file_and_line(tmp_path, capsys, which):
     )
     assert code == 2
     assert f"{path}:{len(lines)}: number must be finite" in capsys.readouterr().err
+
+
+def _set_field(path, line_no, field, value):
+    """Replace one whitespace-separated field of the file's line ``line_no``."""
+    lines = path.read_text().splitlines()
+    fields = lines[line_no - 1].split()
+    fields[field] = value
+    lines[line_no - 1] = " ".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ("missing_endpoint", "link endpoint (10, "),
+        ("node_out_of_sequence", "node ids must be sequential from 0, got 7 at position 1"),
+        ("departure_first", "vnr 0: departure time must exceed arrival time"),
+        ("unsorted", "request stream is not sorted by arrival time"),
+    ],
+)
+def test_input_faults_name_file_and_line(tmp_path, capsys, fault, message):
+    substrate_path, vnrs_path = generate_tiny(tmp_path)
+    num_nodes = TINY["num_domains"] * TINY["nodes_per_domain"]
+    lines = vnrs_path.read_text().splitlines()
+    second_header = [no for no, line in enumerate(lines, 1) if len(line.split()) == 5][1]
+    path, line_no, field, value = {
+        "missing_endpoint": (substrate_path, num_nodes + 2, 0, str(num_nodes)),
+        "node_out_of_sequence": (substrate_path, 3, 0, "7"),
+        "departure_first": (vnrs_path, 2, 1, "1e6"),
+        "unsorted": (vnrs_path, second_header, 1, "0.0"),
+    }[fault]
+    _set_field(path, line_no, field, value)
+    capsys.readouterr()
+    code = cli.main(
+        ["evaluate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
+         "--policy", "noderank", "--out-dir", str(tmp_path / "out")] + tiny_flags()
+    )
+    assert code == 2
+    assert f"{path}:{line_no}: {message}" in capsys.readouterr().err

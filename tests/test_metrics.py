@@ -1,8 +1,10 @@
 import pytest
 
 from _helpers import applied_record, make_vnr
+from fedvne import metrics
 from fedvne.engine import EmbeddingRecord
 from fedvne.metrics import (
+    MAX_SERIES_ROWS,
     MetricsLedger,
     RejectedRecord,
     UndefinedMetric,
@@ -122,3 +124,19 @@ def test_series_empty_and_undefined_ratio():
     rows = ledger.series(100.0)
     assert len(rows) == 1
     assert rows[0][2] is None  # no cost accumulated yet
+
+
+def test_series_refuses_too_many_rows_before_building_any():
+    ledger = make_ledger([(150.0, 200.0, 400.0, True), (260.0, 0.0, 0.0, False)])
+    with pytest.raises(ValueError) as exc:
+        ledger.series(1e-9)  # 2.6e11 sampling points: refused at once, not after a MemoryError
+    assert "2.6e+11 rows" in str(exc.value)
+    assert f"limit of {MAX_SERIES_ROWS}" in str(exc.value)
+
+
+def test_series_row_limit_is_inclusive(monkeypatch):
+    monkeypatch.setattr(metrics, "MAX_SERIES_ROWS", 3)
+    ledger = make_ledger([(150.0, 200.0, 400.0, True), (300.0, 0.0, 0.0, False)])
+    assert [r[0] for r in ledger.series(100.0)] == [200.0, 300.0]
+    with pytest.raises(ValueError):
+        ledger.series(99.0)

@@ -43,7 +43,8 @@ def fresh_agents(substrate, kernel=(0.2, 0.1, -0.1), bias=0.0):
 def test_ranked_by_score_orders_and_filters():
     sub = make_substrate([0, 0, 0], [30.0, 5.0, 30.0], [(0, 1, 20.0), (1, 2, 20.0)])
     vnr = make_vnr(node_demands=(10.0, 2.0))
-    candidates = feasible_view(sub, vnr, ranked_by_score(sub, vnr, np.array([0.5, 0.9, 0.5])))
+    order = ranked_by_score(np.array([0.5, 0.9, 0.5]))
+    candidates = feasible_view(sub, vnr, [order] * vnr.num_nodes)
     assert candidates[0] == [0, 2]  # node 1 infeasible for demand 10
     assert candidates[1] == [1, 0, 2]  # feasible for demand 2; ties by node id
 

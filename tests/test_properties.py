@@ -6,7 +6,8 @@ neighbors in ascending id, per-domain state extraction, and filtered rankings
 built by ``sorted`` with an explicit (-score, node id) key (the hfl ranking and
 the state extraction, shared with other test modules, live in ``_helpers``).
 Providers return unfiltered orders, so rankings are compared through their
-feasible view and through the node stage that consumes them.
+feasible view and through the node stage that consumes them. Providers that
+keep their last ranking are compared with freshly built ones.
 """
 
 from collections import deque
@@ -15,8 +16,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import feasible_view, make_vnr, reference_extract_state, reference_hfl_candidates
+from _helpers import (
+    feasible_view,
+    make_substrate,
+    make_vnr,
+    reference_extract_state,
+    reference_hfl_candidates,
+)
+from fedvne import baselines, policies
 from fedvne.agent import DomainAgent, PolicyParams, extract_state, forward
+from fedvne.baselines import NodeRankPolicy
 from fedvne.engine import NodeMappingFailed, embed_nodes, min_hop_path
 from fedvne.policies import HflPolicy, ranked_by_score
 from fedvne.substrate import MultiDomainSubstrate
@@ -178,7 +187,7 @@ def test_ranked_by_score_matches_sorted_definition(sub, data):
     demands = data.draw(st.lists(st.sampled_from([0.0, 5.0, 10.0, 20.0, 30.0, 40.0]),
                                  min_size=1, max_size=6))
     vnr = make_vnr(node_demands=demands)
-    ranked = ranked_by_score(sub, vnr, score)
+    ranked = [ranked_by_score(score)] * vnr.num_nodes
     assert feasible_view(sub, vnr, ranked) == reference_ranked_by_score(sub, vnr, score)
 
 
@@ -251,6 +260,107 @@ def test_node_stage_matches_filtered_reference(sub, data):
     n = sub.num_nodes
     score = np.array(data.draw(st.lists(st.sampled_from([-1.3, 0.0, 0.37, 2.0]),
                                         min_size=n, max_size=n)))
-    assert node_stage(sub, vnr, ranked_by_score(sub, vnr, score)) == node_stage(
+    assert node_stage(sub, vnr, [ranked_by_score(score)] * vnr.num_nodes) == node_stage(
         sub, vnr, reference_ranked_by_score(sub, vnr, score)
     )
+
+
+# -- rankings kept across calls ------------------------------------------------
+
+step_kinds = st.sampled_from(
+    ["allocate", "rollback", "release", "replace", "kernel", "bias", "same", "copy"]
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sub=random_substrates(), data=st.data())
+def test_kept_rankings_match_fresh_providers(sub, data):
+    """Allocations, rollbacks, releases, parameter changes and fresh copies of the
+    substrate, each followed by one call of a long-lived and of a fresh provider."""
+    agents = draw_agents(data, sub.num_domains)
+    hfl, noderank = HflPolicy(agents), NodeRankPolicy()
+    work = sub.copy()
+    held = []
+    demand = st.sampled_from([0.0, 5.0, 10.0, 20.0, 30.0])
+    amount = st.sampled_from([0.5, 1.0, 3.0, 10.0])
+    for kind in data.draw(st.lists(step_kinds, min_size=1, max_size=10)):
+        if kind in ("allocate", "rollback"):
+            if sub.num_links and data.draw(st.booleans()):
+                link = data.draw(st.integers(0, sub.num_links - 1))
+                take = min(data.draw(amount), float(work.bw_available[link]))
+                work.allocate_path([link], take)
+                held.append(("link", link, take))
+            else:
+                node = data.draw(st.integers(0, sub.num_nodes - 1))
+                take = min(data.draw(amount), float(work.cpu_available[node]))
+                work.allocate_node(node, take)
+                held.append(("node", node, take))
+        if kind in ("rollback", "release") and held:
+            last = len(held) - 1
+            what, where, take = held.pop(last if kind == "rollback" else data.draw(st.integers(0, last)))
+            if what == "link":
+                work.free_path([where], take)
+            else:
+                work.free_node(where, take)
+        d = data.draw(st.integers(0, sub.num_domains - 1))
+        if kind == "replace":
+            agents[d].params = draw_agents(data, 1)[0].params
+        elif kind == "kernel":
+            agents[d].params.kernel[data.draw(st.integers(0, 2))] = data.draw(weights)
+        elif kind == "bias":
+            agents[d].params.bias = data.draw(biases)
+        elif kind == "same":
+            agents[d].params = agents[d].params.copy()
+        elif kind == "copy":
+            work, held = sub.copy(), []
+        vnr = make_vnr(node_demands=data.draw(st.lists(demand, min_size=1, max_size=4)))
+        fresh = HflPolicy(agents)
+        assert hfl(work, vnr) == fresh(work, vnr)
+        # a bias moves the probabilities by rounding only, so compare them bytewise
+        assert hfl._prob.tobytes() == fresh._prob.tobytes()
+        assert noderank(work, vnr) == NodeRankPolicy()(work, vnr)
+        for state, ref in zip(hfl._last_states, extract_state(work), strict=True):
+            assert state.raw.tobytes() == ref.raw.tobytes()
+            assert state.features.tobytes() == ref.features.tobytes()
+
+
+def test_rankings_are_redone_only_when_the_snapshot_or_the_parameters_change(monkeypatch):
+    calls = {"extract_state": 0, "noderank_scores": 0}
+
+    def counting(name, fn):
+        def counted(substrate):
+            calls[name] += 1
+            return fn(substrate)
+
+        return counted
+
+    monkeypatch.setattr(policies, "extract_state", counting("extract_state", extract_state))
+    monkeypatch.setattr(
+        baselines, "noderank_scores", counting("noderank_scores", baselines.noderank_scores)
+    )
+    sub = make_substrate([0, 0, 0], [30.0, 20.0, 10.0], [(0, 1, 20.0), (1, 2, 20.0)])
+    agents = {0: DomainAgent(0, PolicyParams(np.array([1.0, 0.0, 0.0]), 0.0))}
+    hfl, noderank = HflPolicy(agents), NodeRankPolicy()
+    vnr = make_vnr(node_demands=(5.0, 5.0))
+
+    first = hfl(sub, vnr), noderank(sub, vnr)
+    assert (hfl(sub, vnr), noderank(sub, vnr)) == first
+    assert calls == {"extract_state": 1, "noderank_scores": 1}
+
+    for available in (sub.cpu_available, sub.bw_available):
+        available.view(np.uint8)[0] ^= 1  # the lowest mantissa bit of the first value
+        hfl(sub, vnr), noderank(sub, vnr)
+    assert calls == {"extract_state": 3, "noderank_scores": 3}
+
+    # most cpu first, then, in the same PolicyParams object, least cpu first
+    assert hfl(sub, vnr)[0] == [0, 1, 2]
+    agents[0].params.kernel[0] = -1.0
+    assert hfl(sub, vnr)[0] == [2, 1, 0]
+    assert calls["extract_state"] == 3
+
+    # the same availability bytes over another topology
+    other = make_substrate([0, 0, 0], [30.0, 20.0, 10.0], [(0, 2, 20.0), (2, 1, 20.0)])
+    other.cpu_available[:], other.bw_available[:] = sub.cpu_available, sub.bw_available
+    assert noderank(other, vnr) == NodeRankPolicy()(other, vnr) != noderank(sub, vnr)
+    hfl(other, vnr)
+    assert hfl._last_states[0].raw.tobytes() == extract_state(other)[0].raw.tobytes()
