@@ -238,7 +238,8 @@ def load_checkpoint(path) -> tuple[dict[int, PolicyParams], PolicyParams]:
     with open(path) as fh:
         rows = [(no, line.split()) for no, line in enumerate(fh, 1) if line.strip()]
     if len(rows) < 2:
-        raise ValueError(f"{path}: checkpoint needs at least one domain and a global line")
+        where = f"{path}:{rows[-1][0] + 1 if rows else 1}"  # where the missing line belongs
+        raise ValueError(f"{where}: checkpoint needs at least one domain and a global line")
     params = []
     for line_no, row in rows:
         where = f"{path}:{line_no}"

@@ -89,7 +89,7 @@ def _build_policy(name: str, config: ExperimentConfig, checkpoint, num_domains: 
                 f"the substrate has {num_domains} domains"
             )
         agents = {d: DomainAgent(d, p) for d, p in domain_params.items()}
-        return HflPolicy(agents, record_traces=False)
+        return HflPolicy(agents)
     if name == "noderank":
         return NodeRankPolicy()
     if name == "random":
@@ -218,15 +218,14 @@ def cmd_compare(args) -> int:
         timing.append((column, elapsed / windows))
         print(_summary_line(column, ledger))
 
+    # every policy sees the same test stream, one record per request, so the
+    # series share one time grid
+    columns = list(series_by_policy)
     for metric_index, metric in ((1, "ltar"), (2, "ltar2c"), (3, "acc")):
-        columns = list(series_by_policy)
-        grids = [[row[0] for row in series_by_policy[c]] for c in columns]
-        if any(g != grids[0] for g in grids[1:]):
-            raise RuntimeError("metric series sampled on different time grids")
         lines = ["t," + ",".join(columns)]
-        for i, t in enumerate(grids[0] if grids else []):
-            values = [series_by_policy[c][i][metric_index] for c in columns]
-            lines.append(_fmt(t) + "," + ",".join(_fmt(v) for v in values))
+        for rows in zip(*series_by_policy.values()):
+            values = [row[metric_index] for row in rows]
+            lines.append(_fmt(rows[0][0]) + "," + ",".join(_fmt(v) for v in values))
         (out_dir / f"compare_{metric}.csv").write_text("\n".join(lines) + "\n")
 
     timing_lines = ["policy,seconds_per_round"]

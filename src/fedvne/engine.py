@@ -477,7 +477,7 @@ def read_decision_log(path) -> list[EmbeddingRecord]:
     with open(path) as fh:
         lines = [(no, line.rstrip("\n")) for no, line in enumerate(fh, 1) if line.strip()]
     if not lines or lines[0][1] != DECISION_LOG_HEADER:
-        raise ValueError(f"{path}: not a decision log")
+        raise ValueError(f"{path}:{lines[0][0] if lines else 1}: not a decision log")
     records = []
     for line_no, line in lines[1:]:
         try:

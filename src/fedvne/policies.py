@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .agent import DecisionTrace, DomainAgent, StateMatrix, episode_reward, extract_state
+from .agent import DomainAgent, StateMatrix, extract_state
 from .substrate import MultiDomainSubstrate
 
 
@@ -65,23 +65,13 @@ class HflPolicy:
     across all domains. The states are extracted again only when the
     substrate snapshot changed, and the probabilities and per-domain orders
     only when the snapshot or a parameter value changed; the block order
-    depends on the request and is computed on every call. With
-    ``record_traces`` enabled, ``finish_episode`` distributes the episode's
-    decisions back to the owning domains' trace buffers.
+    depends on the request and is computed on every call. ``states`` holds
+    the per-domain state matrices the last ranking used.
     """
 
-    def __init__(
-        self,
-        agents: dict[int, DomainAgent],
-        record_traces: bool = False,
-        reject_reward: float = 0.0,
-    ):
+    def __init__(self, agents: dict[int, DomainAgent]):
         self.agents = agents
-        self.record_traces = record_traces
-        self.reject_reward = reject_reward
-        self._last_vnr_id: int | None = None
-        self._last_states: list[StateMatrix] = []
-        self._node_domain = None
+        self.states: list[StateMatrix] = []
         self._snapshot = SubstrateSnapshot()
         self._param_key = None
         # padded per-domain cpu and probabilities in rank order, the per-domain
@@ -91,12 +81,10 @@ class HflPolicy:
         self._joined: dict[tuple, list[int]] = {}
 
     def __call__(self, substrate: MultiDomainSubstrate, vnr):
-        self._last_vnr_id = vnr.vnr_id
-        self._node_domain = substrate.node_domain
         params = [self.agents[d].params for d in range(substrate.num_domains)]
         param_key = [(p.kernel.tobytes(), p.bias) for p in params]
         if self._snapshot.changed(substrate):
-            self._last_states = extract_state(substrate)
+            self.states = extract_state(substrate)
             self._param_key = None
         if param_key != self._param_key:
             self._param_key = param_key
@@ -114,7 +102,7 @@ class HflPolicy:
         bounds, rows = substrate.domain_bounds, substrate.domain_rows
         # the softmax of forward() per domain; only the matrix product and the
         # sum stay per domain, because their all-node forms round differently
-        z = np.concatenate([s.features @ p.kernel for s, p in zip(self._last_states, params)])
+        z = np.concatenate([s.features @ p.kernel for s, p in zip(self.states, params)])
         z += np.array([p.bias for p in params])[rows]
         e = np.exp(z - np.maximum.reduceat(z, substrate.domain_starts[:-1])[rows])
         probs = e / np.array([e[a:b].sum() for a, b in bounds])[rows]
@@ -132,20 +120,3 @@ class HflPolicy:
         ranked = ids.tolist()
         self._lists = [ranked[a:b] for a, b in bounds]
         self._joined = {}
-
-    def finish_episode(self, vnr, record) -> None:
-        """Turn a finished embedding attempt into per-domain decision traces."""
-        if not self.record_traces:
-            return
-        if record.vnr_id != self._last_vnr_id:
-            raise ValueError("finish_episode must follow the matching ranking call")
-        reward = episode_reward(record, self.reject_reward)
-        samples: dict[int, list] = {}
-        for v in sorted(record.node_map):
-            node_id = record.node_map[v]
-            d = int(self._node_domain[node_id])
-            state = self._last_states[d]
-            row = state.node_ids.index(node_id)
-            samples.setdefault(d, []).append((state, row))
-        for d, sample_list in samples.items():
-            self.agents[d].add_trace(DecisionTrace(samples=sample_list, reward=reward))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .agent import DomainAgent, PolicyParams, init_params
+from .agent import DecisionTrace, DomainAgent, PolicyParams, episode_reward, init_params
 from .engine import run_simulation
 from .federation import Coordinator, FederationRound, ParamUpload, aggregate
 from .policies import HflPolicy
@@ -83,7 +83,8 @@ class Trainer:
             d: DomainAgent(d, init_params(rng)) for d in range(substrate.num_domains)
         }
         self.coordinator = Coordinator(self.agents.keys())
-        self.policy = HflPolicy(self.agents, record_traces=True, reject_reward=reject_reward)
+        self.reject_reward = reject_reward
+        self.policy = HflPolicy(self.agents)
         self.round_rows: list[RoundRow] = []
         self._window = RoundRow()
         self._since_boundary = 0
@@ -105,7 +106,18 @@ class Trainer:
         )
 
     def _on_record(self, vnr, record) -> None:
-        self.policy.finish_episode(vnr, record)
+        # one decision trace per domain the attempt placed nodes in, over the
+        # states the policy ranked this request with: run_simulation reports
+        # each record right after that ranking call
+        reward = episode_reward(record, self.reject_reward)
+        samples: dict[int, list] = {}
+        for v in sorted(record.node_map):
+            node_id = record.node_map[v]
+            d = int(self.template.node_domain[node_id])
+            state = self.policy.states[d]
+            samples.setdefault(d, []).append((state, state.node_ids.index(node_id)))
+        for d, sample_list in samples.items():
+            self.agents[d].add_trace(DecisionTrace(samples=sample_list, reward=reward))
         self._window.add(record)
         self._since_boundary += 1
         if self._since_boundary >= self.batch_size:

@@ -278,15 +278,18 @@ def _finite(path: str, line_no: int, text: str) -> float:
 
 
 def _line_reader(path):
-    """Returns next_line(what) -> (line number, fields) of the file's next data line."""
+    """Returns next_line(what) -> (line number, fields) of the file's next data
+    line, and end(), which rejects any data line after the last declared one."""
+    path = str(path)
+    last = 0
 
     def data_lines():
+        nonlocal last
         with open(path) as fh:
-            for line_no, raw in enumerate(fh, start=1):
+            for last, raw in enumerate(fh, start=1):
                 text = raw.strip()
-                if not text or text.startswith("#"):
-                    continue
-                yield line_no, text.split()
+                if text and not text.startswith("#"):
+                    yield last, text.split()
 
     lines = data_lines()
 
@@ -294,13 +297,17 @@ def _line_reader(path):
         try:
             return next(lines)
         except StopIteration:
-            raise ParseError(str(path), 0, f"unexpected end of file, expected {what}") from None
+            raise ParseError(path, last + 1, f"unexpected end of file, expected {what}") from None
 
-    return next_line
+    def end() -> None:
+        for line_no, _ in lines:
+            raise ParseError(path, line_no, "data after the last declared line")
+
+    return next_line, end
 
 
 def load_substrate(path) -> MultiDomainSubstrate:
-    next_line = _line_reader(path)
+    next_line, end = _line_reader(path)
     path = str(path)
 
     header_line, header = next_line("header")
@@ -310,6 +317,8 @@ def load_substrate(path) -> MultiDomainSubstrate:
         num_nodes, num_links, num_domains = (int(x) for x in header)
     except ValueError:
         raise ParseError(path, header_line, "header fields must be integers") from None
+    if min(num_nodes, num_links, num_domains) < 0:
+        raise ParseError(path, header_line, "header counts must be non-negative")
 
     node_domains, coords, cpu = [], [], []
     for i in range(num_nodes):
@@ -344,6 +353,7 @@ def load_substrate(path) -> MultiDomainSubstrate:
             raise ValidationError(f"{path}:{line_no}: link endpoint ({a}, {b}) refers to a missing node")
         link_ends.append((a, b))
         bw.append(capacity)
+    end()
 
     try:
         return MultiDomainSubstrate(num_domains, node_domains, coords, cpu, link_ends, bw)
@@ -364,14 +374,16 @@ def save_vnrs(path, vnrs) -> None:
 
 
 def load_vnrs(path) -> list[VirtualNetworkRequest]:
-    next_line = _line_reader(path)
+    next_line, end = _line_reader(path)
     path = str(path)
 
     line_no, header = next_line("request count")
     try:
-        count = int(header[0])
-    except (ValueError, IndexError):
+        (count,) = (int(x) for x in header)
+    except ValueError:
         raise ParseError(path, line_no, "first line must be the request count") from None
+    if count < 0:
+        raise ParseError(path, line_no, "request count must be non-negative")
 
     stream = []
     seen_ids: set[int] = set()
@@ -387,6 +399,8 @@ def load_vnrs(path) -> list[VirtualNetworkRequest]:
             n, m = int(fields[3]), int(fields[4])
         except ValueError:
             raise ParseError(path, header_line, "malformed request header") from None
+        if m < 0:
+            raise ParseError(path, header_line, "virtual link count must be non-negative")
         if vnr_id in seen_ids:
             raise ParseError(path, header_line, f"duplicate request id {vnr_id}")
         seen_ids.add(vnr_id)
@@ -422,4 +436,5 @@ def load_vnrs(path) -> list[VirtualNetworkRequest]:
         if stream and t_s < stream[-1].t_s:
             raise ValidationError(f"{path}:{header_line}: request stream is not sorted by arrival time")
         stream.append(vnr)
+    end()
     return stream

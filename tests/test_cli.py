@@ -355,6 +355,20 @@ def test_validate_malformed_log_names_file_and_line(tmp_path, capsys):
     assert f"{decisions}:3:" in err and "'abc'" in err
 
 
+@pytest.mark.parametrize("text, line_no", [("", 1), ("\nvnr_id,t_s\n", 2)])
+def test_validate_non_log_names_file_and_line(tmp_path, capsys, text, line_no):
+    substrate_path, vnrs_path = generate_tiny(tmp_path)
+    decisions = tmp_path / "decisions.csv"
+    decisions.write_text(text)
+    capsys.readouterr()
+    code = cli.main(
+        ["validate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
+         "--decisions", str(decisions)] + tiny_flags()
+    )
+    assert code == 2
+    assert f"{decisions}:{line_no}: not a decision log" in capsys.readouterr().err
+
+
 def train_tiny(tmp_path):
     substrate_path, vnrs_path = generate_tiny(tmp_path)
     train_out = tmp_path / "train"
@@ -408,6 +422,21 @@ def test_bad_checkpoint_line_names_file_and_line(tmp_path, capsys, command, bad_
     assert code == 2
     err = capsys.readouterr().err
     assert f"{checkpoint}:2: {message}" in err
+
+
+@pytest.mark.parametrize("text, line_no", [("\n", 1), ("0.1 0.2 0.3 0.0\n\n", 2)])
+def test_short_checkpoint_names_file_and_line(tmp_path, capsys, text, line_no):
+    substrate_path, vnrs_path = generate_tiny(tmp_path)
+    checkpoint = tmp_path / "checkpoint.txt"
+    checkpoint.write_text(text)
+    capsys.readouterr()
+    code = cli.main(
+        ["evaluate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
+         "--checkpoint", str(checkpoint), "--out-dir", str(tmp_path / "out")] + tiny_flags()
+    )
+    assert code == 2
+    message = "checkpoint needs at least one domain and a global line"
+    assert f"{checkpoint}:{line_no}: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate", "validate"])
@@ -482,6 +511,8 @@ def _set_field(path, line_no, field, value):
         ("node_out_of_sequence", "node ids must be sequential from 0, got 7 at position 1"),
         ("departure_first", "vnr 0: departure time must exceed arrival time"),
         ("unsorted", "request stream is not sorted by arrival time"),
+        ("negative_request_count", "request count must be non-negative"),
+        ("negative_link_count", "header counts must be non-negative"),
     ],
 )
 def test_input_faults_name_file_and_line(tmp_path, capsys, fault, message):
@@ -494,6 +525,8 @@ def test_input_faults_name_file_and_line(tmp_path, capsys, fault, message):
         "node_out_of_sequence": (substrate_path, 3, 0, "7"),
         "departure_first": (vnrs_path, 2, 1, "1e6"),
         "unsorted": (vnrs_path, second_header, 1, "0.0"),
+        "negative_request_count": (vnrs_path, 1, 0, "-3"),
+        "negative_link_count": (substrate_path, 1, 1, "-1"),
     }[fault]
     _set_field(path, line_no, field, value)
     capsys.readouterr()
@@ -503,3 +536,18 @@ def test_input_faults_name_file_and_line(tmp_path, capsys, fault, message):
     )
     assert code == 2
     assert f"{path}:{line_no}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which", ["substrate", "vnrs"])
+def test_data_after_the_last_line_names_file_and_line(tmp_path, capsys, which):
+    substrate_path, vnrs_path = generate_tiny(tmp_path)
+    path = substrate_path if which == "substrate" else vnrs_path
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines + [lines[-1]]) + "\n")
+    capsys.readouterr()
+    code = cli.main(
+        ["evaluate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
+         "--policy", "noderank", "--out-dir", str(tmp_path / "out")] + tiny_flags()
+    )
+    assert code == 2
+    assert f"{path}:{len(lines) + 1}: data after the last declared line" in capsys.readouterr().err

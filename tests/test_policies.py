@@ -66,15 +66,15 @@ def test_hfl_policy_is_deterministic():
     assert policy(sub, vnr) == policy(sub, vnr)
 
 
-def test_finish_episode_routes_traces_to_owning_domains():
+def test_trainer_routes_traces_to_owning_domains():
     cfg = small_config()
     sub = workload.generate_substrate(cfg, 19)
-    agents = fresh_agents(sub)
-    policy = HflPolicy(agents, record_traces=True)
     vnr = make_vnr(node_demands=(10.0, 12.0), link_demands=((0, 1, 5.0),), t_s=0.0, t_e=4.0)
-    record = engine.attempt_embedding(sub, vnr, policy(sub, vnr))
+    trainer = Trainer(sub, [vnr], learning_rate=1.0, batch_size=10, epochs=1, seed=19)
+    agents = trainer.agents
+    record = engine.attempt_embedding(sub, vnr, trainer.policy(sub, vnr))
     assert record.accepted
-    policy.finish_episode(vnr, record)
+    trainer._on_record(vnr, record)
     placed = 0
     for d, agent in agents.items():
         for trace in agent.buffer:
@@ -85,22 +85,6 @@ def test_finish_episode_routes_traces_to_owning_domains():
                 assert node_id in record.node_map.values()
                 placed += 1
     assert placed == vnr.num_nodes
-
-
-def test_finish_episode_requires_matching_call():
-    cfg = small_config()
-    sub = workload.generate_substrate(cfg, 20)
-    policy = HflPolicy(fresh_agents(sub), record_traces=True)
-    vnr_a = make_vnr(0, node_demands=(10.0,))
-    vnr_b = make_vnr(1, node_demands=(10.0,))
-    policy(sub, vnr_a)
-    record = engine.EmbeddingRecord(vnr_id=vnr_b.vnr_id)
-    try:
-        policy.finish_episode(vnr_b, record)
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("stale ranking state was accepted")
 
 
 def test_trainer_is_deterministic():

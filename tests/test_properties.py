@@ -13,7 +13,7 @@ keep their last ranking are compared with freshly built ones.
 from collections import deque
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from _helpers import (
@@ -272,7 +272,7 @@ step_kinds = st.sampled_from(
 )
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(sub=random_substrates(), data=st.data())
 def test_kept_rankings_match_fresh_providers(sub, data):
     """Allocations, rollbacks, releases, parameter changes and fresh copies of the
@@ -319,7 +319,7 @@ def test_kept_rankings_match_fresh_providers(sub, data):
         # a bias moves the probabilities by rounding only, so compare them bytewise
         assert hfl._prob.tobytes() == fresh._prob.tobytes()
         assert noderank(work, vnr) == NodeRankPolicy()(work, vnr)
-        for state, ref in zip(hfl._last_states, extract_state(work), strict=True):
+        for state, ref in zip(hfl.states, extract_state(work), strict=True):
             assert state.raw.tobytes() == ref.raw.tobytes()
             assert state.features.tobytes() == ref.features.tobytes()
 
@@ -363,4 +363,4 @@ def test_rankings_are_redone_only_when_the_snapshot_or_the_parameters_change(mon
     other.cpu_available[:], other.bw_available[:] = sub.cpu_available, sub.bw_available
     assert noderank(other, vnr) == NodeRankPolicy()(other, vnr) != noderank(sub, vnr)
     hfl(other, vnr)
-    assert hfl._last_states[0].raw.tobytes() == extract_state(other)[0].raw.tobytes()
+    assert hfl.states[0].raw.tobytes() == extract_state(other)[0].raw.tobytes()

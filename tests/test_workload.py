@@ -182,6 +182,12 @@ def test_load_vnrs_rejects_duplicate_id(tmp_path):
         ("1\n0 0.0 5.0 1 0\nnan\n", 3),
         ("1\n0 0.0 5.0 2 1\n10.0\n10.0\n0 1 inf\n", 5),
         ("1\n0 0.0 inf 1 0\n10.0\n", 2),
+        ("1 99\n0 0.0 5.0 1 0\n10.0\n", 1),  # surplus field on the count line
+        ("-3\n", 1),  # negative request count
+        ("1\n0 0.0 5.0 1 -1\n10.0\n", 2),  # negative virtual link count
+        ("1\n0 0.0 5.0 1 0\n10.0\n1 1.0 5.0 1 0\n10.0\n", 4),  # undeclared request
+        ("1\n0 0.0 5.0 2 1\n10.0\n10.0\n0 1 5.0\n0 1 5.0\n", 6),  # undeclared link
+        ("1\n0 0.0 5.0 1 0\n10.0\n\nx\n", 5),  # garbage after the last request
     ],
 )
 def test_load_vnrs_rejects_surplus_fields_and_non_finite_numbers(tmp_path, text, line_no):
@@ -198,6 +204,8 @@ def test_load_vnrs_rejects_surplus_fields_and_non_finite_numbers(tmp_path, text,
         ("0 0 0.0 nan 10.0", "0 1 5.0", 2),
         ("0 0 0.0 0.0 nan", "0 1 5.0", 2),
         ("0 0 0.0 0.0 10.0", "0 1 inf", 4),
+        ("0 0 0.0 0.0 10.0", "0 1 5.0\n1 0 5.0", 5),  # undeclared link
+        ("0 0 0.0 0.0 10.0", "0 1 5.0\n# comment\ngarbage", 6),
     ],
 )
 def test_load_substrate_rejects_non_finite_numbers(tmp_path, node_line, link_line, line_no):
@@ -206,6 +214,24 @@ def test_load_substrate_rejects_non_finite_numbers(tmp_path, node_line, link_lin
     with pytest.raises(ParseError) as exc:
         load_substrate(path)
     assert exc.value.line_no == line_no
+
+
+@pytest.mark.parametrize("header", ["1 -1 1", "-1 0 1", "1 0 -1"])
+def test_load_substrate_rejects_negative_counts(tmp_path, header):
+    path = tmp_path / "sub.txt"
+    path.write_text(f"{header}\n0 0 0.0 0.0 10.0\n")
+    with pytest.raises(ParseError) as exc:
+        load_substrate(path)
+    assert exc.value.line_no == 1
+    assert "header counts must be non-negative" in str(exc.value)
+
+
+def test_load_reports_end_of_file_after_the_last_line(tmp_path):
+    path = tmp_path / "vnrs.txt"
+    path.write_text("2\n0 0.0 5.0 1 0\n10.0\n\n")
+    with pytest.raises(ParseError) as exc:
+        load_vnrs(path)
+    assert str(exc.value) == f"{path}:5: unexpected end of file, expected request header"
 
 
 def test_rebase_stream_shifts_clock():
