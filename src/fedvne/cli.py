@@ -17,7 +17,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import engine, workload
+from . import engine, metrics, workload
 from .agent import DomainAgent, load_checkpoint, save_checkpoint
 from .baselines import NodeRankPolicy, RandomPolicy
 from .config import (
@@ -97,9 +97,16 @@ def _build_policy(name: str, config: ExperimentConfig, checkpoint, num_domains: 
     raise ConfigError(f"unknown policy '{name}', expected one of {', '.join(POLICIES)}")
 
 
-def _test_split(config: ExperimentConfig, vnrs):
-    split = vnrs[config.train_count : config.train_count + config.test_count]
-    return workload.rebase_stream(split)
+def _test_split(config: ExperimentConfig, vnrs_path, vnrs):
+    """The rebased test split, refused before any policy runs when its metrics
+    series would need too many sampling points."""
+    split = workload.rebase_stream(vnrs[config.train_count : config.train_count + config.test_count])
+    if split:
+        try:
+            metrics.check_series_rows(split[-1].t_s, config.metrics_interval)
+        except ValueError as exc:
+            raise ValueError(f"{vnrs_path}: test split ends with request {split[-1].vnr_id}: {exc}") from None
+    return split
 
 
 def _write_series(path: Path, rows) -> None:
@@ -180,12 +187,12 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = _resolve_config(args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     substrate = workload.load_substrate(args.substrate)
     vnrs = workload.load_vnrs(args.vnrs)
-    test_vnrs = _test_split(config, vnrs)
+    test_vnrs = _test_split(config, args.vnrs, vnrs)
     policy = _build_policy(config.policy, config, args.checkpoint, substrate.num_domains)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _, ledger, records = engine.run_simulation(substrate.copy(), test_vnrs, policy)
     _write_series(out_dir / "metrics.csv", ledger.series(config.metrics_interval))
     engine.write_decision_log(out_dir / "decisions.csv", records)
@@ -195,14 +202,14 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare(args) -> int:
     config = _resolve_config(args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     names = [p.strip() for p in args.policies.split(",") if p.strip()]
     if not names:
         raise ConfigError("--policies needs at least one policy name")
     substrate = workload.load_substrate(args.substrate)
     vnrs = workload.load_vnrs(args.vnrs)
-    test_vnrs = _test_split(config, vnrs)
+    test_vnrs = _test_split(config, args.vnrs, vnrs)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     series_by_policy = {}
     timing = []

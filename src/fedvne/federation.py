@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agent import DomainAgent, PolicyParams
+from .metrics import left_sum
 
 
 class EmptyRound(Exception):
@@ -65,7 +66,7 @@ def global_loss(uploads) -> float:
     total = sum(u.sample_count for u in uploads)
     if total <= 0:
         raise EmptyRound("uploads carry no samples")
-    return sum(u.sample_count * u.local_loss for u in uploads) / total
+    return left_sum(u.sample_count * u.local_loss for u in uploads) / total
 
 
 class Coordinator:

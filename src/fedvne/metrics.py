@@ -3,8 +3,10 @@
 The long-term indicators are event-time sums over a run's embedding records:
 revenue and cost accrue at the arrival instant of each accepted request, and
 the time series reports the cumulative values at a fixed sampling interval.
-Records are added one at a time in arrival order from 0.0; the builtin float
-``sum`` compensates from Python 3.12 on and would round differently.
+Records are added one at a time in arrival order from 0.0, and every other
+float sum runs left to right through ``left_sum``: the builtin ``sum``
+compensates float rounding from Python 3.12 on, so the outputs would depend on
+the interpreter.
 """
 
 from __future__ import annotations
@@ -24,10 +26,29 @@ class RejectedRecord(Exception):
     pass
 
 
+def left_sum(values) -> float:
+    """``values`` added one at a time from 0.0, left to right, uncompensated."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def check_series_rows(end: float, interval: float) -> None:
+    """Refuse, with ValueError, sampling every ``interval`` up to ``end`` when that
+    needs more than ``MAX_SERIES_ROWS`` sampling points."""
+    points = end / interval
+    if points > MAX_SERIES_ROWS:
+        raise ValueError(
+            f"sampling every {interval} up to t={end} needs about {points:.6g} rows, "
+            f"above the limit of {MAX_SERIES_ROWS}"
+        )
+
+
 def vnr_revenue(vnr) -> float:
     """Lifetime-weighted sum of all requested resources."""
     duration = vnr.t_e - vnr.t_s
-    resources = sum(vnr.node_demands) + sum(bw for _, _, bw in vnr.link_demands)
+    resources = left_sum(vnr.node_demands) + left_sum(bw for _, _, bw in vnr.link_demands)
     return duration * resources
 
 
@@ -36,7 +57,7 @@ def vnr_cost(vnr, record) -> float:
     if not record.accepted:
         raise RejectedRecord(f"vnr {vnr.vnr_id} was rejected; cost is undefined")
     duration = vnr.t_e - vnr.t_s
-    total = sum(vnr.node_demands)
+    total = left_sum(vnr.node_demands)
     for a, b, bw in vnr.link_demands:
         total += bw * len(record.link_paths[(a, b)])
     return duration * total
@@ -58,7 +79,7 @@ class MetricsLedger:
         Rows begin at the first sampling point with at least one record;
         ltar2c is None while cumulative cost is still zero. An interval that
         would need more than ``MAX_SERIES_ROWS`` sampling points is refused
-        with ValueError before any row is built.
+        by ``check_series_rows`` before any row is built.
         """
         if interval <= 0:
             raise ValueError("sampling interval must be positive")
@@ -66,12 +87,7 @@ class MetricsLedger:
         if not records:
             return []
         end = records[-1].t_s
-        points = end / interval
-        if points > MAX_SERIES_ROWS:
-            raise ValueError(
-                f"sampling every {interval} up to t={end} needs about {points:.6g} rows, "
-                f"above the limit of {MAX_SERIES_ROWS}"
-            )
+        check_series_rows(end, interval)
         rows = []
         revenue = cost = 0.0
         accepted = total = 0

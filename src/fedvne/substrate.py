@@ -37,23 +37,27 @@ class DoubleRelease(Exception):
     pass
 
 
-def union_find(n: int, edges):
-    """Join the endpoints of every edge over nodes 0..n-1; returns the root lookup.
+def union_find(n: int, edges) -> list[int]:
+    """Join the endpoints of every edge over nodes 0..n-1; returns each node's root.
 
-    Edges are joined in order with ``parent[find(a)] = find(b)``, so a
+    Edges are joined in order with ``parent[root(a)] = root(b)``, so a
     component's root id is a function of the edge order.
     """
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edges:
-        parent[find(a)] = find(b)
-    return find
+    for a, b in edges:  # find both roots, halving the paths walked
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        parent[a] = b
+    for x in range(n):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        parent[x] = root
+    return parent
 
 
 class MultiDomainSubstrate:
@@ -92,8 +96,9 @@ class MultiDomainSubstrate:
             self.bw_available = self.bw_capacity.copy()
         else:
             self.bw_available = np.asarray(bw_available, dtype=np.float64).copy()
-        self._validate()
-        self._build_indexes()
+        ends = self.link_ends.tolist()
+        self._validate(ends)
+        self._build_indexes(ends)
 
     # -- structure -----------------------------------------------------
 
@@ -105,7 +110,7 @@ class MultiDomainSubstrate:
     def num_links(self) -> int:
         return len(self.bw_capacity)
 
-    def _validate(self) -> None:
+    def _validate(self, ends: list[list[int]]) -> None:
         if self.num_domains < 1:
             raise ValueError("substrate needs at least one domain")
         if len(self.cpu_capacity) != self.num_nodes:
@@ -122,40 +127,35 @@ class MultiDomainSubstrate:
             raise ValueError("cpu availability outside [0, capacity]")
         if np.any(self.bw_available < 0) or np.any(self.bw_available > self.bw_capacity):
             raise ValueError("bw availability outside [0, capacity]")
+        n = self.num_nodes
         seen: set[tuple[int, int]] = set()
-        for a, b in self.link_ends:
-            a, b = int(a), int(b)
+        for a, b in ends:
             if a == b:
                 raise ValueError(f"self-loop link at node {a}")
-            if not (0 <= a < self.num_nodes and 0 <= b < self.num_nodes):
+            if not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"link endpoint ({a}, {b}) out of range")
-            key = (min(a, b), max(a, b))
+            key = (a, b) if a < b else (b, a)
             if key in seen:
                 raise ValueError(f"duplicate link between nodes {key}")
             seen.add(key)
-        self._check_connectivity()
-
-    def _check_connectivity(self) -> None:
-        edges = self.link_ends.tolist()
-        domains = self.node_domain.tolist()
-        find = union_find(self.num_nodes, edges)
-        find_intra = union_find(self.num_nodes, [(a, b) for a, b in edges if domains[a] == domains[b]])
-        root = find(0)
-        if any(find(i) != root for i in range(1, self.num_nodes)):
+        roots = union_find(n, ends)
+        if roots.count(roots[0]) != n:
             raise ValueError("substrate graph is not connected")
+        domains = self.node_domain.tolist()
+        intra_roots = union_find(n, [(a, b) for a, b in ends if domains[a] == domains[b]])
         for d in range(self.num_domains):
             members = np.flatnonzero(self.node_domain == d).tolist()
             if not members:
                 raise ValueError(f"domain {d} has no nodes")
-            root = find_intra(members[0])
-            if any(find_intra(i) != root for i in members[1:]):
+            root = intra_roots[members[0]]
+            if any(intra_roots[i] != root for i in members[1:]):
                 raise ValueError(f"domain {d} is not connected by intra-domain links")
 
-    def _build_indexes(self) -> None:
+    def _build_indexes(self, ends: list[list[int]]) -> None:
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.num_nodes)]
-        for lid, (a, b) in enumerate(self.link_ends):
-            adj[int(a)].append((int(b), lid))
-            adj[int(b)].append((int(a), lid))
+        for lid, (a, b) in enumerate(ends):
+            adj[a].append((b, lid))
+            adj[b].append((a, lid))
         # sorted by neighbor id so that path searches are deterministic
         self.adjacency: list[list[tuple[int, int]]] = [sorted(e) for e in adj]
         # node ids grouped by domain, ascending inside each domain: domain d owns

@@ -7,9 +7,9 @@ whitespace-separated text; lines starting with ``#`` are ignored.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
+from math import isfinite
 
 from .substrate import MultiDomainSubstrate, union_find
 
@@ -51,7 +51,7 @@ class VirtualNetworkRequest:
 def validate_vnr(vnr: VirtualNetworkRequest) -> None:
     if vnr.t_e <= vnr.t_s:
         raise ValidationError(f"vnr {vnr.vnr_id}: departure time must exceed arrival time")
-    n = vnr.num_nodes
+    n = len(vnr.node_demands)
     if n < 1:
         raise ValidationError(f"vnr {vnr.vnr_id}: needs at least one virtual node")
     seen: set[tuple[int, int]] = set()
@@ -60,17 +60,17 @@ def validate_vnr(vnr: VirtualNetworkRequest) -> None:
             raise ValidationError(f"vnr {vnr.vnr_id}: virtual link endpoint out of range")
         if a == b:
             raise ValidationError(f"vnr {vnr.vnr_id}: virtual self-loop at node {a}")
-        key = (min(a, b), max(a, b))
+        key = (a, b) if a < b else (b, a)
         if key in seen:
             raise ValidationError(f"vnr {vnr.vnr_id}: duplicate virtual link {key}")
         seen.add(key)
         if bw < 0:
             raise ValidationError(f"vnr {vnr.vnr_id}: negative bandwidth demand")
-    if any(d < 0 for d in vnr.node_demands):
-        raise ValidationError(f"vnr {vnr.vnr_id}: negative cpu demand")
-    find = union_find(n, [(a, b) for a, b, _ in vnr.link_demands])
-    root = find(0)
-    if any(find(i) != root for i in range(1, n)):
+    for d in vnr.node_demands:
+        if d < 0:
+            raise ValidationError(f"vnr {vnr.vnr_id}: negative cpu demand")
+    roots = union_find(n, seen)
+    if roots.count(roots[0]) != n:
         raise ValidationError(f"vnr {vnr.vnr_id}: virtual topology is not connected")
 
 
@@ -217,10 +217,10 @@ def generate_vnr_stream(config, seed: int) -> list[VirtualNetworkRequest]:
 
 def _bridge_components(n: int, edges: list[tuple[int, int]], rng: random.Random):
     """Minimum extra edges joining the components of an edge-sampled graph."""
-    find = union_find(n, edges)
+    roots = union_find(n, edges)
     components: dict[int, list[int]] = {}
     for i in range(n):
-        components.setdefault(find(i), []).append(i)
+        components.setdefault(roots[i], []).append(i)
     groups = [sorted(v) for _, v in sorted(components.items())]
     bridges = []
     merged = groups[0]
@@ -270,90 +270,82 @@ def save_substrate(path, substrate: MultiDomainSubstrate) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _finite(path: str, line_no: int, text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ParseError(path, line_no, f"number must be finite, got {text}")
-    return value
-
-
-def _line_reader(path):
-    """Returns next_line(what) -> (line number, fields) of the file's next data
-    line, and end(), which rejects any data line after the last declared one."""
-    path = str(path)
+def _line_reader(path: str, fh):
+    """Returns next_line(what) -> (line number, fields) of the open file's next
+    data line; blank lines and lines starting with ``#`` are skipped. At end of
+    file it raises ParseError naming the line after the last one.
+    next_line(None) instead rejects any data line that is left."""
+    lines = enumerate(fh, 1)
     last = 0
 
-    def data_lines():
+    def next_line(what):
         nonlocal last
-        with open(path) as fh:
-            for last, raw in enumerate(fh, start=1):
-                text = raw.strip()
-                if text and not text.startswith("#"):
-                    yield last, text.split()
+        for last, raw in lines:
+            fields = raw.split()
+            if fields and fields[0][0] != "#":
+                if what is None:
+                    raise ParseError(path, last, "data after the last declared line")
+                return last, fields
+        if what is not None:
+            raise ParseError(path, last + 1, f"unexpected end of file, expected {what}")
 
-    lines = data_lines()
-
-    def next_line(what: str):
-        try:
-            return next(lines)
-        except StopIteration:
-            raise ParseError(path, last + 1, f"unexpected end of file, expected {what}") from None
-
-    def end() -> None:
-        for line_no, _ in lines:
-            raise ParseError(path, line_no, "data after the last declared line")
-
-    return next_line, end
+    return next_line
 
 
 def load_substrate(path) -> MultiDomainSubstrate:
-    next_line, end = _line_reader(path)
     path = str(path)
-
-    header_line, header = next_line("header")
-    if len(header) != 3:
-        raise ParseError(path, header_line, "header must be '<nodes> <links> <domains>'")
-    try:
-        num_nodes, num_links, num_domains = (int(x) for x in header)
-    except ValueError:
-        raise ParseError(path, header_line, "header fields must be integers") from None
-    if min(num_nodes, num_links, num_domains) < 0:
-        raise ParseError(path, header_line, "header counts must be non-negative")
-
-    node_domains, coords, cpu = [], [], []
-    for i in range(num_nodes):
-        line_no, fields = next_line("node line")
-        if len(fields) != 5:
-            raise ParseError(path, line_no, "node line must be '<id> <domain> <x> <y> <cpu>'")
+    with open(path) as fh:
+        next_line = _line_reader(path, fh)
+        header_line, header = next_line("header")
+        if len(header) != 3:
+            raise ParseError(path, header_line, "header must be '<nodes> <links> <domains>'")
         try:
-            node_id = int(fields[0])
-            domain = int(fields[1])
-            x, y, capacity = (_finite(path, line_no, f) for f in fields[2:])
+            num_nodes, num_links, num_domains = (int(x) for x in header)
         except ValueError:
-            raise ParseError(path, line_no, "malformed node line") from None
-        if node_id != i:
-            raise ValidationError(
-                f"{path}:{line_no}: node ids must be sequential from 0, got {node_id} at position {i}"
-            )
-        node_domains.append(domain)
-        coords.append((x, y))
-        cpu.append(capacity)
+            raise ParseError(path, header_line, "header fields must be integers") from None
+        if min(num_nodes, num_links, num_domains) < 0:
+            raise ParseError(path, header_line, "header counts must be non-negative")
 
-    link_ends, bw = [], []
-    for _ in range(num_links):
-        line_no, fields = next_line("link line")
-        if len(fields) != 3:
-            raise ParseError(path, line_no, "link line must be '<a> <b> <bw>'")
-        try:
-            a, b = int(fields[0]), int(fields[1])
-            capacity = _finite(path, line_no, fields[2])
-        except ValueError:
-            raise ParseError(path, line_no, "malformed link line") from None
-        if not (0 <= a < num_nodes and 0 <= b < num_nodes):
-            raise ValidationError(f"{path}:{line_no}: link endpoint ({a}, {b}) refers to a missing node")
-        link_ends.append((a, b))
-        bw.append(capacity)
-    end()
+        node_domains, coords, cpu = [], [], []
+        for i in range(num_nodes):
+            line_no, fields = next_line("node line")
+            if len(fields) != 5:
+                raise ParseError(path, line_no, "node line must be '<id> <domain> <x> <y> <cpu>'")
+            try:
+                node_id, domain = int(fields[0]), int(fields[1])
+                # each number is checked as soon as it parses: the first bad field names the error
+                numbers = []
+                for text in fields[2:]:
+                    numbers.append(float(text))
+                    if not isfinite(numbers[-1]):
+                        raise ParseError(path, line_no, f"number must be finite, got {text}")
+            except ValueError:
+                raise ParseError(path, line_no, "malformed node line") from None
+            if node_id != i:
+                raise ValidationError(
+                    f"{path}:{line_no}: node ids must be sequential from 0, got {node_id} at position {i}"
+                )
+            node_domains.append(domain)
+            coords.append((numbers[0], numbers[1]))
+            cpu.append(numbers[2])
+
+        link_ends, bw = [], []
+        for _ in range(num_links):
+            line_no, fields = next_line("link line")
+            if len(fields) != 3:
+                raise ParseError(path, line_no, "link line must be '<a> <b> <bw>'")
+            try:
+                a, b = int(fields[0]), int(fields[1])
+                capacity = float(fields[2])
+            except ValueError:
+                raise ParseError(path, line_no, "malformed link line") from None
+            if not isfinite(capacity):
+                raise ParseError(path, line_no, f"number must be finite, got {fields[2]}")
+            if not (0 <= a < num_nodes and 0 <= b < num_nodes):
+                raise ValidationError(f"{path}:{line_no}: link endpoint ({a}, {b}) refers to a missing node")
+            link_ends.append((a, b))
+            bw.append(capacity)
+        next_line(None)
 
     try:
         return MultiDomainSubstrate(num_domains, node_domains, coords, cpu, link_ends, bw)
@@ -374,67 +366,72 @@ def save_vnrs(path, vnrs) -> None:
 
 
 def load_vnrs(path) -> list[VirtualNetworkRequest]:
-    next_line, end = _line_reader(path)
     path = str(path)
-
-    line_no, header = next_line("request count")
-    try:
-        (count,) = (int(x) for x in header)
-    except ValueError:
-        raise ParseError(path, line_no, "first line must be the request count") from None
-    if count < 0:
-        raise ParseError(path, line_no, "request count must be non-negative")
-
-    stream = []
-    seen_ids: set[int] = set()
-    for _ in range(count):
-        header_line, fields = next_line("request header")
-        if len(fields) != 5:
-            raise ParseError(
-                path, header_line, "request header must be '<id> <t_s> <t_e> <nodes> <links>'"
-            )
+    with open(path) as fh:
+        next_line = _line_reader(path, fh)
+        line_no, header = next_line("request count")
         try:
-            vnr_id = int(fields[0])
-            t_s, t_e = _finite(path, header_line, fields[1]), _finite(path, header_line, fields[2])
-            n, m = int(fields[3]), int(fields[4])
+            (count,) = (int(x) for x in header)
         except ValueError:
-            raise ParseError(path, header_line, "malformed request header") from None
-        if m < 0:
-            raise ParseError(path, header_line, "virtual link count must be non-negative")
-        if vnr_id in seen_ids:
-            raise ParseError(path, header_line, f"duplicate request id {vnr_id}")
-        seen_ids.add(vnr_id)
-        demands = []
-        for _ in range(n):
-            line_no, fields = next_line("cpu demand")
-            if len(fields) != 1:
-                raise ParseError(path, line_no, "cpu demand line must hold one number")
+            raise ParseError(path, line_no, "first line must be the request count") from None
+        if count < 0:
+            raise ParseError(path, line_no, "request count must be non-negative")
+
+        stream = []
+        seen_ids: set[int] = set()
+        for _ in range(count):
+            header_line, fields = next_line("request header")
+            if len(fields) != 5:
+                raise ParseError(
+                    path, header_line, "request header must be '<id> <t_s> <t_e> <nodes> <links>'"
+                )
             try:
-                demands.append(_finite(path, line_no, fields[0]))
+                vnr_id = int(fields[0])
+                t_s = float(fields[1])
+                if not isfinite(t_s):
+                    raise ParseError(path, header_line, f"number must be finite, got {fields[1]}")
+                t_e = float(fields[2])
+                if not isfinite(t_e):
+                    raise ParseError(path, header_line, f"number must be finite, got {fields[2]}")
+                n, m = int(fields[3]), int(fields[4])
             except ValueError:
-                raise ParseError(path, line_no, "malformed cpu demand") from None
-        links = []
-        for _ in range(m):
-            line_no, fields = next_line("virtual link")
-            if len(fields) != 3:
-                raise ParseError(path, line_no, "virtual link must be '<a> <b> <bw>'")
+                raise ParseError(path, header_line, "malformed request header") from None
+            if m < 0:
+                raise ParseError(path, header_line, "virtual link count must be non-negative")
+            if vnr_id in seen_ids:
+                raise ParseError(path, header_line, f"duplicate request id {vnr_id}")
+            seen_ids.add(vnr_id)
+            demands = []
+            for _ in range(n):
+                line_no, fields = next_line("cpu demand")
+                if len(fields) != 1:
+                    raise ParseError(path, line_no, "cpu demand line must hold one number")
+                try:
+                    demand = float(fields[0])
+                except ValueError:
+                    raise ParseError(path, line_no, "malformed cpu demand") from None
+                if not isfinite(demand):
+                    raise ParseError(path, line_no, f"number must be finite, got {fields[0]}")
+                demands.append(demand)
+            links = []
+            for _ in range(m):
+                line_no, fields = next_line("virtual link")
+                if len(fields) != 3:
+                    raise ParseError(path, line_no, "virtual link must be '<a> <b> <bw>'")
+                try:
+                    a, b, demand = int(fields[0]), int(fields[1]), float(fields[2])
+                except ValueError:
+                    raise ParseError(path, line_no, "malformed virtual link") from None
+                if not isfinite(demand):
+                    raise ParseError(path, line_no, f"number must be finite, got {fields[2]}")
+                links.append((a, b, demand))
+            vnr = VirtualNetworkRequest(vnr_id, tuple(demands), tuple(links), t_s, t_e)
             try:
-                links.append((int(fields[0]), int(fields[1]), _finite(path, line_no, fields[2])))
-            except ValueError:
-                raise ParseError(path, line_no, "malformed virtual link") from None
-        vnr = VirtualNetworkRequest(
-            vnr_id=vnr_id,
-            node_demands=tuple(demands),
-            link_demands=tuple(links),
-            t_s=t_s,
-            t_e=t_e,
-        )
-        try:
-            validate_vnr(vnr)
-        except ValidationError as exc:
-            raise ValidationError(f"{path}:{header_line}: {exc}") from None
-        if stream and t_s < stream[-1].t_s:
-            raise ValidationError(f"{path}:{header_line}: request stream is not sorted by arrival time")
-        stream.append(vnr)
-    end()
+                validate_vnr(vnr)
+            except ValidationError as exc:
+                raise ValidationError(f"{path}:{header_line}: {exc}") from None
+            if stream and t_s < stream[-1].t_s:
+                raise ValidationError(f"{path}:{header_line}: request stream is not sorted by arrival time")
+            stream.append(vnr)
+        next_line(None)
     return stream

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from fedvne import training
 from fedvne.agent import StateMatrix, forward
 from fedvne.engine import EmbeddingRecord
 from fedvne.substrate import MultiDomainSubstrate
-from fedvne.workload import VirtualNetworkRequest
+from fedvne.workload import ParseError, ValidationError, VirtualNetworkRequest
 
 
 def make_substrate(node_domains, cpu, links, num_domains=None, coords=None):
@@ -115,3 +117,222 @@ def reference_hfl_candidates(agents, substrate, vnr):
         blocks.sort(key=lambda b: (b[0], b[1]))
         candidates.append([node_id for _, _, ids in blocks for node_id in ids])
     return candidates
+
+
+# -- reference loaders: the generator-based line reader, per-number checks and
+# per-row substrate validation that the streaming loaders replaced; the
+# differential test in test_fuzz.py holds the loaders to them
+
+
+def reference_union_find(n: int, edges):
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        parent[find(a)] = find(b)
+    return find
+
+
+def reference_validate_vnr(vnr: VirtualNetworkRequest) -> None:
+    if vnr.t_e <= vnr.t_s:
+        raise ValidationError(f"vnr {vnr.vnr_id}: departure time must exceed arrival time")
+    n = vnr.num_nodes
+    if n < 1:
+        raise ValidationError(f"vnr {vnr.vnr_id}: needs at least one virtual node")
+    seen: set[tuple[int, int]] = set()
+    for a, b, bw in vnr.link_demands:
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValidationError(f"vnr {vnr.vnr_id}: virtual link endpoint out of range")
+        if a == b:
+            raise ValidationError(f"vnr {vnr.vnr_id}: virtual self-loop at node {a}")
+        key = (min(a, b), max(a, b))
+        if key in seen:
+            raise ValidationError(f"vnr {vnr.vnr_id}: duplicate virtual link {key}")
+        seen.add(key)
+        if bw < 0:
+            raise ValidationError(f"vnr {vnr.vnr_id}: negative bandwidth demand")
+    if any(d < 0 for d in vnr.node_demands):
+        raise ValidationError(f"vnr {vnr.vnr_id}: negative cpu demand")
+    find = reference_union_find(n, [(a, b) for a, b, _ in vnr.link_demands])
+    root = find(0)
+    if any(find(i) != root for i in range(1, n)):
+        raise ValidationError(f"vnr {vnr.vnr_id}: virtual topology is not connected")
+
+
+def reference_finite(path: str, line_no: int, text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ParseError(path, line_no, f"number must be finite, got {text}")
+    return value
+
+
+def reference_line_reader(path):
+    path = str(path)
+    last = 0
+
+    def data_lines():
+        nonlocal last
+        with open(path) as fh:
+            for last, raw in enumerate(fh, start=1):
+                text = raw.strip()
+                if text and not text.startswith("#"):
+                    yield last, text.split()
+
+    lines = data_lines()
+
+    def next_line(what: str):
+        try:
+            return next(lines)
+        except StopIteration:
+            raise ParseError(path, last + 1, f"unexpected end of file, expected {what}") from None
+
+    def end() -> None:
+        for line_no, _ in lines:
+            raise ParseError(path, line_no, "data after the last declared line")
+
+    return next_line, end
+
+
+class ReferenceSubstrate(MultiDomainSubstrate):
+    """The substrate with its link ends read row by row over numpy, as before ``link_ends.tolist()``."""
+
+    def _validate(self, ends) -> None:
+        super()._validate([(int(a), int(b)) for a, b in self.link_ends])
+
+    def _build_indexes(self, ends) -> None:
+        super()._build_indexes(ends)
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.num_nodes)]
+        for lid, (a, b) in enumerate(self.link_ends):
+            adj[int(a)].append((int(b), lid))
+            adj[int(b)].append((int(a), lid))
+        self.adjacency = [sorted(e) for e in adj]
+
+
+def reference_load_substrate(path) -> MultiDomainSubstrate:
+    next_line, end = reference_line_reader(path)
+    path = str(path)
+
+    header_line, header = next_line("header")
+    if len(header) != 3:
+        raise ParseError(path, header_line, "header must be '<nodes> <links> <domains>'")
+    try:
+        num_nodes, num_links, num_domains = (int(x) for x in header)
+    except ValueError:
+        raise ParseError(path, header_line, "header fields must be integers") from None
+    if min(num_nodes, num_links, num_domains) < 0:
+        raise ParseError(path, header_line, "header counts must be non-negative")
+
+    node_domains, coords, cpu = [], [], []
+    for i in range(num_nodes):
+        line_no, fields = next_line("node line")
+        if len(fields) != 5:
+            raise ParseError(path, line_no, "node line must be '<id> <domain> <x> <y> <cpu>'")
+        try:
+            node_id = int(fields[0])
+            domain = int(fields[1])
+            x, y, capacity = (reference_finite(path, line_no, f) for f in fields[2:])
+        except ValueError:
+            raise ParseError(path, line_no, "malformed node line") from None
+        if node_id != i:
+            raise ValidationError(
+                f"{path}:{line_no}: node ids must be sequential from 0, got {node_id} at position {i}"
+            )
+        node_domains.append(domain)
+        coords.append((x, y))
+        cpu.append(capacity)
+
+    link_ends, bw = [], []
+    for _ in range(num_links):
+        line_no, fields = next_line("link line")
+        if len(fields) != 3:
+            raise ParseError(path, line_no, "link line must be '<a> <b> <bw>'")
+        try:
+            a, b = int(fields[0]), int(fields[1])
+            capacity = reference_finite(path, line_no, fields[2])
+        except ValueError:
+            raise ParseError(path, line_no, "malformed link line") from None
+        if not (0 <= a < num_nodes and 0 <= b < num_nodes):
+            raise ValidationError(f"{path}:{line_no}: link endpoint ({a}, {b}) refers to a missing node")
+        link_ends.append((a, b))
+        bw.append(capacity)
+    end()
+
+    try:
+        return ReferenceSubstrate(num_domains, node_domains, coords, cpu, link_ends, bw)
+    except ValueError as exc:
+        raise ValidationError(f"{path}:{header_line}: {exc}") from None
+
+
+def reference_load_vnrs(path) -> list[VirtualNetworkRequest]:
+    next_line, end = reference_line_reader(path)
+    path = str(path)
+
+    line_no, header = next_line("request count")
+    try:
+        (count,) = (int(x) for x in header)
+    except ValueError:
+        raise ParseError(path, line_no, "first line must be the request count") from None
+    if count < 0:
+        raise ParseError(path, line_no, "request count must be non-negative")
+
+    stream = []
+    seen_ids: set[int] = set()
+    for _ in range(count):
+        header_line, fields = next_line("request header")
+        if len(fields) != 5:
+            raise ParseError(
+                path, header_line, "request header must be '<id> <t_s> <t_e> <nodes> <links>'"
+            )
+        try:
+            vnr_id = int(fields[0])
+            t_s = reference_finite(path, header_line, fields[1])
+            t_e = reference_finite(path, header_line, fields[2])
+            n, m = int(fields[3]), int(fields[4])
+        except ValueError:
+            raise ParseError(path, header_line, "malformed request header") from None
+        if m < 0:
+            raise ParseError(path, header_line, "virtual link count must be non-negative")
+        if vnr_id in seen_ids:
+            raise ParseError(path, header_line, f"duplicate request id {vnr_id}")
+        seen_ids.add(vnr_id)
+        demands = []
+        for _ in range(n):
+            line_no, fields = next_line("cpu demand")
+            if len(fields) != 1:
+                raise ParseError(path, line_no, "cpu demand line must hold one number")
+            try:
+                demands.append(reference_finite(path, line_no, fields[0]))
+            except ValueError:
+                raise ParseError(path, line_no, "malformed cpu demand") from None
+        links = []
+        for _ in range(m):
+            line_no, fields = next_line("virtual link")
+            if len(fields) != 3:
+                raise ParseError(path, line_no, "virtual link must be '<a> <b> <bw>'")
+            try:
+                links.append(
+                    (int(fields[0]), int(fields[1]), reference_finite(path, line_no, fields[2]))
+                )
+            except ValueError:
+                raise ParseError(path, line_no, "malformed virtual link") from None
+        vnr = VirtualNetworkRequest(
+            vnr_id=vnr_id,
+            node_demands=tuple(demands),
+            link_demands=tuple(links),
+            t_s=t_s,
+            t_e=t_e,
+        )
+        try:
+            reference_validate_vnr(vnr)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{header_line}: {exc}") from None
+        if stream and t_s < stream[-1].t_s:
+            raise ValidationError(f"{path}:{header_line}: request stream is not sorted by arrival time")
+        stream.append(vnr)
+    end()
+    return stream

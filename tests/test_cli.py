@@ -143,6 +143,32 @@ def test_evaluate_too_fine_metrics_interval_exits_two(tmp_path, capsys):
     assert "above the limit of 1000000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["evaluate", "--policy", "noderank"],
+                                     ["compare", "--policies", "noderank,random"]])
+def test_too_long_horizon_is_refused_before_any_policy_runs(tmp_path, capsys, monkeypatch, command):
+    substrate_path, vnrs_path = generate_tiny(tmp_path)
+    lines = vnrs_path.read_text().splitlines()
+    last = max(i for i, line in enumerate(lines) if len(line.split()) == 5)
+    vnr_id, _, _, n, m = lines[last].split()
+    lines[last] = f"{vnr_id} 99999999999999999999 199999999999999999999 {n} {m}"
+    vnrs_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a policy ran")
+
+    monkeypatch.setattr(cli.engine, "run_simulation", no_run)
+    out = tmp_path / "out"
+    code = cli.main(command[:1] + ["--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
+                                   "--out-dir", str(out)] + command[1:] + tiny_flags())
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {vnrs_path}: test split ends with request {vnr_id}: ")
+    assert "above the limit of 1000000" in captured.err
+    assert not out.exists()
+
+
 def test_unknown_flag_exits_one(tmp_path):
     assert cli.main(["generate", "--no-such-flag"]) == 1
 

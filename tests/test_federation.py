@@ -174,3 +174,9 @@ def test_uploads_carry_only_parameter_messages():
     # the upload type is the whole cross-domain surface: params, count, loss
     field_names = {f.name for f in dataclasses.fields(ParamUpload)}
     assert field_names == {"domain_id", "params", "sample_count", "local_loss"}
+
+
+def test_global_loss_sums_left_to_right():
+    # 1e16 + 1.0 rounds back to 1e16; a compensated sum would give 1.0 / 3
+    uploads = [upload(d, [0.0, 0.0, 0.0], 0.0, 1, loss) for d, loss in enumerate([1e16, 1.0, -1e16])]
+    assert global_loss(uploads) == 0.0

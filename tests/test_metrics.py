@@ -8,6 +8,7 @@ from fedvne.metrics import (
     MetricsLedger,
     RejectedRecord,
     UndefinedMetric,
+    left_sum,
     vnr_cost,
     vnr_revenue,
 )
@@ -140,3 +141,17 @@ def test_series_row_limit_is_inclusive(monkeypatch):
     assert [r[0] for r in ledger.series(100.0)] == [200.0, 300.0]
     with pytest.raises(ValueError):
         ledger.series(99.0)
+
+
+# summed left to right these give 0.0 (1e16 + 1.0 rounds back to 1e16); the
+# builtin sum compensates from Python 3.12 on and gives 1.0
+UNCOMPENSATED = [1e16, 1.0, -1e16]
+
+
+def test_float_sums_run_left_to_right():
+    assert left_sum(UNCOMPENSATED) == 0.0
+    assert left_sum([]) == 0.0
+    vnr = make_vnr(node_demands=UNCOMPENSATED, link_demands=((0, 1, 2.0),), t_s=0.0, t_e=1.0)
+    assert vnr_revenue(vnr) == 2.0
+    record = applied_record(vnr, {0: 0, 1: 1, 2: 2}, {(0, 1): [0, 1, 2]})
+    assert vnr_cost(vnr, record) == 6.0

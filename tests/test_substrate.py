@@ -2,9 +2,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _helpers import applied_record, make_substrate, make_vnr
-from fedvne.substrate import DoubleRelease, InsufficientBandwidth, InsufficientCpu
+from _helpers import applied_record, make_substrate, make_vnr, reference_union_find
+from fedvne.substrate import DoubleRelease, InsufficientBandwidth, InsufficientCpu, union_find
 
 
 def two_node_substrate(cpu=(80.0, 80.0), bw=50.0):
@@ -182,3 +184,19 @@ def test_copy_isolates_availability():
     clone.allocate_node(0, 10.0)
     assert sub.cpu_available[0] == 80.0
     assert clone.cpu_available[0] == 70.0
+
+
+@st.composite
+def edge_lists(draw):
+    n = draw(st.integers(1, 12))
+    node = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(node, node), max_size=20))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(graph=edge_lists())
+def test_union_find_roots_match_the_reference(graph):
+    # the generator orders components by root id, so the roots themselves must not move
+    n, edges = graph
+    find = reference_union_find(n, edges)
+    assert union_find(n, edges) == [find(x) for x in range(n)]
