@@ -18,31 +18,18 @@ from . import metrics
 from .substrate import MultiDomainSubstrate
 
 
-class NodeMappingFailed(Exception):
-    def __init__(self, virtual_node: int, partial_map: dict[int, int]):
-        super().__init__(f"no feasible candidate left for virtual node {virtual_node}")
-        self.virtual_node = virtual_node
-        self.partial_map = partial_map
-
-
-class LinkMappingFailed(Exception):
-    def __init__(self, virtual_link: tuple[int, int], partial_paths: dict):
-        super().__init__(f"no feasible path for virtual link {virtual_link}")
-        self.virtual_link = virtual_link
-        self.partial_paths = partial_paths
-
-
 @dataclass
 class EmbeddingRecord:
     """Outcome of one embedding attempt.
 
     ``t_s`` is the request's arrival time. ``node_map`` assigns each
     virtual node a substrate node id and ``link_paths`` assigns each virtual
-    link an ordered substrate-link path.
-    The consumed demands are kept alongside so the record is self-contained
-    for release. ``outstanding`` is True while the record holds resources.
-    For rejected requests the maps retain the partial choices made before
-    rollback; nothing is held.
+    link an ordered substrate-link path; the two stages fill them in place.
+    ``outstanding`` is True while the record holds resources: from the start
+    of the attempt until ``MultiDomainSubstrate.release(record, vnr)``, which
+    reads the demands from the request. For rejected requests the maps keep
+    what the stages placed before the failing element (the first one in its
+    stage's order that is missing from them); release gave it all back.
     """
 
     vnr_id: int
@@ -52,8 +39,6 @@ class EmbeddingRecord:
     revenue: float = 0.0
     cost: float = 0.0
     accepted: bool = False
-    cpu_demands: dict[int, float] = field(default_factory=dict)
-    bw_demands: dict[tuple[int, int], float] = field(default_factory=dict)
     outstanding: bool = False
 
 
@@ -62,6 +47,7 @@ class SimEvent:
     time: float
     vnr_id: int
     record: EmbeddingRecord = field(compare=False)
+    vnr: object = field(compare=False)
 
 
 def min_hop_path(
@@ -148,90 +134,72 @@ def min_hop_path(
 
 
 def embed_nodes(
-    substrate: MultiDomainSubstrate, vnr, ranked_candidates
-) -> dict[int, int]:
-    """Greedy node placement.
+    substrate: MultiDomainSubstrate, vnr, ranked_candidates, node_map: dict[int, int]
+) -> dict[int, int] | None:
+    """Greedy node placement into ``node_map``.
 
     Virtual nodes are processed in descending cpu demand; each takes the
     highest-priority candidate not already used by this request that has
-    enough cpu. Allocations are applied as they are made and rolled back in
-    full on failure. Cpu is read once, at entry: during the stage only nodes
-    this request took change, and those are skipped as used.
+    enough cpu, and is allocated and mapped at once. Returns the filled map,
+    or None at the first virtual node no candidate can host; the placements
+    made before it stay allocated and mapped, for the caller to release. Cpu
+    is read once, at entry: during the stage only nodes this request took
+    change, and those are skipped as used.
     """
     cpu = substrate.cpu_available.tolist()
     order = sorted(range(vnr.num_nodes), key=lambda v: (-vnr.node_demands[v], v))
-    node_map: dict[int, int] = {}
     used: set[int] = set()
-    applied: list[tuple[int, float]] = []
     for v in order:
         demand = vnr.node_demands[v]
-        chosen = None
         for node_id in ranked_candidates[v]:
             if cpu[node_id] >= demand and node_id not in used:
-                chosen = node_id
                 break
-        if chosen is None:
-            for node_id, amount in reversed(applied):
-                substrate.free_node(node_id, amount)
-            raise NodeMappingFailed(v, node_map)
-        substrate.allocate_node(chosen, demand)
-        applied.append((chosen, demand))
-        node_map[v] = chosen
-        used.add(chosen)
+        else:
+            return None
+        substrate.allocate_node(node_id, demand)
+        node_map[v] = node_id
+        used.add(node_id)
     return node_map
 
 
 def embed_links(
-    substrate: MultiDomainSubstrate, vnr, node_map: dict[int, int]
-) -> dict[tuple[int, int], list[int]]:
-    """Minimum-hop link placement, one path per virtual link.
+    substrate: MultiDomainSubstrate,
+    vnr,
+    node_map: dict[int, int],
+    link_paths: dict[tuple[int, int], list[int]],
+) -> dict[tuple[int, int], list[int]] | None:
+    """Minimum-hop link placement into ``link_paths``, one path per virtual link.
 
-    Virtual links are processed in descending bandwidth demand. On failure
-    every path this call allocated is freed before raising; the caller rolls
-    back the node allocations.
+    Virtual links are processed in descending bandwidth demand, each path
+    allocated and kept as it is found. Returns the filled map, or None at the
+    first virtual link with no feasible path; the paths placed before it stay
+    allocated, for the caller to release together with the nodes.
     """
     order = sorted(
         range(vnr.num_links), key=lambda i: (-vnr.link_demands[i][2], i)
     )
-    paths: dict[tuple[int, int], list[int]] = {}
-    applied: list[tuple[list[int], float]] = []
     for i in order:
         a, b, demand = vnr.link_demands[i]
         path = min_hop_path(substrate, node_map[a], node_map[b], demand)
         if path is None:
-            for done_path, amount in reversed(applied):
-                substrate.free_path(done_path, amount)
-            raise LinkMappingFailed((a, b), paths)
+            return None
         substrate.allocate_path(path, demand)
-        applied.append((path, demand))
-        paths[(a, b)] = path
-    return paths
+        link_paths[(a, b)] = path
+    return link_paths
 
 
 def attempt_embedding(
     substrate: MultiDomainSubstrate, vnr, ranked_candidates
 ) -> EmbeddingRecord:
-    """Run both stages; returns a record either fully applied or fully rolled back."""
-    record = EmbeddingRecord(vnr_id=vnr.vnr_id, t_s=vnr.t_s)
-    try:
-        node_map = embed_nodes(substrate, vnr, ranked_candidates)
-    except NodeMappingFailed as failure:
-        record.node_map = dict(failure.partial_map)
+    """Run both stages; returns a record either fully applied or fully released."""
+    record = EmbeddingRecord(vnr_id=vnr.vnr_id, t_s=vnr.t_s, outstanding=True)
+    if (
+        embed_nodes(substrate, vnr, ranked_candidates, record.node_map) is None
+        or embed_links(substrate, vnr, record.node_map, record.link_paths) is None
+    ):
+        substrate.release(record, vnr)
         return record
-    try:
-        link_paths = embed_links(substrate, vnr, node_map)
-    except LinkMappingFailed as failure:
-        for v, node_id in node_map.items():
-            substrate.free_node(node_id, vnr.node_demands[v])
-        record.node_map = dict(node_map)
-        record.link_paths = dict(failure.partial_paths)
-        return record
-    record.node_map = node_map
-    record.link_paths = link_paths
-    record.cpu_demands = {v: vnr.node_demands[v] for v in node_map}
-    record.bw_demands = {(a, b): bw for a, b, bw in vnr.link_demands}
     record.accepted = True
-    record.outstanding = True
     record.revenue = metrics.vnr_revenue(vnr)
     record.cost = metrics.vnr_cost(vnr, record)
     return record
@@ -258,15 +226,17 @@ def run_simulation(
             raise ValueError("vnr stream is not sorted by arrival time")
         last_t = vnr.t_s
         while pending and pending[0].time <= vnr.t_s:
-            substrate.release(heapq.heappop(pending).record)
+            event = heapq.heappop(pending)
+            substrate.release(event.record, event.vnr)
         record = attempt_embedding(substrate, vnr, policy_provider(substrate, vnr))
         records.append(record)
         if record.accepted:
-            heapq.heappush(pending, SimEvent(vnr.t_e, vnr.vnr_id, record))
+            heapq.heappush(pending, SimEvent(vnr.t_e, vnr.vnr_id, record, vnr))
         if on_record is not None:
             on_record(vnr, record)
     while pending:
-        substrate.release(heapq.heappop(pending).record)
+        event = heapq.heappop(pending)
+        substrate.release(event.record, event.vnr)
     return substrate, ledger, records
 
 
@@ -309,20 +279,25 @@ def replay_validate(
         violations.append("decision log has more entries than the request stream")
 
     departures: list[tuple[float, int, EmbeddingRecord]] = []
+    logged: set[int] = set()
 
     def release(record: EmbeddingRecord, vnr) -> None:
         for v, node_id in record.node_map.items():
             cpu[node_id] += vnr.node_demands[v]
-        for (a, b), path in record.link_paths.items():
-            demand = next(d for x, y, d in vnr.link_demands if (x, y) == (a, b))
+        demand_of = {(a, b): d for a, b, d in vnr.link_demands}
+        for key, path in record.link_paths.items():
             for link_id in path:
-                bw[link_id] += demand
+                bw[link_id] += demand_of[key]
 
     for record in records:
         vnr = by_id.get(record.vnr_id)
         if vnr is None:
             violations.append(f"vnr {record.vnr_id}: not present in the request stream")
             continue
+        if record.vnr_id in logged:
+            violations.append(f"vnr {record.vnr_id}: logged more than once")
+            continue
+        logged.add(record.vnr_id)
         while departures and departures[0][0] <= vnr.t_s:
             _, _, done = heapq.heappop(departures)
             release(done, by_id[done.vnr_id])
@@ -383,13 +358,19 @@ def replay_validate(
                     break
         if not ok:
             continue
+        demand_of = {(a, b): d for a, b, d in vnr.link_demands}
+        extra = [key for key in record.link_paths if key not in demand_of]
+        if extra:
+            violations.append(
+                f"vnr {vnr.vnr_id}: path for a link the request does not have: {extra[0]}"
+            )
+            continue
 
         # joint bandwidth feasibility across this request's paths
         demand_on_link: dict[int, float] = {}
-        for (a, b), path in record.link_paths.items():
-            demand = next(d for x, y, d in vnr.link_demands if (x, y) == (a, b))
+        for key, path in record.link_paths.items():
             for link_id in path:
-                demand_on_link[link_id] = demand_on_link.get(link_id, 0.0) + demand
+                demand_on_link[link_id] = demand_on_link.get(link_id, 0.0) + demand_of[key]
         for link_id, total in demand_on_link.items():
             if total > bw[link_id]:
                 violations.append(

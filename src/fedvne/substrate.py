@@ -67,7 +67,7 @@ class MultiDomainSubstrate:
     is the id). Every node belongs to exactly one domain; a link is "inter"
     exactly when its endpoints lie in different domains. Resource state lives
     in ``cpu_available`` / ``bw_available`` and changes only through the
-    allocate/free/release methods.
+    allocate and release methods.
     """
 
     def __init__(
@@ -78,24 +78,19 @@ class MultiDomainSubstrate:
         cpu_capacity,
         link_ends,
         bw_capacity,
-        cpu_available=None,
-        bw_available=None,
     ):
         self.num_domains = int(num_domains)
-        self.node_domain = np.asarray(node_domains, dtype=np.int64)
+        try:
+            self.node_domain = np.asarray(node_domains, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("node domain id out of range") from None
         n = len(self.node_domain)
         self.coords = np.asarray(coords, dtype=np.float64).reshape(n, 2)
         self.cpu_capacity = np.asarray(cpu_capacity, dtype=np.float64)
         self.link_ends = np.asarray(link_ends, dtype=np.int64).reshape(-1, 2)
         self.bw_capacity = np.asarray(bw_capacity, dtype=np.float64)
-        if cpu_available is None:
-            self.cpu_available = self.cpu_capacity.copy()
-        else:
-            self.cpu_available = np.asarray(cpu_available, dtype=np.float64).copy()
-        if bw_available is None:
-            self.bw_available = self.bw_capacity.copy()
-        else:
-            self.bw_available = np.asarray(bw_available, dtype=np.float64).copy()
+        self.cpu_available = self.cpu_capacity.copy()
+        self.bw_available = self.bw_capacity.copy()
         ends = self.link_ends.tolist()
         self._validate(ends)
         self._build_indexes(ends)
@@ -123,10 +118,6 @@ class MultiDomainSubstrate:
             raise ValueError("node domain id out of range")
         if np.any(self.cpu_capacity < 0) or np.any(self.bw_capacity < 0):
             raise ValueError("capacities must be non-negative")
-        if np.any(self.cpu_available < 0) or np.any(self.cpu_available > self.cpu_capacity):
-            raise ValueError("cpu availability outside [0, capacity]")
-        if np.any(self.bw_available < 0) or np.any(self.bw_available > self.bw_capacity):
-            raise ValueError("bw availability outside [0, capacity]")
         n = self.num_nodes
         seen: set[tuple[int, int]] = set()
         for a, b in ends:
@@ -183,10 +174,6 @@ class MultiDomainSubstrate:
         a, b = self.link_ends[link_id]
         return INTRA if self.node_domain[a] == self.node_domain[b] else INTER
 
-    def domain_node_ids(self, domain_id: int) -> np.ndarray:
-        a, b = self.domain_bounds[domain_id]
-        return self.domain_order[a:b]
-
     def domain_node_list(self, domain_id: int) -> list[int]:
         """The domain's node ids in ascending order, as a shared read-only list."""
         return self._domain_node_lists[domain_id]
@@ -230,30 +217,30 @@ class MultiDomainSubstrate:
         for link_id in path:
             self.bw_available[link_id] -= bw_demand
 
-    def free_node(self, node_id: int, cpu_amount: float) -> None:
-        restored = self.cpu_available[node_id] + cpu_amount
-        if restored > self.cpu_capacity[node_id]:
-            raise ValueError(f"freeing {cpu_amount} cpu on node {node_id} exceeds capacity")
-        self.cpu_available[node_id] = restored
+    def release(self, record, vnr) -> None:
+        """Return every resource ``record`` holds for request ``vnr``.
 
-    def free_path(self, path, bw_amount: float) -> None:
-        for link_id in path:
-            restored = self.bw_available[link_id] + bw_amount
-            if restored > self.bw_capacity[link_id]:
-                raise ValueError(f"freeing {bw_amount} bw on link {link_id} exceeds capacity")
-            self.bw_available[link_id] = restored
-
-    def release(self, record) -> None:
-        """Return every resource an applied embedding record consumed.
-
-        The record must currently hold resources on this substrate; releasing
-        twice (or releasing a record that was never applied) raises
-        DoubleRelease.
+        Serves both the rollback of a failed attempt, whose maps may be
+        partial, and a departure. Each mapped virtual node gives back its cpu
+        demand and each placed path its bandwidth demand, both read from
+        ``vnr``. The record must currently hold resources on this substrate;
+        releasing twice (or releasing a record that never held any) raises
+        DoubleRelease, and freeing past a capacity raises ValueError.
         """
-        if not getattr(record, "outstanding", False):
+        if not record.outstanding:
             raise DoubleRelease(f"record for vnr {record.vnr_id} holds no resources")
         for v_node, node_id in record.node_map.items():
-            self.free_node(node_id, record.cpu_demands[v_node])
+            amount = vnr.node_demands[v_node]
+            restored = self.cpu_available[node_id] + amount
+            if restored > self.cpu_capacity[node_id]:
+                raise ValueError(f"freeing {amount} cpu on node {node_id} exceeds capacity")
+            self.cpu_available[node_id] = restored
+        demand_of = {(a, b): bw for a, b, bw in vnr.link_demands}
         for v_link, path in record.link_paths.items():
-            self.free_path(path, record.bw_demands[v_link])
+            amount = demand_of[v_link]
+            for link_id in path:
+                restored = self.bw_available[link_id] + amount
+                if restored > self.bw_capacity[link_id]:
+                    raise ValueError(f"freeing {amount} bw on link {link_id} exceeds capacity")
+                self.bw_available[link_id] = restored
         record.outstanding = False

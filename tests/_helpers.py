@@ -63,8 +63,6 @@ def applied_record(vnr, node_map, link_paths):
     record = EmbeddingRecord(vnr_id=vnr.vnr_id)
     record.node_map = dict(node_map)
     record.link_paths = {k: list(v) for k, v in link_paths.items()}
-    record.cpu_demands = {v: vnr.node_demands[v] for v in record.node_map}
-    record.bw_demands = {(a, b): w for a, b, w in vnr.link_demands}
     record.accepted = True
     record.outstanding = True
     return record

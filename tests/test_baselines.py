@@ -81,7 +81,7 @@ def test_policies_respect_provider_contract():
     for policy in (NodeRankPolicy(), RandomPolicy(3)):
         candidates = policy(sub, vnr)
         assert len(candidates) == 2
-        node_map = embed_nodes(sub.copy(), vnr, candidates)
+        node_map = embed_nodes(sub.copy(), vnr, candidates, {})
         assert 1 not in node_map.values()  # node 1 cannot host the demand
         assert set(node_map.values()) == {0, 2}
 

@@ -358,6 +358,40 @@ def test_validate_flags_tampered_log(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ("logged_twice", "logged more than once"),
+        ("foreign_path", "path for a link the request does not have"),
+    ],
+)
+def test_validate_names_the_request_of_a_hand_edited_log(tmp_path, capsys, fault, message):
+    substrate_path, vnrs_path = generate_tiny(tmp_path)
+    eval_out = tmp_path / "eval"
+    cli.main(
+        ["evaluate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
+         "--policy", "noderank", "--out-dir", str(eval_out)] + tiny_flags()
+    )
+    decisions = eval_out / "decisions.csv"
+    lines = decisions.read_text().splitlines()
+    i, fields = next((i, line.split(",")) for i, line in enumerate(lines) if line.split(",")[2] == "1")
+    if fault == "logged_twice":
+        fields[3] = "123.5"  # the same decision with another revenue
+        lines.append(",".join(fields))
+    else:
+        fields[6] = f"{fields[6]}|1" if fields[6] else "1"
+        fields[7] = f"{fields[7]}|5-6:8" if fields[7] else "5-6:8"
+        lines[i] = ",".join(fields)
+    decisions.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = cli.main(
+        ["validate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
+         "--decisions", str(decisions)] + tiny_flags()
+    )
+    assert code == 2
+    assert f"vnr {fields[0]}: {message}" in capsys.readouterr().out
+
+
 def test_validate_malformed_log_names_file_and_line(tmp_path, capsys):
     substrate_path, vnrs_path = generate_tiny(tmp_path)
     eval_out = tmp_path / "eval"
@@ -539,6 +573,7 @@ def _set_field(path, line_no, field, value):
         ("unsorted", "request stream is not sorted by arrival time"),
         ("negative_request_count", "request count must be non-negative"),
         ("negative_link_count", "header counts must be non-negative"),
+        ("huge_domain_id", "node domain id out of range"),
     ],
 )
 def test_input_faults_name_file_and_line(tmp_path, capsys, fault, message):
@@ -553,8 +588,11 @@ def test_input_faults_name_file_and_line(tmp_path, capsys, fault, message):
         "unsorted": (vnrs_path, second_header, 1, "0.0"),
         "negative_request_count": (vnrs_path, 1, 0, "-3"),
         "negative_link_count": (substrate_path, 1, 1, "-1"),
+        "huge_domain_id": (substrate_path, 2, 1, "99999999999999999999"),
     }[fault]
     _set_field(path, line_no, field, value)
+    if fault == "huge_domain_id":
+        line_no = 1  # checks over the whole substrate name its header line
     capsys.readouterr()
     code = cli.main(
         ["evaluate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),

@@ -1,13 +1,11 @@
+import copy
 import itertools
 
-import numpy as np
 import pytest
 
 from _helpers import make_substrate, make_vnr
 from fedvne import engine
 from fedvne.engine import (
-    LinkMappingFailed,
-    NodeMappingFailed,
     attempt_embedding,
     embed_links,
     embed_nodes,
@@ -76,18 +74,20 @@ def test_min_hop_lexicographic_tie_break():
 def test_embed_nodes_highest_priority_wins():
     sub = make_substrate([0] * 2, [50.0, 50.0], [(0, 1, 10.0)])
     vnr = make_vnr(node_demands=(10.0,))
-    node_map = embed_nodes(sub, vnr, [[1, 0]])
+    node_map = embed_nodes(sub, vnr, [[1, 0]], {})
     assert node_map == {0: 1}
     assert sub.cpu_available[1] == 40.0
 
 
 def test_embed_nodes_injectivity():
+    # virtual node 1 may not reuse node 0: the stage stops with the partial map
+    # filled and its allocation left for the caller to release
     sub = make_substrate([0] * 2, [50.0, 0.0], [(0, 1, 10.0)])
     vnr = make_vnr(node_demands=(10.0, 10.0))
-    before = sub.resource_vector()
-    with pytest.raises(NodeMappingFailed):
-        embed_nodes(sub, vnr, [[0], [0]])
-    assert sub.resource_vector().tobytes() == before.tobytes()
+    node_map = {}
+    assert embed_nodes(sub, vnr, [[0], [0]], node_map) is None
+    assert node_map == {0: 0}
+    assert list(sub.cpu_available) == [40.0, 0.0]
 
 
 def test_embed_nodes_greedy_rule_matches_enumeration():
@@ -95,7 +95,7 @@ def test_embed_nodes_greedy_rule_matches_enumeration():
     sub = make_substrate([0] * 2, [45.0, 60.0], [(0, 1, 10.0)])
     vnr = make_vnr(node_demands=(40.0, 10.0))
     ranked = [[1, 0], [0, 1]]  # ranking puts the bigger node first for vnode 0
-    node_map = embed_nodes(sub, vnr, ranked)
+    node_map = embed_nodes(sub, vnr, ranked, {})
     assert node_map == {0: 1, 1: 0}
     # every injective assignment satisfying the demands:
     feasible = [
@@ -109,7 +109,7 @@ def test_embed_nodes_greedy_rule_matches_enumeration():
 def test_embed_links_one_hop():
     sub = make_substrate([0] * 2, [50.0] * 2, [(0, 1, 30.0)])
     vnr = make_vnr(node_demands=(10.0, 10.0), link_demands=((0, 1, 20.0),))
-    paths = embed_links(sub, vnr, {0: 0, 1: 1})
+    paths = embed_links(sub, vnr, {0: 0, 1: 1}, {})
     assert paths == {(0, 1): [0]}
     assert sub.bw_available[0] == 10.0
 
@@ -119,10 +119,16 @@ def test_embed_links_failure_rolls_back_links():
         [0] * 3, [50.0] * 3, [(0, 1, 30.0), (1, 2, 5.0)]
     )
     vnr = make_vnr(node_demands=(1.0, 1.0, 1.0), link_demands=((0, 1, 20.0), (1, 2, 20.0)))
-    before = sub.bw_available.copy()
-    with pytest.raises(LinkMappingFailed):
-        embed_links(sub, vnr, {0: 0, 1: 1, 2: 2})
-    assert np.array_equal(sub.bw_available, before)
+    before = sub.resource_vector()
+    record = engine.EmbeddingRecord(vnr_id=0, node_map={0: 0, 1: 1, 2: 2}, outstanding=True)
+    for node_id in record.node_map.values():
+        sub.allocate_node(node_id, 1.0)
+    assert embed_links(sub, vnr, record.node_map, record.link_paths) is None
+    # the path placed before the failure stays allocated until the caller releases it
+    assert record.link_paths == {(0, 1): [0]}
+    assert list(sub.bw_available) == [10.0, 5.0]
+    sub.release(record, vnr)
+    assert sub.resource_vector().tobytes() == before.tobytes()
 
 
 def test_attempt_embedding_rollback_is_byte_identical():
@@ -133,6 +139,17 @@ def test_attempt_embedding_rollback_is_byte_identical():
     record = attempt_embedding(sub, vnr, ranked)
     assert not record.accepted
     assert not record.outstanding
+    assert sub.resource_vector().tobytes() == before.tobytes()
+
+
+def test_attempt_embedding_node_stage_failure_after_partial_placement():
+    # the two larger virtual nodes are placed before the third finds no host
+    sub = make_substrate([0] * 3, [50.0, 40.0, 5.0], [(0, 1, 30.0), (1, 2, 30.0)])
+    before = sub.resource_vector()
+    vnr = make_vnr(node_demands=(30.0, 20.0, 10.0), link_demands=((0, 1, 5.0),))
+    record = attempt_embedding(sub, vnr, [[0, 1, 2], [0, 1, 2], [0, 1, 2]])
+    assert not record.accepted and not record.outstanding
+    assert record.node_map == {0: 0, 1: 1} and record.link_paths == {}
     assert sub.resource_vector().tobytes() == before.tobytes()
 
 
@@ -231,3 +248,18 @@ def test_replay_validate_flags_tampering():
     records[0].node_map[1] = 2
     records[0].link_paths[(0, 1)] = [1]  # path no longer touches the mapped endpoint
     assert replay_validate(initial, vnrs, records) != []
+
+    # a decision logged twice, or a path for a link the request lacks, is
+    # reported and not applied, so the replayed end state still matches
+    final, _, records = run_simulation(initial.copy(), vnrs, lambda s, v: [[0, 1, 2]] * v.num_nodes)
+    end = final.resource_vector()
+    twice = copy.deepcopy(records[0])
+    twice.revenue += 1.0
+    assert replay_validate(initial, vnrs, records + [twice], end) == [
+        "decision log has more entries than the request stream",
+        "vnr 0: logged more than once",
+    ]
+    records[0].link_paths[(5, 6)] = [0]
+    assert replay_validate(initial, vnrs, records, end) == [
+        "vnr 0: path for a link the request does not have: (5, 6)"
+    ]

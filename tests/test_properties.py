@@ -13,10 +13,12 @@ keep their last ranking are compared with freshly built ones.
 from collections import deque
 
 import numpy as np
+import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from _helpers import (
+    applied_record,
     feasible_view,
     make_substrate,
     make_vnr,
@@ -26,9 +28,9 @@ from _helpers import (
 from fedvne import baselines, policies
 from fedvne.agent import DomainAgent, PolicyParams, extract_state, forward
 from fedvne.baselines import NodeRankPolicy
-from fedvne.engine import NodeMappingFailed, embed_nodes, min_hop_path
+from fedvne.engine import attempt_embedding, embed_nodes, min_hop_path
 from fedvne.policies import HflPolicy, ranked_by_score
-from fedvne.substrate import MultiDomainSubstrate
+from fedvne.substrate import DoubleRelease, MultiDomainSubstrate
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -76,10 +78,12 @@ def build(node_domains, edges, draw, cpu_values=(0.0, 10.0, 20.0, 30.0), bw_valu
     coord = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(lambda c: (float(c[0]), float(c[1])))
     coords = draw(st.lists(coord, min_size=n, max_size=n))
     capacity = [c + 10.0 for c in cpu]
-    return MultiDomainSubstrate(
-        max(node_domains) + 1, node_domains, coords, capacity, edges, [b + 1.0 for b in bw],
-        cpu_available=cpu, bw_available=bw,
+    sub = MultiDomainSubstrate(
+        max(node_domains) + 1, node_domains, coords, capacity, edges, [b + 1.0 for b in bw]
     )
+    sub.cpu_available[:] = cpu
+    sub.bw_available[:] = bw
+    return sub
 
 
 @st.composite
@@ -224,13 +228,12 @@ def draw_agents(data, num_domains):
 
 
 def node_stage(sub, vnr, candidates):
-    """Node map, or failing virtual node and partial map, plus the resources left."""
+    """Whether the stage failed, the node map it filled (partial on failure) and
+    the resources left."""
     copy = sub.copy()
-    try:
-        outcome = embed_nodes(copy, vnr, candidates)
-    except NodeMappingFailed as failure:
-        outcome = (failure.virtual_node, failure.partial_map)
-    return outcome, copy.resource_vector().tobytes()
+    node_map = {}
+    failed = embed_nodes(copy, vnr, candidates, node_map) is None
+    return failed, node_map, copy.resource_vector().tobytes()
 
 
 @SETTINGS
@@ -265,6 +268,30 @@ def test_node_stage_matches_filtered_reference(sub, data):
     )
 
 
+@SETTINGS
+@given(sub=random_substrates(), data=st.data())
+def test_attempt_embedding_gives_back_exactly(sub, data):
+    """A rejected attempt leaves the resource bytes as they were, an accepted one
+    gets them back from release(record, vnr), and a second release is refused."""
+    num_nodes = data.draw(st.integers(1, 5))
+    node_demands = data.draw(st.lists(st.integers(0, 20), min_size=num_nodes, max_size=num_nodes))
+    pairs = [(a, b) for a in range(num_nodes) for b in range(a + 1, num_nodes)]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    # few distinct demands: paths compete for shared links, so the link stage
+    # also fails after it has placed some paths
+    link_demands = [(a, b, data.draw(st.sampled_from([2, 3]))) for a, b in chosen]
+    vnr = make_vnr(node_demands=node_demands, link_demands=link_demands)
+    ranked = [data.draw(st.permutations(range(sub.num_nodes))) for _ in range(num_nodes)]
+    before = sub.resource_vector().tobytes()
+    record = attempt_embedding(sub, vnr, ranked)
+    assert record.outstanding == record.accepted
+    if record.accepted:
+        sub.release(record, vnr)
+    assert sub.resource_vector().tobytes() == before
+    with pytest.raises(DoubleRelease):
+        sub.release(record, vnr)
+
+
 # -- rankings kept across calls ------------------------------------------------
 
 step_kinds = st.sampled_from(
@@ -289,19 +316,17 @@ def test_kept_rankings_match_fresh_providers(sub, data):
                 link = data.draw(st.integers(0, sub.num_links - 1))
                 take = min(data.draw(amount), float(work.bw_available[link]))
                 work.allocate_path([link], take)
-                held.append(("link", link, take))
+                vnr = make_vnr(node_demands=(0.0, 0.0), link_demands=((0, 1, take),))
+                held.append((applied_record(vnr, {}, {(0, 1): [link]}), vnr))
             else:
                 node = data.draw(st.integers(0, sub.num_nodes - 1))
                 take = min(data.draw(amount), float(work.cpu_available[node]))
                 work.allocate_node(node, take)
-                held.append(("node", node, take))
+                vnr = make_vnr(node_demands=(take,))
+                held.append((applied_record(vnr, {0: node}, {}), vnr))
         if kind in ("rollback", "release") and held:
             last = len(held) - 1
-            what, where, take = held.pop(last if kind == "rollback" else data.draw(st.integers(0, last)))
-            if what == "link":
-                work.free_path([where], take)
-            else:
-                work.free_node(where, take)
+            work.release(*held.pop(last if kind == "rollback" else data.draw(st.integers(0, last))))
         d = data.draw(st.integers(0, sub.num_domains - 1))
         if kind == "replace":
             agents[d].params = draw_agents(data, 1)[0].params

@@ -63,7 +63,7 @@ def test_release_restores_exactly():
     sub.allocate_node(1, 20.0)
     sub.allocate_path([0], 15.0)
     record = applied_record(vnr, {0: 0, 1: 1}, {(0, 1): [0]})
-    sub.release(record)
+    sub.release(record, vnr)
     assert sub.resource_vector().tobytes() == before.tobytes()
 
 
@@ -72,9 +72,9 @@ def test_double_release_rejected():
     vnr = make_vnr(node_demands=(30.0,))
     sub.allocate_node(0, 30.0)
     record = applied_record(vnr, {0: 0}, {})
-    sub.release(record)
+    sub.release(record, vnr)
     with pytest.raises(DoubleRelease):
-        sub.release(record)
+        sub.release(record, vnr)
 
 
 def test_release_of_never_applied_record_rejected():
@@ -83,7 +83,7 @@ def test_release_of_never_applied_record_rejected():
     record = applied_record(vnr, {0: 0}, {})
     record.outstanding = False  # never actually applied
     with pytest.raises(DoubleRelease):
-        sub.release(record)
+        sub.release(record, vnr)
 
 
 def test_interleaved_allocations_match_replay_ledger():
@@ -97,7 +97,7 @@ def test_interleaved_allocations_match_replay_ledger():
     rec_a = applied_record(vnr_a, {0: 0, 1: 1}, {(0, 1): [0]})
     sub.allocate_node(2, 7.0)
     rec_b = applied_record(vnr_b, {0: 2}, {})
-    sub.release(rec_a)
+    sub.release(rec_a, vnr_a)
 
     # oracle: replay only the outstanding allocation on fresh arrays
     cpu = np.array([100.0] * 3)
@@ -105,7 +105,7 @@ def test_interleaved_allocations_match_replay_ledger():
     cpu[2] -= 7.0
     assert np.array_equal(sub.cpu_available, cpu)
     assert np.array_equal(sub.bw_available, bw)
-    sub.release(rec_b)
+    sub.release(rec_b, vnr_b)
     assert np.array_equal(sub.resource_vector(), np.array([100.0] * 5))
 
 
@@ -120,7 +120,7 @@ def test_fuzz_conservation_and_bounds():
     outstanding = []
     for step in range(400):
         if outstanding and rng.random() < 0.4:
-            sub.release(outstanding.pop(rng.randrange(len(outstanding))))
+            sub.release(*outstanding.pop(rng.randrange(len(outstanding))))
         else:
             node = rng.randrange(4)
             demand = float(rng.randint(1, 15))
@@ -131,25 +131,25 @@ def test_fuzz_conservation_and_bounds():
                 sub.allocate_node(node, demand)
             except InsufficientCpu:
                 continue
+            record = applied_record(vnr, {0: node}, {})
             try:
                 sub.allocate_path([link], bw_demand)
             except InsufficientBandwidth:
-                sub.free_node(node, demand)
+                sub.release(record, vnr)  # roll back the node alone
                 continue
-            record = applied_record(vnr, {0: node}, {(0, 1): [link]})
-            outstanding.append(record)
+            record.link_paths[(0, 1)] = [link]
+            outstanding.append((record, vnr))
         assert np.all(sub.cpu_available >= 0) and np.all(sub.bw_available >= 0)
         assert np.all(sub.cpu_available <= sub.cpu_capacity)
         assert np.all(sub.bw_available <= sub.bw_capacity)
         # ledger identity: capacity minus outstanding demand equals availability
         cpu = sub.cpu_capacity.copy()
         bw = sub.bw_capacity.copy()
-        for rec in outstanding:
+        for rec, req in outstanding:
             for v, node_id in rec.node_map.items():
-                cpu[node_id] -= rec.cpu_demands[v]
-            for key, path in rec.link_paths.items():
-                for link_id in path:
-                    bw[link_id] -= rec.bw_demands[key]
+                cpu[node_id] -= req.node_demands[v]
+            for link_id in rec.link_paths[(0, 1)]:
+                bw[link_id] -= req.link_demands[0][2]
         assert np.array_equal(cpu, sub.cpu_available)
         assert np.array_equal(bw, sub.bw_available)
 
