@@ -67,9 +67,7 @@ def _resolve_config(args) -> ExperimentConfig:
         for f in dataclasses.fields(ExperimentConfig)
         if getattr(args, f.name, None) is not None
     }
-    config = apply_overrides(config, overrides)
-    config.validate()
-    return config
+    return apply_overrides(config, overrides)
 
 
 def _sha256(path: Path) -> str:

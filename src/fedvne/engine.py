@@ -255,6 +255,45 @@ def indicator_acceptance(vnr, record: EmbeddingRecord) -> int:
     return 1
 
 
+def _first_violation(vnr, record: EmbeddingRecord, cpu, bw, link_ends) -> str | None:
+    """First structural fault of an accepted record against the replayed availability.
+
+    Returns its message without the ``vnr <id>: `` prefix, or None when the
+    node map, the cpu and every path hold.
+    """
+    if sorted(record.node_map) != list(range(vnr.num_nodes)):
+        return "not every virtual node is mapped exactly once"
+    if len(set(record.node_map.values())) != vnr.num_nodes:
+        return "node map is not injective"
+    for v, node_id in record.node_map.items():
+        if not (0 <= node_id < len(cpu)):
+            return f"mapped to missing node {node_id}"
+        if vnr.node_demands[v] > cpu[node_id]:
+            return f"cpu demand of virtual node {v} exceeds availability on node {node_id}"
+    for a, b, _ in vnr.link_demands:
+        path = record.link_paths.get((a, b))
+        if not path:
+            return f"virtual link ({a}, {b}) has no path"
+        here = record.node_map[a]
+        for link_id in path:
+            if not (0 <= link_id < len(bw)):
+                return f"path uses missing link {link_id}"
+            x, y = (int(e) for e in link_ends[link_id])
+            if here == x:
+                here = y
+            elif here == y:
+                here = x
+            else:
+                return f"path for ({a}, {b}) is not a connected walk"
+        if here != record.node_map[b]:
+            return f"path for ({a}, {b}) does not reach the mapped endpoint"
+    keys = {(a, b) for a, b, _ in vnr.link_demands}
+    for key in record.link_paths:
+        if key not in keys:
+            return f"path for a link the request does not have: {key}"
+    return None
+
+
 def replay_validate(
     initial: MultiDomainSubstrate,
     vnrs,
@@ -266,132 +305,76 @@ def replay_validate(
     Maintains its own availability arrays (independent of the substrate's
     allocation methods), applies each accepted record at its arrival and
     returns it at departure. Returns a list of violation messages; empty
-    means the log is sound. When ``final_vector`` is given it is compared
-    against the replayed end-of-run resource vector, which must match
-    exactly.
+    means the log is sound. Each record reports at most one violation, the
+    first one found in a fixed order: unknown or repeated request id, then
+    the structural checks of ``_first_violation`` (node map, cpu, paths, in
+    that order), then joint bandwidth per substrate link; a record that
+    fails one of them is not applied. When ``final_vector`` is
+    given it is compared against the replayed end-of-run resource vector,
+    which must match exactly.
     """
     violations: list[str] = []
     cpu = np.array(initial.cpu_capacity, dtype=np.float64)
     bw = np.array(initial.bw_capacity, dtype=np.float64)
-    link_ends = initial.link_ends
     by_id = {v.vnr_id: v for v in vnrs}
     if len(records) > len(by_id):
         violations.append("decision log has more entries than the request stream")
 
-    departures: list[tuple[float, int, EmbeddingRecord]] = []
+    # (departure time, vnr id, record, demand per virtual link)
+    departures: list[tuple[float, int, EmbeddingRecord, dict]] = []
     logged: set[int] = set()
 
-    def release(record: EmbeddingRecord, vnr) -> None:
+    def release(record: EmbeddingRecord, demand_of: dict) -> None:
+        node_demands = by_id[record.vnr_id].node_demands
         for v, node_id in record.node_map.items():
-            cpu[node_id] += vnr.node_demands[v]
-        demand_of = {(a, b): d for a, b, d in vnr.link_demands}
+            cpu[node_id] += node_demands[v]
         for key, path in record.link_paths.items():
             for link_id in path:
                 bw[link_id] += demand_of[key]
 
-    for record in records:
+    def replay(record: EmbeddingRecord) -> str | None:
         vnr = by_id.get(record.vnr_id)
         if vnr is None:
-            violations.append(f"vnr {record.vnr_id}: not present in the request stream")
-            continue
+            return "not present in the request stream"
         if record.vnr_id in logged:
-            violations.append(f"vnr {record.vnr_id}: logged more than once")
-            continue
+            return "logged more than once"
         logged.add(record.vnr_id)
         while departures and departures[0][0] <= vnr.t_s:
-            _, _, done = heapq.heappop(departures)
-            release(done, by_id[done.vnr_id])
+            _, _, done, demand_of = heapq.heappop(departures)
+            release(done, demand_of)
         if not record.accepted:
-            continue
-
-        mapped = sorted(record.node_map)
-        if mapped != list(range(vnr.num_nodes)):
-            violations.append(f"vnr {vnr.vnr_id}: not every virtual node is mapped exactly once")
-            continue
-        if len(set(record.node_map.values())) != vnr.num_nodes:
-            violations.append(f"vnr {vnr.vnr_id}: node map is not injective")
-            continue
-        ok = True
-        for v, node_id in record.node_map.items():
-            if not (0 <= node_id < len(cpu)):
-                violations.append(f"vnr {vnr.vnr_id}: mapped to missing node {node_id}")
-                ok = False
-                break
-            if vnr.node_demands[v] > cpu[node_id]:
-                violations.append(
-                    f"vnr {vnr.vnr_id}: cpu demand of virtual node {v} exceeds availability "
-                    f"on node {node_id}"
-                )
-                ok = False
-                break
-        if ok:
-            for a, b, demand in vnr.link_demands:
-                path = record.link_paths.get((a, b))
-                if not path:
-                    violations.append(f"vnr {vnr.vnr_id}: virtual link ({a}, {b}) has no path")
-                    ok = False
-                    break
-                here = record.node_map[a]
-                for link_id in path:
-                    if not (0 <= link_id < len(bw)):
-                        violations.append(f"vnr {vnr.vnr_id}: path uses missing link {link_id}")
-                        ok = False
-                        break
-                    x, y = (int(e) for e in link_ends[link_id])
-                    if here == x:
-                        here = y
-                    elif here == y:
-                        here = x
-                    else:
-                        violations.append(
-                            f"vnr {vnr.vnr_id}: path for ({a}, {b}) is not a connected walk"
-                        )
-                        ok = False
-                        break
-                if not ok:
-                    break
-                if here != record.node_map[b]:
-                    violations.append(
-                        f"vnr {vnr.vnr_id}: path for ({a}, {b}) does not reach the mapped endpoint"
-                    )
-                    ok = False
-                    break
-        if not ok:
-            continue
-        demand_of = {(a, b): d for a, b, d in vnr.link_demands}
-        extra = [key for key in record.link_paths if key not in demand_of]
-        if extra:
-            violations.append(
-                f"vnr {vnr.vnr_id}: path for a link the request does not have: {extra[0]}"
-            )
-            continue
+            return None
+        fault = _first_violation(vnr, record, cpu, bw, initial.link_ends)
+        if fault is not None:
+            return fault
 
         # joint bandwidth feasibility across this request's paths
+        demand_of = {(a, b): d for a, b, d in vnr.link_demands}
         demand_on_link: dict[int, float] = {}
         for key, path in record.link_paths.items():
             for link_id in path:
                 demand_on_link[link_id] = demand_on_link.get(link_id, 0.0) + demand_of[key]
         for link_id, total in demand_on_link.items():
             if total > bw[link_id]:
-                violations.append(
-                    f"vnr {vnr.vnr_id}: joint bandwidth on link {link_id} exceeds availability"
-                )
-                ok = False
-                break
-        if not ok:
-            continue
+                return f"joint bandwidth on link {link_id} exceeds availability"
 
         for v, node_id in record.node_map.items():
             cpu[node_id] -= vnr.node_demands[v]
         for link_id, total in demand_on_link.items():
             bw[link_id] -= total
+        heapq.heappush(departures, (vnr.t_e, vnr.vnr_id, record, demand_of))
         if np.any(cpu < 0) or np.any(bw < 0):
-            violations.append(f"vnr {vnr.vnr_id}: availability driven below zero")
-        heapq.heappush(departures, (vnr.t_e, vnr.vnr_id, record))
+            return "availability driven below zero"
+        return None
+
+    for record in records:
+        fault = replay(record)
+        if fault is not None:
+            violations.append(f"vnr {record.vnr_id}: {fault}")
 
     while departures:
-        _, _, done = heapq.heappop(departures)
-        release(done, by_id[done.vnr_id])
+        _, _, done, demand_of = heapq.heappop(departures)
+        release(done, demand_of)
 
     if np.any(cpu > initial.cpu_capacity) or np.any(bw > initial.bw_capacity):
         violations.append("replayed releases exceed capacity")

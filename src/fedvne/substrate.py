@@ -80,10 +80,7 @@ class MultiDomainSubstrate:
         bw_capacity,
     ):
         self.num_domains = int(num_domains)
-        try:
-            self.node_domain = np.asarray(node_domains, dtype=np.int64)
-        except OverflowError:
-            raise ValueError("node domain id out of range") from None
+        self.node_domain = np.asarray(node_domains, dtype=np.int64)
         n = len(self.node_domain)
         self.coords = np.asarray(coords, dtype=np.float64).reshape(n, 2)
         self.cpu_capacity = np.asarray(cpu_capacity, dtype=np.float64)

@@ -128,21 +128,13 @@ def generate_substrate(config, seed: int) -> MultiDomainSubstrate:
         inter_target = min(inter_target, max_inter, total_links - used)
     intra_extra = total_links - used - inter_target
 
-    # spread the extra intra links round-robin across domains
-    capacity = [max_intra_per_domain - (per_domain - 1)] * num_domains
-    quota = [0] * num_domains
-    d = 0
-    placed = 0
-    while placed < intra_extra:
-        if all(quota[i] >= capacity[i] for i in range(num_domains)):
-            break
-        if quota[d] < capacity[d]:
-            quota[d] += 1
-            placed += 1
-        d = (d + 1) % num_domains
-    inter_target += intra_extra - placed  # overflow goes to inter-domain links
-    if inter_target > max_inter:
-        raise InfeasibleTopology("link budget exceeds available node pairs")
+    # spread the extra intra links evenly across domains, lower domain ids
+    # taking the remainder; what the domains cannot hold goes to inter-domain
+    # links, which the simple-graph check above leaves room for
+    free = max_intra_per_domain - (per_domain - 1)
+    placed = min(intra_extra, free * num_domains)
+    quota = [placed // num_domains + (d < placed % num_domains) for d in range(num_domains)]
+    inter_target += intra_extra - placed
 
     for d in range(num_domains):
         if quota[d] == 0:
@@ -325,6 +317,8 @@ def load_substrate(path) -> MultiDomainSubstrate:
                 raise ValidationError(
                     f"{path}:{line_no}: node ids must be sequential from 0, got {node_id} at position {i}"
                 )
+            if not 0 <= domain < num_domains:
+                raise ValidationError(f"{path}:{line_no}: node domain id out of range")
             node_domains.append(domain)
             coords.append((numbers[0], numbers[1]))
             cpu.append(numbers[2])

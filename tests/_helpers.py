@@ -240,6 +240,8 @@ def reference_load_substrate(path) -> MultiDomainSubstrate:
             raise ValidationError(
                 f"{path}:{line_no}: node ids must be sequential from 0, got {node_id} at position {i}"
             )
+        if not 0 <= domain < num_domains:
+            raise ValidationError(f"{path}:{line_no}: node domain id out of range")
         node_domains.append(domain)
         coords.append((x, y))
         cpu.append(capacity)

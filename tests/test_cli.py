@@ -574,6 +574,7 @@ def _set_field(path, line_no, field, value):
         ("negative_request_count", "request count must be non-negative"),
         ("negative_link_count", "header counts must be non-negative"),
         ("huge_domain_id", "node domain id out of range"),
+        ("undeclared_domain_id", "node domain id out of range"),
     ],
 )
 def test_input_faults_name_file_and_line(tmp_path, capsys, fault, message):
@@ -589,10 +590,9 @@ def test_input_faults_name_file_and_line(tmp_path, capsys, fault, message):
         "negative_request_count": (vnrs_path, 1, 0, "-3"),
         "negative_link_count": (substrate_path, 1, 1, "-1"),
         "huge_domain_id": (substrate_path, 2, 1, "99999999999999999999"),
+        "undeclared_domain_id": (substrate_path, 2, 1, str(TINY["num_domains"])),
     }[fault]
     _set_field(path, line_no, field, value)
-    if fault == "huge_domain_id":
-        line_no = 1  # checks over the whole substrate name its header line
     capsys.readouterr()
     code = cli.main(
         ["evaluate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),

@@ -1,6 +1,7 @@
 import copy
 import itertools
 
+import numpy as np
 import pytest
 
 from _helpers import make_substrate, make_vnr
@@ -263,3 +264,75 @@ def test_replay_validate_flags_tampering():
     assert replay_validate(initial, vnrs, records, end) == [
         "vnr 0: path for a link the request does not have: (5, 6)"
     ]
+
+
+@pytest.mark.parametrize(
+    "change, expected",
+    [
+        ({"node_map": {0: 0}}, ["vnr 0: not every virtual node is mapped exactly once"]),
+        ({"node_map": {0: 0, 1: 0}}, ["vnr 0: node map is not injective"]),
+        ({"node_map": {0: 0, 1: 9}}, ["vnr 0: mapped to missing node 9"]),
+        (
+            {"cpu": (60.0, 10.0)},
+            ["vnr 0: cpu demand of virtual node 0 exceeds availability on node 0"],
+        ),
+        ({"path": []}, ["vnr 0: virtual link (0, 1) has no path"]),
+        ({"path": [5]}, ["vnr 0: path uses missing link 5"]),
+        ({"path": [1]}, ["vnr 0: path for (0, 1) is not a connected walk"]),
+        (
+            {"node_map": {0: 0, 1: 2}},
+            ["vnr 0: path for (0, 1) does not reach the mapped endpoint"],
+        ),
+        (
+            {"bw": 20.0, "path": [0, 0, 0]},
+            ["vnr 0: joint bandwidth on link 0 exceeds availability"],
+        ),
+        ({"vnr_id": 7}, ["vnr 7: not present in the request stream"]),
+        # 0.1 + 0.1 + 0.1 subtracted as one joint total, then given back link
+        # by link, leaves link 0 above its capacity (float rounding)
+        (
+            {"bw": 0.1, "path": [0, 0, 0]},
+            [
+                "replayed releases exceed capacity",
+                "replayed resource vector differs from the run's final state",
+            ],
+        ),
+        (
+            {"final": np.zeros(5)},
+            ["replayed resource vector differs from the run's final state"],
+        ),
+    ],
+    ids=[
+        "unmapped",
+        "not-injective",
+        "missing-node",
+        "cpu",
+        "no-path",
+        "missing-link",
+        "broken-walk",
+        "wrong-endpoint",
+        "joint-bw",
+        "unknown-id",
+        "release-rounding",
+        "final-vector",
+    ],
+)
+def test_replay_validate_names_each_violation(change, expected):
+    sub = make_substrate([0] * 3, [50.0] * 3, [(0, 1, 30.0), (1, 2, 30.0)])
+    vnr = make_vnr(0, node_demands=(10.0, 10.0), link_demands=((0, 1, 5.0),), t_s=0.0, t_e=9.0)
+    final, _, records = run_simulation(sub.copy(), [vnr], lambda s, v: [[0, 1, 2]] * v.num_nodes)
+    assert records[0].node_map == {0: 0, 1: 1} and records[0].link_paths == {(0, 1): [0]}
+    record = copy.deepcopy(records[0])
+    record.vnr_id = change.get("vnr_id", 0)
+    record.node_map = dict(change.get("node_map", record.node_map))
+    if "path" in change:
+        record.link_paths[(0, 1)] = list(change["path"])
+    edited = make_vnr(
+        0,
+        node_demands=change.get("cpu", (10.0, 10.0)),
+        link_demands=((0, 1, change.get("bw", 5.0)),),
+        t_s=0.0,
+        t_e=9.0,
+    )
+    end = change.get("final", final.resource_vector())
+    assert replay_validate(sub, [edited], [record], end) == expected
