@@ -92,14 +92,6 @@ def scores(params: PolicyParams, state: StateMatrix) -> np.ndarray:
     return state.features @ params.kernel + params.bias
 
 
-def forward(params: PolicyParams, state: StateMatrix) -> np.ndarray:
-    """Allocation probabilities: softmax over the linear node scores."""
-    z = scores(params, state)
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
 def log_probs(params: PolicyParams, state: StateMatrix) -> np.ndarray:
     z = scores(params, state)
     shifted = z - z.max()
@@ -111,22 +103,6 @@ def episode_reward(record, reject_reward: float = 0.0) -> float:
     if not record.accepted or record.cost <= 0:
         return reject_reward
     return record.revenue / record.cost
-
-
-def batch_loss(params: PolicyParams, traces, baseline: float | None = None) -> float:
-    """Mean over samples of -log p(chosen) * (reward - baseline)."""
-    if not traces:
-        raise ValueError("empty trace batch")
-    if baseline is None:
-        baseline = float(np.mean([t.reward for t in traces]))
-    total = 0.0
-    count = 0
-    for trace in traces:
-        advantage = trace.reward - baseline
-        for state, chosen in trace.samples:
-            total += -advantage * log_probs(params, state)[chosen]
-            count += 1
-    return total / count if count else 0.0
 
 
 def train_step(

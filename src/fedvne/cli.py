@@ -183,18 +183,28 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    config = _resolve_config(args)
+def _run_policies(args, config: ExperimentConfig, names):
+    """Run each named policy over the test split, one at a time, yielding its
+    (ledger, records, elapsed seconds). Every policy is built before the output
+    directory is created, so a config error leaves nothing behind."""
     substrate = workload.load_substrate(args.substrate)
     vnrs = workload.load_vnrs(args.vnrs)
     test_vnrs = _test_split(config, args.vnrs, vnrs)
-    policy = _build_policy(config.policy, config, args.checkpoint, substrate.num_domains)
+    policies = [_build_policy(name, config, args.checkpoint, substrate.num_domains) for name in names]
+    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+    for policy in policies:
+        started = time.perf_counter()
+        _, ledger, records = engine.run_simulation(substrate.copy(), test_vnrs, policy)
+        yield ledger, records, time.perf_counter() - started
+
+
+def cmd_evaluate(args) -> int:
+    config = _resolve_config(args)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _, ledger, records = engine.run_simulation(substrate.copy(), test_vnrs, policy)
-    _write_series(out_dir / "metrics.csv", ledger.series(config.metrics_interval))
-    engine.write_decision_log(out_dir / "decisions.csv", records)
-    print(_summary_line(config.policy, ledger))
+    for ledger, records, _ in _run_policies(args, config, [config.policy]):
+        _write_series(out_dir / "metrics.csv", ledger.series(config.metrics_interval))
+        engine.write_decision_log(out_dir / "decisions.csv", records)
+        print(_summary_line(config.policy, ledger))
     return 0
 
 
@@ -203,23 +213,16 @@ def cmd_compare(args) -> int:
     names = [p.strip() for p in args.policies.split(",") if p.strip()]
     if not names:
         raise ConfigError("--policies needs at least one policy name")
-    substrate = workload.load_substrate(args.substrate)
-    vnrs = workload.load_vnrs(args.vnrs)
-    test_vnrs = _test_split(config, args.vnrs, vnrs)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     series_by_policy = {}
     timing = []
-    for position, name in enumerate(names):
-        policy = _build_policy(name, config, args.checkpoint, substrate.num_domains)
-        started = time.perf_counter()
-        _, ledger, records = engine.run_simulation(substrate.copy(), test_vnrs, policy)
-        elapsed = time.perf_counter() - started
+    runs = _run_policies(args, config, names)
+    for position, (name, (ledger, records, elapsed)) in enumerate(zip(names, runs)):
         column = f"{name}#{position}" if names.count(name) > 1 else name
         series_by_policy[column] = ledger.series(config.metrics_interval)
         engine.write_decision_log(out_dir / f"decisions_{column.replace('#', '_')}.csv", records)
-        windows = max(1, -(-len(test_vnrs) // config.batch_size))
+        # one record per test request
+        windows = max(1, -(-len(records) // config.batch_size))
         timing.append((column, elapsed / windows))
         print(_summary_line(column, ledger))
 
@@ -303,7 +306,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ConfigError, workload.InfeasibleTopology) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (workload.ParseError, workload.ValidationError, OSError, ValueError, RuntimeError) as exc:

@@ -243,18 +243,6 @@ def run_simulation(
 # -- independent constraint checking ---------------------------------------
 
 
-def indicator_acceptance(vnr, record: EmbeddingRecord) -> int:
-    """Product of per-node and per-link success indicators (1 or 0)."""
-    for v in range(vnr.num_nodes):
-        if v not in record.node_map:
-            return 0
-    for a, b, _ in vnr.link_demands:
-        path = record.link_paths.get((a, b))
-        if not path:
-            return 0
-    return 1
-
-
 def _first_violation(vnr, record: EmbeddingRecord, cpu, bw, link_ends) -> str | None:
     """First structural fault of an accepted record against the replayed availability.
 

@@ -17,16 +17,6 @@ from .agent import DomainAgent, PolicyParams
 from .metrics import left_sum
 
 
-class EmptyRound(Exception):
-    pass
-
-
-class MissingUpload(Exception):
-    def __init__(self, domain_id: int):
-        super().__init__(f"domain {domain_id} has not produced a training batch")
-        self.domain_id = domain_id
-
-
 @dataclass(frozen=True)
 class ParamUpload:
     domain_id: int
@@ -46,11 +36,9 @@ class FederationRound:
 
 def aggregate(uploads) -> PolicyParams:
     """Sample-count-weighted mean of the uploaded parameters."""
-    if not uploads:
-        raise EmptyRound("cannot aggregate an empty round")
     total = sum(u.sample_count for u in uploads)
     if total <= 0:
-        raise EmptyRound("uploads carry no samples")
+        raise ValueError("uploads carry no samples")
     kernel = np.zeros_like(uploads[0].params.kernel)
     bias = 0.0
     for u in uploads:
@@ -61,11 +49,9 @@ def aggregate(uploads) -> PolicyParams:
 
 def global_loss(uploads) -> float:
     """Sample-count-weighted mean of the uploaded local losses."""
-    if not uploads:
-        raise EmptyRound("cannot compute the loss of an empty round")
     total = sum(u.sample_count for u in uploads)
     if total <= 0:
-        raise EmptyRound("uploads carry no samples")
+        raise ValueError("uploads carry no samples")
     return left_sum(u.sample_count * u.local_loss for u in uploads) / total
 
 
@@ -75,7 +61,7 @@ class Coordinator:
     def __init__(self, domain_ids):
         self.domain_ids = sorted(domain_ids)
         if not self.domain_ids:
-            raise EmptyRound("coordinator needs at least one domain")
+            raise ValueError("coordinator needs at least one domain")
         self.round_id = 0
         self.global_params: PolicyParams | None = None
 
@@ -85,7 +71,7 @@ class Coordinator:
     def run_round(self, agents: dict[int, DomainAgent]) -> FederationRound:
         """Collect uploads, aggregate, and broadcast the global parameters.
 
-        Raises MissingUpload (and leaves every agent untouched) if any
+        Raises ValueError (and leaves every agent untouched) if any
         registered domain has not trained since the previous round.
         """
         uploads = []
@@ -93,7 +79,7 @@ class Coordinator:
         for d in self.domain_ids:
             agent = agents[d]
             if agent.pending_samples <= 0:
-                raise MissingUpload(d)
+                raise ValueError(f"domain {d} has not produced a training batch")
             uploads.append(
                 ParamUpload(d, agent.params.copy(), agent.pending_samples, agent.pending_loss)
             )

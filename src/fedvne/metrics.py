@@ -18,14 +18,6 @@ from dataclasses import dataclass, field
 MAX_SERIES_ROWS = 1_000_000
 
 
-class UndefinedMetric(Exception):
-    pass
-
-
-class RejectedRecord(Exception):
-    pass
-
-
 def left_sum(values) -> float:
     """``values`` added one at a time from 0.0, left to right, uncompensated."""
     total = 0.0
@@ -55,7 +47,7 @@ def vnr_revenue(vnr) -> float:
 def vnr_cost(vnr, record) -> float:
     """Like revenue, but each link demand is multiplied by its mapped hop count."""
     if not record.accepted:
-        raise RejectedRecord(f"vnr {vnr.vnr_id} was rejected; cost is undefined")
+        raise ValueError(f"vnr {vnr.vnr_id} was rejected; cost is undefined")
     duration = vnr.t_e - vnr.t_s
     total = left_sum(vnr.node_demands)
     for a, b, bw in vnr.link_demands:
@@ -110,7 +102,7 @@ class MetricsLedger:
     def summary(self) -> tuple[float, float | None, float]:
         """(ltar, ltar2c, acc) over the whole recorded horizon."""
         if not self.records:
-            raise UndefinedMetric("summary is undefined for an empty ledger")
+            raise ValueError("summary is undefined for an empty ledger")
         revenue = cost = 0.0
         accepted = 0
         for record in self.records:

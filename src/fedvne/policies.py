@@ -100,8 +100,8 @@ class HflPolicy:
 
     def _rank(self, substrate: MultiDomainSubstrate, params) -> None:
         bounds, rows = substrate.domain_bounds, substrate.domain_rows
-        # the softmax of forward() per domain; only the matrix product and the
-        # sum stay per domain, because their all-node forms round differently
+        # a softmax of the linear node scores per domain; only the matrix product
+        # and the sum stay per domain, because their all-node forms round differently
         z = np.concatenate([s.features @ p.kernel for s, p in zip(self.states, params)])
         z += np.array([p.bias for p in params])[rows]
         e = np.exp(z - np.maximum.reduceat(z, substrate.domain_starts[:-1])[rows])

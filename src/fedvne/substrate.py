@@ -9,33 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-INTRA = "intra"
-INTER = "inter"
-
-
-class InsufficientCpu(Exception):
-    def __init__(self, node_id: int, demand: float, available: float):
-        super().__init__(
-            f"node {node_id}: cpu demand {demand} exceeds available {available}"
-        )
-        self.node_id = node_id
-        self.demand = demand
-        self.available = available
-
-
-class InsufficientBandwidth(Exception):
-    def __init__(self, link_id: int, demand: float, available: float):
-        super().__init__(
-            f"link {link_id}: bw demand {demand} exceeds available {available}"
-        )
-        self.link_id = link_id
-        self.demand = demand
-        self.available = available
-
-
-class DoubleRelease(Exception):
-    pass
-
 
 def union_find(n: int, edges) -> list[int]:
     """Join the endpoints of every edge over nodes 0..n-1; returns each node's root.
@@ -167,10 +140,6 @@ class MultiDomainSubstrate:
 
     # -- accessors -----------------------------------------------------
 
-    def link_kind(self, link_id: int) -> str:
-        a, b = self.link_ends[link_id]
-        return INTRA if self.node_domain[a] == self.node_domain[b] else INTER
-
     def domain_node_list(self, domain_id: int) -> list[int]:
         """The domain's node ids in ascending order, as a shared read-only list."""
         return self._domain_node_lists[domain_id]
@@ -202,7 +171,7 @@ class MultiDomainSubstrate:
     def allocate_node(self, node_id: int, cpu_demand: float) -> None:
         available = self.cpu_available[node_id]
         if cpu_demand > available:
-            raise InsufficientCpu(node_id, cpu_demand, float(available))
+            raise ValueError(f"node {node_id}: cpu demand {cpu_demand} exceeds available {float(available)}")
         self.cpu_available[node_id] = available - cpu_demand
 
     def allocate_path(self, path, bw_demand: float) -> None:
@@ -210,7 +179,7 @@ class MultiDomainSubstrate:
         for link_id in path:
             available = self.bw_available[link_id]
             if bw_demand > available:
-                raise InsufficientBandwidth(int(link_id), bw_demand, float(available))
+                raise ValueError(f"link {link_id}: bw demand {bw_demand} exceeds available {float(available)}")
         for link_id in path:
             self.bw_available[link_id] -= bw_demand
 
@@ -221,11 +190,11 @@ class MultiDomainSubstrate:
         partial, and a departure. Each mapped virtual node gives back its cpu
         demand and each placed path its bandwidth demand, both read from
         ``vnr``. The record must currently hold resources on this substrate;
-        releasing twice (or releasing a record that never held any) raises
-        DoubleRelease, and freeing past a capacity raises ValueError.
+        releasing twice (or releasing a record that never held any), or
+        freeing past a capacity, raises ValueError.
         """
         if not record.outstanding:
-            raise DoubleRelease(f"record for vnr {record.vnr_id} holds no resources")
+            raise ValueError(f"record for vnr {record.vnr_id} holds no resources")
         for v_node, node_id in record.node_map.items():
             amount = vnr.node_demands[v_node]
             restored = self.cpu_available[node_id] + amount

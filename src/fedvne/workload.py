@@ -11,6 +11,7 @@ import random
 from dataclasses import dataclass
 from math import isfinite
 
+from .config import ConfigError
 from .substrate import MultiDomainSubstrate, union_find
 
 
@@ -22,10 +23,6 @@ class ParseError(Exception):
 
 
 class ValidationError(Exception):
-    pass
-
-
-class InfeasibleTopology(Exception):
     pass
 
 
@@ -93,13 +90,13 @@ def generate_substrate(config, seed: int) -> MultiDomainSubstrate:
     tree_links = num_domains * (per_domain - 1)
     domain_tree = num_domains - 1 if num_domains > 1 else 0
     if total_links < tree_links + domain_tree:
-        raise InfeasibleTopology(
+        raise ConfigError(
             f"{total_links} links cannot connect {num_domains} domains of {per_domain} nodes"
         )
     max_intra_per_domain = per_domain * (per_domain - 1) // 2
     max_inter = per_domain * per_domain * num_domains * (num_domains - 1) // 2
     if total_links > max_intra_per_domain * num_domains + max_inter:
-        raise InfeasibleTopology(f"{total_links} links exceed the simple-graph maximum")
+        raise ConfigError(f"{total_links} links exceed the simple-graph maximum")
 
     node_domains = [d for d in range(num_domains) for _ in range(per_domain)]
     coords = [(rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)) for _ in range(n)]

@@ -3,14 +3,20 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
 from fedvne import training
-from fedvne.agent import StateMatrix, forward
+from fedvne.agent import PolicyParams, StateMatrix, log_probs, scores
 from fedvne.engine import EmbeddingRecord
 from fedvne.substrate import MultiDomainSubstrate
 from fedvne.workload import ParseError, ValidationError, VirtualNetworkRequest
+
+
+def exactly(message: str) -> str:
+    """A ``pytest.raises(match=...)`` pattern that accepts ``message`` and nothing else."""
+    return "^" + re.escape(message) + "$"
 
 
 def make_substrate(node_domains, cpu, links, num_domains=None, coords=None):
@@ -66,6 +72,55 @@ def applied_record(vnr, node_map, link_paths):
     record.accepted = True
     record.outstanding = True
     return record
+
+
+# -- oracles: definitions only the tests read
+
+
+INTRA = "intra"
+INTER = "inter"
+
+
+def link_kind(substrate, link_id: int) -> str:
+    """INTER when the link's endpoints lie in different domains, else INTRA."""
+    a, b = substrate.link_ends[link_id]
+    return INTRA if substrate.node_domain[a] == substrate.node_domain[b] else INTER
+
+
+def forward(params: PolicyParams, state: StateMatrix) -> np.ndarray:
+    """Allocation probabilities: softmax over the linear node scores."""
+    z = scores(params, state)
+    z = z - z.max()
+    e = np.exp(z)
+    return e / e.sum()
+
+
+def batch_loss(params: PolicyParams, traces, baseline: float | None = None) -> float:
+    """Mean over samples of -log p(chosen) * (reward - baseline)."""
+    if not traces:
+        raise ValueError("empty trace batch")
+    if baseline is None:
+        baseline = float(np.mean([t.reward for t in traces]))
+    total = 0.0
+    count = 0
+    for trace in traces:
+        advantage = trace.reward - baseline
+        for state, chosen in trace.samples:
+            total += -advantage * log_probs(params, state)[chosen]
+            count += 1
+    return total / count if count else 0.0
+
+
+def indicator_acceptance(vnr, record: EmbeddingRecord) -> int:
+    """Product of per-node and per-link success indicators (1 or 0)."""
+    for v in range(vnr.num_nodes):
+        if v not in record.node_map:
+            return 0
+    for a, b, _ in vnr.link_demands:
+        path = record.link_paths.get((a, b))
+        if not path:
+            return 0
+    return 1
 
 
 def reference_extract_state(substrate, domain_id):

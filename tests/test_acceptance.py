@@ -14,14 +14,13 @@ import time
 import numpy as np
 import pytest
 
-from _helpers import train_with_episodes
+from _helpers import batch_loss, indicator_acceptance, train_with_episodes
 from fedvne import cli, engine, workload
 from fedvne.agent import (
     DecisionTrace,
     DomainAgent,
     PolicyParams,
     StateMatrix,
-    batch_loss,
     train_step,
 )
 from fedvne.baselines import NodeRankPolicy, RandomPolicy
@@ -501,7 +500,7 @@ def test_c9_metric_identities(evaluations):
                     assert 0.0 < row[2] <= 1.0
             for record in records:
                 vnr = by_id[record.vnr_id]
-                assert bool(engine.indicator_acceptance(vnr, record)) == record.accepted
+                assert bool(indicator_acceptance(vnr, record)) == record.accepted
                 records_checked += 1
     assert records_checked == len(SEEDS) * 3 * cfg.test_count
     print(f"[acceptance] criterion 9 (metric identities): PASS "

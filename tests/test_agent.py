@@ -4,16 +4,14 @@ import random
 import numpy as np
 import pytest
 
-from _helpers import applied_record, feasible_view, make_substrate, make_vnr
+from _helpers import applied_record, batch_loss, feasible_view, forward, make_substrate, make_vnr
 from fedvne.agent import (
     DecisionTrace,
     DomainAgent,
     PolicyParams,
     StateMatrix,
-    batch_loss,
     episode_reward,
     extract_state,
-    forward,
     init_params,
     load_checkpoint,
     log_probs,

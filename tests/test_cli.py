@@ -1,7 +1,11 @@
 import dataclasses
+import importlib
+import inspect
+import pkgutil
 
 import pytest
 
+import fedvne
 from fedvne import cli
 from fedvne.config import (
     ConfigError,
@@ -169,6 +173,36 @@ def test_too_long_horizon_is_refused_before_any_policy_runs(tmp_path, capsys, mo
     assert not out.exists()
 
 
+def package_exception_types():
+    """Every Exception subclass defined in a fedvne module."""
+    found = []
+    for info in pkgutil.iter_modules(fedvne.__path__):
+        module = importlib.import_module(f"fedvne.{info.name}")
+        for _, obj in inspect.getmembers(module, inspect.isclass):
+            if issubclass(obj, Exception) and obj.__module__ == module.__name__:
+                found.append(obj)
+    return found
+
+
+def test_every_package_exception_exits_one_or_two(monkeypatch, capsys):
+    types = package_exception_types()
+    assert ConfigError in types
+    for exc_type in types:
+
+        def raising(args, exc_type=exc_type):
+            # bypass the type's own constructor: only the type decides the exit code
+            exc = exc_type.__new__(exc_type)
+            Exception.__init__(exc, "boom")
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_generate", raising)
+        code = cli.main(["generate"])
+        err = capsys.readouterr().err
+        assert code in (1, 2), exc_type
+        assert (code == 1) == issubclass(exc_type, ConfigError), exc_type
+        assert err == ("config error: boom\n" if code == 1 else "error: boom\n"), exc_type
+
+
 def test_unknown_flag_exits_one(tmp_path):
     assert cli.main(["generate", "--no-such-flag"]) == 1
 
@@ -313,6 +347,31 @@ def test_compare_duplicate_policy_gives_identical_columns(tmp_path):
         for row in rows[1:]:
             _, first, second = row.split(",")
             assert first == second
+
+
+@pytest.mark.parametrize(
+    "policies, checkpoint_domains, message",
+    [
+        ("hfl", None, "the hfl policy needs --checkpoint"),
+        ("noderank,hfl", 3, "checkpoint has 3 domain lines, the substrate has 2 domains"),
+        ("noderank,bogus", None, "unknown policy 'bogus', expected one of hfl, noderank, random"),
+        (" , ", None, "--policies needs at least one policy name"),
+    ],
+)
+def test_compare_config_errors_write_nothing(tmp_path, capsys, policies, checkpoint_domains, message):
+    substrate_path, vnrs_path = generate_tiny(tmp_path)
+    argv = ["compare", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path), "--policies", policies]
+    if checkpoint_domains:
+        checkpoint = tmp_path / "checkpoint.txt"
+        checkpoint.write_text("0.1 0.2 0.3 0.0\n" * (checkpoint_domains + 1))
+        argv += ["--checkpoint", str(checkpoint)]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert cli.main(argv + ["--out-dir", str(out)] + tiny_flags()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and captured.err.endswith(f"{message}\n")
+    assert not out.exists()
 
 
 def test_validate_clean_log(tmp_path, capsys):

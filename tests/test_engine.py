@@ -4,13 +4,12 @@ import itertools
 import numpy as np
 import pytest
 
-from _helpers import make_substrate, make_vnr
+from _helpers import indicator_acceptance, make_substrate, make_vnr
 from fedvne import engine
 from fedvne.engine import (
     attempt_embedding,
     embed_links,
     embed_nodes,
-    indicator_acceptance,
     min_hop_path,
     read_decision_log,
     replay_validate,

@@ -4,11 +4,10 @@ import random
 import numpy as np
 import pytest
 
+from _helpers import exactly
 from fedvne.agent import DecisionTrace, DomainAgent, PolicyParams, StateMatrix
 from fedvne.federation import (
     Coordinator,
-    EmptyRound,
-    MissingUpload,
     ParamUpload,
     aggregate,
     global_loss,
@@ -47,8 +46,10 @@ def test_aggregate_weighted_mean():
 
 
 def test_aggregate_requires_uploads():
-    with pytest.raises(EmptyRound):
-        aggregate([])
+    # an empty round carries no samples either
+    for uploads in ([], [upload(0, [0, 0, 0], 1.0, 0), upload(1, [0, 0, 0], 2.0, 0)]):
+        with pytest.raises(ValueError, match=exactly("uploads carry no samples")):
+            aggregate(uploads)
 
 
 def test_aggregate_permutation_invariant():
@@ -87,8 +88,14 @@ def test_global_loss_cases():
     assert global_loss(equal) == pytest.approx(0.3)
     weighted = [upload(0, [0, 0, 0], 0.0, 1, 0.0), upload(1, [0, 0, 0], 0.0, 3, 1.0)]
     assert global_loss(weighted) == pytest.approx(0.75)
-    with pytest.raises(EmptyRound):
-        global_loss([])
+    for uploads in ([], [upload(0, [0, 0, 0], 0.0, 0, 0.5)]):
+        with pytest.raises(ValueError, match=exactly("uploads carry no samples")):
+            global_loss(uploads)
+
+
+def test_coordinator_requires_a_domain():
+    with pytest.raises(ValueError, match=exactly("coordinator needs at least one domain")):
+        Coordinator([])
 
 
 def test_run_round_single_domain_is_identity():
@@ -119,9 +126,8 @@ def test_run_round_missing_upload_aborts():
     agents = {0: agent_with_pending(0, [1, 1, 1], 0.0), 1: DomainAgent(1, PolicyParams(np.zeros(3), 0.0))}
     coordinator = Coordinator(agents.keys())
     before = agents[0].params.copy()
-    with pytest.raises(MissingUpload) as exc:
+    with pytest.raises(ValueError, match=exactly("domain 1 has not produced a training batch")):
         coordinator.run_round(agents)
-    assert exc.value.domain_id == 1
     assert np.array_equal(agents[0].params.kernel, before.kernel)  # round left no trace
     assert coordinator.round_id == 0
     # after the lagging domain trains, the retried round succeeds

@@ -19,18 +19,20 @@ from hypothesis import strategies as st
 
 from _helpers import (
     applied_record,
+    exactly,
     feasible_view,
+    forward,
     make_substrate,
     make_vnr,
     reference_extract_state,
     reference_hfl_candidates,
 )
 from fedvne import baselines, policies
-from fedvne.agent import DomainAgent, PolicyParams, extract_state, forward
+from fedvne.agent import DomainAgent, PolicyParams, extract_state
 from fedvne.baselines import NodeRankPolicy
 from fedvne.engine import attempt_embedding, embed_nodes, min_hop_path
 from fedvne.policies import HflPolicy, ranked_by_score
-from fedvne.substrate import DoubleRelease, MultiDomainSubstrate
+from fedvne.substrate import MultiDomainSubstrate
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -288,7 +290,7 @@ def test_attempt_embedding_gives_back_exactly(sub, data):
     if record.accepted:
         sub.release(record, vnr)
     assert sub.resource_vector().tobytes() == before
-    with pytest.raises(DoubleRelease):
+    with pytest.raises(ValueError, match=exactly(f"record for vnr {vnr.vnr_id} holds no resources")):
         sub.release(record, vnr)
 
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import applied_record, make_substrate, make_vnr, reference_union_find
-from fedvne.substrate import DoubleRelease, InsufficientBandwidth, InsufficientCpu, union_find
+from _helpers import applied_record, exactly, link_kind, make_substrate, make_vnr, reference_union_find
+from fedvne.substrate import MultiDomainSubstrate, union_find
 
 
 def two_node_substrate(cpu=(80.0, 80.0), bw=50.0):
@@ -28,7 +28,7 @@ def test_allocate_node_boundary_to_zero():
 
 def test_allocate_node_insufficient():
     sub = two_node_substrate(cpu=(10.0, 80.0))
-    with pytest.raises(InsufficientCpu):
+    with pytest.raises(ValueError, match=exactly("node 0: cpu demand 30.0 exceeds available 10.0")):
         sub.allocate_node(0, 30.0)
     assert sub.cpu_available[0] == 10.0
 
@@ -49,9 +49,8 @@ def test_allocate_path_empty_is_identity():
 def test_allocate_path_all_or_nothing():
     sub = make_substrate([0, 0, 0], [50.0] * 3, [(0, 1, 50.0), (1, 2, 10.0)])
     before = sub.resource_vector()
-    with pytest.raises(InsufficientBandwidth) as exc:
+    with pytest.raises(ValueError, match=exactly("link 1: bw demand 20.0 exceeds available 10.0")):
         sub.allocate_path([0, 1], 20.0)
-    assert exc.value.link_id == 1
     assert sub.resource_vector().tobytes() == before.tobytes()
 
 
@@ -73,7 +72,7 @@ def test_double_release_rejected():
     sub.allocate_node(0, 30.0)
     record = applied_record(vnr, {0: 0}, {})
     sub.release(record, vnr)
-    with pytest.raises(DoubleRelease):
+    with pytest.raises(ValueError, match=exactly("record for vnr 0 holds no resources")):
         sub.release(record, vnr)
 
 
@@ -82,8 +81,19 @@ def test_release_of_never_applied_record_rejected():
     vnr = make_vnr(node_demands=(30.0,))
     record = applied_record(vnr, {0: 0}, {})
     record.outstanding = False  # never actually applied
-    with pytest.raises(DoubleRelease):
+    with pytest.raises(ValueError, match=exactly("record for vnr 0 holds no resources")):
         sub.release(record, vnr)
+
+
+def test_release_past_capacity_rejected():
+    # the records claim resources that were never allocated on this substrate
+    sub = two_node_substrate()
+    vnr = make_vnr(node_demands=(30.0,))
+    with pytest.raises(ValueError, match=exactly("freeing 30.0 cpu on node 0 exceeds capacity")):
+        sub.release(applied_record(vnr, {0: 0}, {}), vnr)
+    vnr = make_vnr(node_demands=(10.0, 10.0), link_demands=((0, 1, 15.0),))
+    with pytest.raises(ValueError, match=exactly("freeing 15.0 bw on link 0 exceeds capacity")):
+        sub.release(applied_record(vnr, {}, {(0, 1): [0]}), vnr)
 
 
 def test_interleaved_allocations_match_replay_ledger():
@@ -129,12 +139,14 @@ def test_fuzz_conservation_and_bounds():
             vnr = make_vnr(step, node_demands=(demand,), link_demands=((0, 1, bw_demand),))
             try:
                 sub.allocate_node(node, demand)
-            except InsufficientCpu:
+            except ValueError as exc:
+                assert str(exc).startswith(f"node {node}: cpu demand {demand} exceeds available ")
                 continue
             record = applied_record(vnr, {0: node}, {})
             try:
                 sub.allocate_path([link], bw_demand)
-            except InsufficientBandwidth:
+            except ValueError as exc:
+                assert str(exc).startswith(f"link {link}: bw demand {bw_demand} exceeds available ")
                 sub.release(record, vnr)  # roll back the node alone
                 continue
             record.link_paths[(0, 1)] = [link]
@@ -155,15 +167,31 @@ def test_fuzz_conservation_and_bounds():
 
 
 def test_structural_validation():
-    with pytest.raises(ValueError):
-        make_substrate([0, 0], [10.0, 10.0], [(0, 0, 5.0)])  # self-loop
-    with pytest.raises(ValueError):
-        make_substrate([0, 0], [10.0, 10.0], [(0, 1, 5.0), (1, 0, 5.0)])  # duplicate
-    with pytest.raises(ValueError):
-        make_substrate([0, 0, 0], [10.0] * 3, [(0, 1, 5.0)])  # disconnected
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=exactly("self-loop link at node 0")):
+        make_substrate([0, 0], [10.0, 10.0], [(0, 0, 5.0)])
+    with pytest.raises(ValueError, match=exactly("duplicate link between nodes (0, 1)")):
+        make_substrate([0, 0], [10.0, 10.0], [(0, 1, 5.0), (1, 0, 5.0)])
+    with pytest.raises(ValueError, match=exactly("substrate graph is not connected")):
+        make_substrate([0, 0, 0], [10.0] * 3, [(0, 1, 5.0)])
+    with pytest.raises(ValueError, match=exactly("domain 1 is not connected by intra-domain links")):
         # domain 1 internally disconnected even though the graph is connected
         make_substrate([0, 1, 1], [10.0] * 3, [(0, 1, 5.0), (0, 2, 5.0)], num_domains=2)
+    with pytest.raises(ValueError, match=exactly("substrate needs at least one domain")):
+        make_substrate([0], [10.0], [], num_domains=0)
+    with pytest.raises(ValueError, match=exactly("substrate needs at least one node")):
+        make_substrate([], [], [], num_domains=1)
+    with pytest.raises(ValueError, match=exactly("cpu capacity array does not match node count")):
+        MultiDomainSubstrate(1, [0, 0], [(0.0, 0.0), (1.0, 0.0)], [10.0], [(0, 1)], [5.0])
+    with pytest.raises(ValueError, match=exactly("link endpoint array does not match link count")):
+        MultiDomainSubstrate(1, [0, 0], [(0.0, 0.0), (1.0, 0.0)], [10.0, 10.0], [(0, 1)], [5.0, 5.0])
+    with pytest.raises(ValueError, match=exactly("node domain id out of range")):
+        make_substrate([0, 2], [10.0, 10.0], [(0, 1, 5.0)], num_domains=2)
+    with pytest.raises(ValueError, match=exactly("capacities must be non-negative")):
+        make_substrate([0, 0], [10.0, -1.0], [(0, 1, 5.0)])
+    with pytest.raises(ValueError, match=exactly("capacities must be non-negative")):
+        make_substrate([0, 0], [10.0, 10.0], [(0, 1, -5.0)])
+    with pytest.raises(ValueError, match=exactly("link endpoint (0, 2) out of range")):
+        make_substrate([0, 0], [10.0, 10.0], [(0, 2, 5.0)])
 
 
 def test_domain_without_nodes_rejected():
@@ -174,8 +202,8 @@ def test_domain_without_nodes_rejected():
 
 def test_link_kind_derivation():
     sub = make_substrate([0, 0, 1], [10.0] * 3, [(0, 1, 5.0), (1, 2, 5.0)], num_domains=2)
-    assert sub.link_kind(0) == "intra"
-    assert sub.link_kind(1) == "inter"
+    assert link_kind(sub, 0) == "intra"
+    assert link_kind(sub, 1) == "inter"
 
 
 def test_copy_isolates_availability():

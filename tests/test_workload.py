@@ -2,10 +2,10 @@ import dataclasses
 
 import pytest
 
+from _helpers import exactly, link_kind
 from fedvne import workload
-from fedvne.config import ExperimentConfig
+from fedvne.config import ConfigError, ExperimentConfig
 from fedvne.workload import (
-    InfeasibleTopology,
     ParseError,
     ValidationError,
     generate_substrate,
@@ -41,7 +41,7 @@ def test_generate_substrate_default_scale():
     assert sub.num_domains == 4
     for d in range(4):
         assert len(sub.domain_node_list(d)) == 25
-    kinds = {sub.link_kind(i) for i in range(sub.num_links)}
+    kinds = {link_kind(sub, i) for i in range(sub.num_links)}
     assert kinds == {"intra", "inter"}
     assert all(50 <= c <= 100 for c in sub.cpu_capacity)
     assert all(50 <= b <= 100 for b in sub.bw_capacity)
@@ -65,9 +65,9 @@ def test_generate_substrate_deterministic(tmp_path):
 
 
 def test_generate_substrate_infeasible():
-    with pytest.raises(InfeasibleTopology):
+    with pytest.raises(ConfigError, match=exactly("5 links cannot connect 2 domains of 5 nodes")):
         generate_substrate(small_config(num_links=5), 1)  # below spanning minimum
-    with pytest.raises(InfeasibleTopology):
+    with pytest.raises(ConfigError, match=exactly("100 links exceed the simple-graph maximum")):
         generate_substrate(small_config(num_links=100), 1)  # above simple-graph max
 
 
