@@ -200,12 +200,8 @@ class DomainAgent:
 
 def save_checkpoint(path, domain_params: dict[int, PolicyParams], global_params: PolicyParams) -> None:
     """One line per domain (in id order) then one line for the global model."""
-    lines = []
-    for d in sorted(domain_params):
-        p = domain_params[d]
-        lines.append(" ".join(repr(float(x)) for x in p.kernel) + f" {repr(float(p.bias))}")
-    g = global_params
-    lines.append(" ".join(repr(float(x)) for x in g.kernel) + f" {repr(float(g.bias))}")
+    params = [domain_params[d] for d in sorted(domain_params)] + [global_params]
+    lines = [" ".join(repr(float(x)) for x in [*p.kernel, p.bias]) for p in params]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

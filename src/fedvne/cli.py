@@ -126,10 +126,10 @@ def _summary_line(name: str, ledger) -> str:
 
 def cmd_generate(args) -> int:
     config = _resolve_config(args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     substrate = workload.generate_substrate(config, config.seed)
     vnrs = workload.generate_vnr_stream(config, config.seed + 1)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     substrate_path = out_dir / "substrate.txt"
     vnrs_path = out_dir / "vnrs.txt"
     workload.save_substrate(substrate_path, substrate)

@@ -18,10 +18,10 @@ class ExperimentConfig:
     num_domains: int = 4
     nodes_per_domain: int = 25
     num_links: int = 600
-    cpu_min: float = 50.0
-    cpu_max: float = 100.0
-    bw_min: float = 50.0
-    bw_max: float = 100.0
+    cpu_min: int = 50
+    cpu_max: int = 100
+    bw_min: int = 50
+    bw_max: int = 100
     inter_link_ratio: float = 0.1
     # request stream
     vnr_count: int = 2000
@@ -29,10 +29,10 @@ class ExperimentConfig:
     test_count: int = 1000
     vn_nodes_min: int = 2
     vn_nodes_max: int = 10
-    vnode_cpu_min: float = 1.0
-    vnode_cpu_max: float = 50.0
-    vlink_bw_min: float = 1.0
-    vlink_bw_max: float = 50.0
+    vnode_cpu_min: int = 1
+    vnode_cpu_max: int = 50
+    vlink_bw_min: int = 1
+    vlink_bw_max: int = 50
     vlink_prob: float = 0.5
     arrival_rate: float = 0.05
     mean_lifetime: float = 1000.0
@@ -71,6 +71,9 @@ class ExperimentConfig:
         for lo, hi in ranges:
             if getattr(self, lo) > getattr(self, hi):
                 raise ConfigError(f"{lo} must not exceed {hi}")
+            # resource amounts stay within 2^43 (int64 at a 2^-20 quantum): no noderank overflow
+            if lo != "vn_nodes_min" and not 0 <= getattr(self, lo) <= getattr(self, hi) <= 2**43:
+                raise ConfigError(f"{lo} and {hi} must lie in [0, 2^43]")
         if self.train_count + self.test_count > self.vnr_count:
             raise ConfigError("train_count + test_count must not exceed vnr_count")
         if not 0.0 <= self.inter_link_ratio <= 1.0:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
@@ -410,9 +411,14 @@ def _parse_decision(line: str) -> EmbeddingRecord:
     if len(fields) != DECISION_LOG_FIELDS:
         raise ValueError(f"expected {DECISION_LOG_FIELDS} fields, found {len(fields)}")
     record = EmbeddingRecord(vnr_id=int(fields[0]), t_s=float(fields[1]))
-    record.accepted = bool(int(fields[2]))
+    if fields[2] not in ("0", "1"):
+        raise ValueError(f"accepted must be 0 or 1, got {fields[2]}")
+    record.accepted = fields[2] == "1"
     record.revenue = float(fields[3])
     record.cost = float(fields[4])
+    for name in ("t_s", "revenue", "cost"):
+        if not isfinite(getattr(record, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(record, name)}")
     if fields[5]:
         for pair in fields[5].split("|"):
             v, node = pair.split(":")
@@ -422,6 +428,8 @@ def _parse_decision(line: str) -> EmbeddingRecord:
             key, seq = chunk.split(":")
             a, b = (int(x) for x in key.split("-"))
             record.link_paths[(a, b)] = [int(x) for x in seq.split(">")] if seq else []
+    if fields[6] != _format_paths(record)[0]:
+        raise ValueError(f"path_hops {fields[6]} do not match link_paths")
     return record
 
 

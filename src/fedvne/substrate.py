@@ -53,17 +53,15 @@ class MultiDomainSubstrate:
         bw_capacity,
     ):
         self.num_domains = int(num_domains)
+        self._validate(node_domains, cpu_capacity, link_ends, bw_capacity)
         self.node_domain = np.asarray(node_domains, dtype=np.int64)
-        n = len(self.node_domain)
-        self.coords = np.asarray(coords, dtype=np.float64).reshape(n, 2)
+        self.coords = np.asarray(coords, dtype=np.float64).reshape(len(self.node_domain), 2)
         self.cpu_capacity = np.asarray(cpu_capacity, dtype=np.float64)
         self.link_ends = np.asarray(link_ends, dtype=np.int64).reshape(-1, 2)
         self.bw_capacity = np.asarray(bw_capacity, dtype=np.float64)
         self.cpu_available = self.cpu_capacity.copy()
         self.bw_available = self.bw_capacity.copy()
-        ends = self.link_ends.tolist()
-        self._validate(ends)
-        self._build_indexes(ends)
+        self._build_indexes(self.link_ends.tolist())
 
     # -- structure -----------------------------------------------------
 
@@ -75,42 +73,52 @@ class MultiDomainSubstrate:
     def num_links(self) -> int:
         return len(self.bw_capacity)
 
-    def _validate(self, ends: list[list[int]]) -> None:
+    def _validate(self, node_domains, cpu_capacity, link_ends, bw_capacity) -> None:
+        """Checks the inputs as given, before any array is built. A fault of one node
+        or link sets the ValueError's ``element`` to its node-then-link index, else None."""
+        def fault(message: str, element: int | None = None) -> ValueError:
+            exc = ValueError(message)
+            exc.element = element
+            return exc
+
         if self.num_domains < 1:
-            raise ValueError("substrate needs at least one domain")
-        if len(self.cpu_capacity) != self.num_nodes:
-            raise ValueError("cpu capacity array does not match node count")
-        if len(self.link_ends) != self.num_links:
-            raise ValueError("link endpoint array does not match link count")
-        if self.num_nodes == 0:
-            raise ValueError("substrate needs at least one node")
-        if self.node_domain.min() < 0 or self.node_domain.max() >= self.num_domains:
-            raise ValueError("node domain id out of range")
-        if np.any(self.cpu_capacity < 0) or np.any(self.bw_capacity < 0):
-            raise ValueError("capacities must be non-negative")
-        n = self.num_nodes
+            raise fault("substrate needs at least one domain")
+        n = len(node_domains)
+        if len(cpu_capacity) != n:
+            raise fault("cpu capacity array does not match node count")
+        if len(link_ends) != len(bw_capacity):
+            raise fault("link endpoint array does not match link count")
+        if n == 0:
+            raise fault("substrate needs at least one node")
+        for i, (domain, cpu) in enumerate(zip(node_domains, cpu_capacity)):
+            if not 0 <= domain < self.num_domains:
+                raise fault("node domain id out of range", i)
+            if cpu < 0:
+                raise fault("capacities must be non-negative", i)
         seen: set[tuple[int, int]] = set()
-        for a, b in ends:
-            if a == b:
-                raise ValueError(f"self-loop link at node {a}")
+        for j, ((a, b), bw) in enumerate(zip(link_ends, bw_capacity), n):
             if not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"link endpoint ({a}, {b}) out of range")
+                raise fault(f"link endpoint ({a}, {b}) out of range", j)
+            if a == b:
+                raise fault(f"self-loop link at node {a}", j)
             key = (a, b) if a < b else (b, a)
             if key in seen:
-                raise ValueError(f"duplicate link between nodes {key}")
+                raise fault(f"duplicate link between nodes {key}", j)
             seen.add(key)
-        roots = union_find(n, ends)
+            if bw < 0:
+                raise fault("capacities must be non-negative", j)
+        roots = union_find(n, link_ends)
         if roots.count(roots[0]) != n:
-            raise ValueError("substrate graph is not connected")
-        domains = self.node_domain.tolist()
-        intra_roots = union_find(n, [(a, b) for a, b in ends if domains[a] == domains[b]])
+            raise fault("substrate graph is not connected")
+        intra_roots = union_find(n, [(a, b) for a, b in link_ends if node_domains[a] == node_domains[b]])
+        domain_roots: dict[int, set[int]] = {}
+        for domain, root in zip(node_domains, intra_roots):
+            domain_roots.setdefault(domain, set()).add(root)
         for d in range(self.num_domains):
-            members = np.flatnonzero(self.node_domain == d).tolist()
-            if not members:
-                raise ValueError(f"domain {d} has no nodes")
-            root = intra_roots[members[0]]
-            if any(intra_roots[i] != root for i in members[1:]):
-                raise ValueError(f"domain {d} is not connected by intra-domain links")
+            if d not in domain_roots:
+                raise fault(f"domain {d} has no nodes")
+            if len(domain_roots[d]) > 1:
+                raise fault(f"domain {d} is not connected by intra-domain links")
 
     def _build_indexes(self, ends: list[list[int]]) -> None:
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.num_nodes)]

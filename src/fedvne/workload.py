@@ -100,7 +100,7 @@ def generate_substrate(config, seed: int) -> MultiDomainSubstrate:
 
     node_domains = [d for d in range(num_domains) for _ in range(per_domain)]
     coords = [(rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)) for _ in range(n)]
-    cpu = [float(rng.randint(int(config.cpu_min), int(config.cpu_max))) for _ in range(n)]
+    cpu = [float(rng.randint(config.cpu_min, config.cpu_max)) for _ in range(n)]
 
     edges: set[tuple[int, int]] = set()
     link_ends: list[tuple[int, int]] = []
@@ -162,7 +162,7 @@ def generate_substrate(config, seed: int) -> MultiDomainSubstrate:
             for a, b in rng.sample(candidates, remaining):
                 add_edge(a, b)
 
-    bw = [float(rng.randint(int(config.bw_min), int(config.bw_max))) for _ in link_ends]
+    bw = [float(rng.randint(config.bw_min, config.bw_max)) for _ in link_ends]
     return MultiDomainSubstrate(num_domains, node_domains, coords, cpu, link_ends, bw)
 
 
@@ -189,18 +189,19 @@ def generate_vnr_stream(config, seed: int) -> list[VirtualNetworkRequest]:
         ]
         edges.extend(_bridge_components(n, edges, rng))
         cpu = tuple(
-            float(rng.randint(int(config.vnode_cpu_min), int(config.vnode_cpu_max)))
+            float(rng.randint(config.vnode_cpu_min, config.vnode_cpu_max))
             for _ in range(n)
         )
         links = tuple(
-            (a, b, float(rng.randint(int(config.vlink_bw_min), int(config.vlink_bw_max))))
+            (a, b, float(rng.randint(config.vlink_bw_min, config.vlink_bw_max)))
             for a, b in edges
         )
-        stream.append(
-            VirtualNetworkRequest(
-                vnr_id=vnr_id, node_demands=cpu, link_demands=links, t_s=t, t_e=t + lifetime
-            )
-        )
+        vnr = VirtualNetworkRequest(vnr_id, cpu, links, t, t + lifetime)
+        try:  # the generator refuses what the loader would refuse
+            validate_vnr(vnr)
+        except ValidationError as exc:
+            raise ConfigError(f"generated {exc}") from None
+        stream.append(vnr)
     return stream
 
 
@@ -296,6 +297,7 @@ def load_substrate(path) -> MultiDomainSubstrate:
             raise ParseError(path, header_line, "header counts must be non-negative")
 
         node_domains, coords, cpu = [], [], []
+        element_lines = []  # the line of each node, then of each link
         for i in range(num_nodes):
             line_no, fields = next_line("node line")
             if len(fields) != 5:
@@ -314,8 +316,7 @@ def load_substrate(path) -> MultiDomainSubstrate:
                 raise ValidationError(
                     f"{path}:{line_no}: node ids must be sequential from 0, got {node_id} at position {i}"
                 )
-            if not 0 <= domain < num_domains:
-                raise ValidationError(f"{path}:{line_no}: node domain id out of range")
+            element_lines.append(line_no)
             node_domains.append(domain)
             coords.append((numbers[0], numbers[1]))
             cpu.append(numbers[2])
@@ -332,16 +333,16 @@ def load_substrate(path) -> MultiDomainSubstrate:
                 raise ParseError(path, line_no, "malformed link line") from None
             if not isfinite(capacity):
                 raise ParseError(path, line_no, f"number must be finite, got {fields[2]}")
-            if not (0 <= a < num_nodes and 0 <= b < num_nodes):
-                raise ValidationError(f"{path}:{line_no}: link endpoint ({a}, {b}) refers to a missing node")
+            element_lines.append(line_no)
             link_ends.append((a, b))
             bw.append(capacity)
         next_line(None)
 
     try:
         return MultiDomainSubstrate(num_domains, node_domains, coords, cpu, link_ends, bw)
-    except ValueError as exc:
-        raise ValidationError(f"{path}:{header_line}: {exc}") from None
+    except ValueError as exc:  # a fault of the whole substrate names the header
+        line_no = header_line if exc.element is None else element_lines[exc.element]
+        raise ValidationError(f"{path}:{line_no}: {exc}") from None
 
 
 def save_vnrs(path, vnrs) -> None:

@@ -173,7 +173,7 @@ def reference_hfl_candidates(agents, substrate, vnr):
 
 
 # -- reference loaders: the generator-based line reader, per-number checks and
-# per-row substrate validation that the streaming loaders replaced; the
+# per-row adjacency build that the streaming loaders replaced; the
 # differential test in test_fuzz.py holds the loaders to them
 
 
@@ -252,10 +252,7 @@ def reference_line_reader(path):
 
 
 class ReferenceSubstrate(MultiDomainSubstrate):
-    """The substrate with its link ends read row by row over numpy, as before ``link_ends.tolist()``."""
-
-    def _validate(self, ends) -> None:
-        super()._validate([(int(a), int(b)) for a, b in self.link_ends])
+    """The substrate with its adjacency built row by row over numpy, as before ``link_ends.tolist()``."""
 
     def _build_indexes(self, ends) -> None:
         super()._build_indexes(ends)
@@ -281,6 +278,7 @@ def reference_load_substrate(path) -> MultiDomainSubstrate:
         raise ParseError(path, header_line, "header counts must be non-negative")
 
     node_domains, coords, cpu = [], [], []
+    element_lines = []
     for i in range(num_nodes):
         line_no, fields = next_line("node line")
         if len(fields) != 5:
@@ -295,8 +293,7 @@ def reference_load_substrate(path) -> MultiDomainSubstrate:
             raise ValidationError(
                 f"{path}:{line_no}: node ids must be sequential from 0, got {node_id} at position {i}"
             )
-        if not 0 <= domain < num_domains:
-            raise ValidationError(f"{path}:{line_no}: node domain id out of range")
+        element_lines.append(line_no)
         node_domains.append(domain)
         coords.append((x, y))
         cpu.append(capacity)
@@ -311,8 +308,7 @@ def reference_load_substrate(path) -> MultiDomainSubstrate:
             capacity = reference_finite(path, line_no, fields[2])
         except ValueError:
             raise ParseError(path, line_no, "malformed link line") from None
-        if not (0 <= a < num_nodes and 0 <= b < num_nodes):
-            raise ValidationError(f"{path}:{line_no}: link endpoint ({a}, {b}) refers to a missing node")
+        element_lines.append(line_no)
         link_ends.append((a, b))
         bw.append(capacity)
     end()
@@ -320,7 +316,8 @@ def reference_load_substrate(path) -> MultiDomainSubstrate:
     try:
         return ReferenceSubstrate(num_domains, node_domains, coords, cpu, link_ends, bw)
     except ValueError as exc:
-        raise ValidationError(f"{path}:{header_line}: {exc}") from None
+        line_no = header_line if exc.element is None else element_lines[exc.element]
+        raise ValidationError(f"{path}:{line_no}: {exc}") from None
 
 
 def reference_load_vnrs(path) -> list[VirtualNetworkRequest]:

@@ -57,9 +57,10 @@ def test_config_round_trip():
     assert parsed.to_text() == config.to_text()
 
 
-def test_config_rejects_bad_range():
+@pytest.mark.parametrize("text", ["cpu_min=80\ncpu_max=20\n", "cpu_min=50.0\n"])
+def test_config_rejects_bad_range(text):
     with pytest.raises(ConfigError):
-        parse_config_text("cpu_min=80\ncpu_max=20\n")
+        parse_config_text(text)
 
 
 def test_config_rejects_unknown_key():
@@ -114,11 +115,22 @@ def test_generate_zero_vnrs(tmp_path):
     assert (tmp_path / "vnrs.txt").read_text().splitlines()[0] == "0"
 
 
-def test_generate_invalid_range_exits_one(tmp_path):
-    code = cli.main(
-        ["generate", "--out-dir", str(tmp_path), "--cpu-min", "90", "--cpu-max", "10"]
-    )
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--cpu-min", "90", "--cpu-max", "10"],
+        # the range keys are integers in [0, 2^43]
+        ["--cpu-min", "50.7", "--cpu-max", "51.2"],
+        ["--vnode-cpu-min", "0.5", "--vnode-cpu-max", "0.7"],
+        ["--bw-min", "1", "--bw-max", str(2**43 + 1)],
+        ["--vlink-bw-min", "-1"],
+    ],
+)
+def test_generate_invalid_range_exits_one(tmp_path, capsys, flags):
+    code = cli.main(["generate", "--out-dir", str(tmp_path / "out")] + flags)
     assert code == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -127,12 +139,16 @@ def test_generate_invalid_range_exits_one(tmp_path):
         (["--num-links", "5"], "5 links cannot connect 4 domains of 25 nodes"),
         (["--num-domains", "1", "--nodes-per-domain", "1", "--num-links", "1"],
          "1 links exceed the simple-graph maximum"),
+        # the drawn lifetime vanishes when added to the arrival time
+        (["--mean-lifetime", "1e-300", "--vnr-count", "8", "--train-count", "4", "--test-count", "4"],
+         "generated vnr 0: departure time must exceed arrival time"),
     ],
 )
 def test_generate_infeasible_topology_exits_one(tmp_path, capsys, flags, message):
-    code = cli.main(["generate", "--out-dir", str(tmp_path)] + flags)
+    code = cli.main(["generate", "--out-dir", str(tmp_path / "out")] + flags)
     assert code == 1
     assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_evaluate_too_fine_metrics_interval_exits_two(tmp_path, capsys):
@@ -451,7 +467,17 @@ def test_validate_names_the_request_of_a_hand_edited_log(tmp_path, capsys, fault
     assert f"vnr {fields[0]}: {message}" in capsys.readouterr().out
 
 
-def test_validate_malformed_log_names_file_and_line(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        (3, "abc", "could not convert string to float: 'abc'"),
+        (2, "5", "accepted must be 0 or 1, got 5"),
+        (6, "7", "path_hops 7 do not match link_paths"),
+        (1, "nan", "t_s must be finite, got nan"),
+        (4, "inf", "cost must be finite, got inf"),
+    ],
+)
+def test_validate_malformed_log_names_file_and_line(tmp_path, capsys, field, value, message):
     substrate_path, vnrs_path = generate_tiny(tmp_path)
     eval_out = tmp_path / "eval"
     cli.main(
@@ -461,7 +487,7 @@ def test_validate_malformed_log_names_file_and_line(tmp_path, capsys):
     decisions = eval_out / "decisions.csv"
     lines = decisions.read_text().splitlines()
     fields = lines[2].split(",")
-    fields[3] = "abc"
+    fields[field] = value
     lines[2] = ",".join(fields)
     decisions.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
@@ -470,8 +496,7 @@ def test_validate_malformed_log_names_file_and_line(tmp_path, capsys):
          "--decisions", str(decisions)] + tiny_flags()
     )
     assert code == 2
-    err = capsys.readouterr().err
-    assert f"{decisions}:3:" in err and "'abc'" in err
+    assert f"{decisions}:3: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text, line_no", [("", 1), ("\nvnr_id,t_s\n", 2)])
@@ -614,11 +639,12 @@ def test_non_finite_input_names_file_and_line(tmp_path, capsys, which):
     assert f"{path}:{len(lines)}: number must be finite" in capsys.readouterr().err
 
 
-def _set_field(path, line_no, field, value):
-    """Replace one whitespace-separated field of the file's line ``line_no``."""
+def _set_fields(path, line_no, changes):
+    """Replace whitespace-separated fields of the file's line ``line_no``: {field: value}."""
     lines = path.read_text().splitlines()
     fields = lines[line_no - 1].split()
-    fields[field] = value
+    for field, value in changes.items():
+        fields[field] = value
     lines[line_no - 1] = " ".join(fields)
     path.write_text("\n".join(lines) + "\n")
 
@@ -634,6 +660,10 @@ def _set_field(path, line_no, field, value):
         ("negative_link_count", "header counts must be non-negative"),
         ("huge_domain_id", "node domain id out of range"),
         ("undeclared_domain_id", "node domain id out of range"),
+        ("negative_cpu", "capacities must be non-negative"),
+        ("self_loop", "self-loop link at node "),
+        ("duplicate_link", "duplicate link between nodes ("),
+        ("negative_bandwidth", "capacities must be non-negative"),
     ],
 )
 def test_input_faults_name_file_and_line(tmp_path, capsys, fault, message):
@@ -641,17 +671,24 @@ def test_input_faults_name_file_and_line(tmp_path, capsys, fault, message):
     num_nodes = TINY["num_domains"] * TINY["nodes_per_domain"]
     lines = vnrs_path.read_text().splitlines()
     second_header = [no for no, line in enumerate(lines, 1) if len(line.split()) == 5][1]
-    path, line_no, field, value = {
-        "missing_endpoint": (substrate_path, num_nodes + 2, 0, str(num_nodes)),
-        "node_out_of_sequence": (substrate_path, 3, 0, "7"),
-        "departure_first": (vnrs_path, 2, 1, "1e6"),
-        "unsorted": (vnrs_path, second_header, 1, "0.0"),
-        "negative_request_count": (vnrs_path, 1, 0, "-3"),
-        "negative_link_count": (substrate_path, 1, 1, "-1"),
-        "huge_domain_id": (substrate_path, 2, 1, "99999999999999999999"),
-        "undeclared_domain_id": (substrate_path, 2, 1, str(TINY["num_domains"])),
+    # link k (from 0) is on line num_nodes + 2 + k; the last link is the file's last line
+    links = [line.split() for line in substrate_path.read_text().splitlines()[num_nodes + 1 :]]
+    last_link = num_nodes + 1 + len(links)
+    path, line_no, changes = {
+        "missing_endpoint": (substrate_path, num_nodes + 2, {0: str(num_nodes)}),
+        "node_out_of_sequence": (substrate_path, 3, {0: "7"}),
+        "departure_first": (vnrs_path, 2, {1: "1e6"}),
+        "unsorted": (vnrs_path, second_header, {1: "0.0"}),
+        "negative_request_count": (vnrs_path, 1, {0: "-3"}),
+        "negative_link_count": (substrate_path, 1, {1: "-1"}),
+        "huge_domain_id": (substrate_path, 2, {1: "99999999999999999999"}),
+        "undeclared_domain_id": (substrate_path, 2, {1: str(TINY["num_domains"])}),
+        "negative_cpu": (substrate_path, 3, {4: "-1.0"}),
+        "self_loop": (substrate_path, num_nodes + 3, {1: links[1][0]}),
+        "duplicate_link": (substrate_path, last_link, {0: links[0][1], 1: links[0][0]}),
+        "negative_bandwidth": (substrate_path, last_link, {2: "-5.0"}),
     }[fault]
-    _set_field(path, line_no, field, value)
+    _set_fields(path, line_no, changes)
     capsys.readouterr()
     code = cli.main(
         ["evaluate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),

@@ -192,6 +192,31 @@ def test_structural_validation():
         make_substrate([0, 0], [10.0, 10.0], [(0, 1, -5.0)])
     with pytest.raises(ValueError, match=exactly("link endpoint (0, 2) out of range")):
         make_substrate([0, 0], [10.0, 10.0], [(0, 2, 5.0)])
+    # checked on the inputs as given: no int64 overflow, and the range before the self-loop
+    with pytest.raises(ValueError, match=exactly("node domain id out of range")):
+        make_substrate([0, 99999999999999999999], [10.0, 10.0], [(0, 1, 5.0)], num_domains=2)
+    with pytest.raises(ValueError, match=exactly("link endpoint (0, 99999999999999999999) out of range")):
+        make_substrate([0, 0], [10.0, 10.0], [(0, 99999999999999999999, 5.0)])
+    with pytest.raises(ValueError, match=exactly("link endpoint (7, 7) out of range")):
+        make_substrate([0, 0], [10.0, 10.0], [(0, 1, 5.0), (7, 7, 5.0)])
+
+
+@pytest.mark.parametrize(
+    "node_domains, cpu, links, element",
+    [
+        ([0, 1], [10.0, 10.0], [(0, 1, 5.0)], 1),  # domain 1 of 1 declared
+        ([0, 0], [10.0, -1.0], [(0, 1, 5.0)], 1),
+        ([0, 0, 0], [10.0] * 3, [(0, 1, 5.0), (1, 1, 5.0)], 4),
+        ([0, 0, 0], [10.0] * 3, [(0, 1, 5.0), (1, 2, 5.0), (2, 1, 5.0)], 5),
+        ([0, 0, 0], [10.0] * 3, [(0, 1, 5.0), (1, 2, -5.0)], 4),
+        ([0, 0, 0], [10.0] * 3, [(0, 1, 5.0)], None),  # not connected: the whole substrate
+    ],
+)
+def test_faults_name_their_element(node_domains, cpu, links, element):
+    # nodes are elements 0..n-1, link k is element n + k
+    with pytest.raises(ValueError) as info:
+        make_substrate(node_domains, cpu, links, num_domains=1)
+    assert info.value.element == element
 
 
 def test_domain_without_nodes_rejected():
