@@ -53,13 +53,6 @@ class DecisionTrace:
     reward: float
 
 
-@dataclass
-class TrainStepResult:
-    params: PolicyParams
-    loss: float
-    degenerate: bool
-
-
 def init_params(rng: random.Random) -> PolicyParams:
     kernel = np.array([rng.uniform(-0.1, 0.1) for _ in range(NUM_FEATURES)])
     return PolicyParams(kernel=kernel, bias=0.0)
@@ -105,26 +98,20 @@ def episode_reward(record, reject_reward: float = 0.0) -> float:
     return record.revenue / record.cost
 
 
-def train_step(
-    params: PolicyParams,
-    traces,
-    learning_rate: float,
-    baseline: float | None = None,
-) -> TrainStepResult:
-    """One gradient-descent step on the batch loss.
+def train_step(params: PolicyParams, traces, learning_rate: float) -> tuple[PolicyParams, float]:
+    """One gradient-descent step on the batch loss; returns (params, loss).
 
     The gradient is computed analytically through the softmax and linear
-    layer. A batch whose rewards all equal the baseline has zero advantage
-    everywhere and is returned as a no-op with ``degenerate`` set.
+    layer. A batch whose rewards all equal their mean has zero advantage
+    everywhere and returns a copy of ``params`` with loss 0.0.
     """
     if not traces:
         raise ValueError("empty trace batch")
-    if baseline is None:
-        baseline = float(np.mean([t.reward for t in traces]))
+    baseline = float(np.mean([t.reward for t in traces]))
     advantages = [t.reward - baseline for t in traces]
     n_samples = sum(len(t.samples) for t in traces)
     if n_samples == 0 or all(a == 0.0 for a in advantages):
-        return TrainStepResult(params.copy(), 0.0, True)
+        return params.copy(), 0.0
 
     grad_kernel = np.zeros(NUM_FEATURES)
     grad_bias = 0.0
@@ -149,7 +136,7 @@ def train_step(
         kernel=params.kernel - learning_rate * grad_kernel,
         bias=params.bias - learning_rate * grad_bias,
     )
-    return TrainStepResult(updated, float(loss), False)
+    return updated, float(loss)
 
 
 class DomainAgent:
@@ -166,32 +153,24 @@ class DomainAgent:
         self.params = params
         self.buffer: list[DecisionTrace] = []
         self.pending_samples = 0
-        self._pending_loss_weighted = 0.0
+        self.pending_loss_weighted = 0.0
         self.pending_rewards: list[float] = []
-
-    @property
-    def pending_loss(self) -> float:
-        if self.pending_samples == 0:
-            return 0.0
-        return self._pending_loss_weighted / self.pending_samples
 
     def add_trace(self, trace: DecisionTrace) -> None:
         self.buffer.append(trace)
 
-    def train(self, learning_rate: float) -> TrainStepResult:
-        result = train_step(self.params, self.buffer, learning_rate)
-        self.params = result.params
+    def train(self, learning_rate: float) -> None:
+        self.params, loss = train_step(self.params, self.buffer, learning_rate)
         samples = sum(len(t.samples) for t in self.buffer)
         self.pending_samples += samples
-        self._pending_loss_weighted += result.loss * samples
+        self.pending_loss_weighted += loss * samples
         self.pending_rewards.extend(t.reward for t in self.buffer)
         self.buffer = []
-        return result
 
     def apply_global(self, params: PolicyParams) -> None:
         self.params = params.copy()
         self.pending_samples = 0
-        self._pending_loss_weighted = 0.0
+        self.pending_loss_weighted = 0.0
         self.pending_rewards = []
 
 

@@ -141,8 +141,6 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     config = _resolve_config(args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     substrate = workload.load_substrate(args.substrate)
     vnrs = workload.load_vnrs(args.vnrs)
     train_vnrs = vnrs[: config.train_count]
@@ -156,6 +154,8 @@ def cmd_train(args) -> int:
         reject_reward=config.reject_reward,
     )
     result = trainer.run()
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     checkpoint_path = out_dir / "checkpoint.txt"
     save_checkpoint(checkpoint_path, result.domain_params, result.global_params)
 
@@ -165,13 +165,12 @@ def cmd_train(args) -> int:
     header += [f"reward_mean_d{d}" for d in domains]
     header += ["window_acc", "window_ltar2c"]
     lines = [",".join(header)]
-    for row in result.round_rows:
-        fed_round = row.fed_round
+    for round_id, (fed_round, window) in enumerate(result.round_rows, 1):
         # uploads come in ascending domain order, one per domain
-        fields = [str(fed_round.round_id), _fmt(fed_round.global_loss)]
+        fields = [str(round_id), _fmt(fed_round.global_loss)]
         fields += [_fmt(u.local_loss) for u in fed_round.uploads]
         fields += [_fmt(fed_round.reward_means[d]) for d in domains]
-        fields += [_fmt(row.window_acc), _fmt(row.window_ltar2c)]
+        fields += [_fmt(window.acc), _fmt(window.ltar2c)]
         lines.append(",".join(fields))
     round_log_path = out_dir / "round_log.csv"
     round_log_path.write_text("\n".join(lines) + "\n")
@@ -179,7 +178,7 @@ def cmd_train(args) -> int:
     print(f"{checkpoint_path}")
     print(f"{round_log_path} rounds={len(result.round_rows)}")
     if result.round_rows:
-        print(f"final global_loss={_fmt(result.round_rows[-1].fed_round.global_loss)}")
+        print(f"final global_loss={_fmt(result.round_rows[-1][0].global_loss)}")
     return 0
 
 

@@ -43,14 +43,6 @@ class EmbeddingRecord:
     outstanding: bool = False
 
 
-@dataclass(order=True)
-class SimEvent:
-    time: float
-    vnr_id: int
-    record: EmbeddingRecord = field(compare=False)
-    vnr: object = field(compare=False)
-
-
 def min_hop_path(
     substrate: MultiDomainSubstrate, src: int, dst: int, bw_demand: float
 ) -> list[int] | None:
@@ -220,24 +212,24 @@ def run_simulation(
     """
     ledger = metrics.MetricsLedger()
     records: list[EmbeddingRecord] = ledger.records
-    pending: list[SimEvent] = []
+    pending = []  # (t_e, vnr_id, record, vnr); ids are unique, so ties never reach the record
     last_t = None
     for vnr in vnrs:
         if last_t is not None and vnr.t_s < last_t:
             raise ValueError("vnr stream is not sorted by arrival time")
         last_t = vnr.t_s
-        while pending and pending[0].time <= vnr.t_s:
-            event = heapq.heappop(pending)
-            substrate.release(event.record, event.vnr)
+        while pending and pending[0][0] <= vnr.t_s:
+            _, _, done, departed = heapq.heappop(pending)
+            substrate.release(done, departed)
         record = attempt_embedding(substrate, vnr, policy_provider(substrate, vnr))
         records.append(record)
         if record.accepted:
-            heapq.heappush(pending, SimEvent(vnr.t_e, vnr.vnr_id, record, vnr))
+            heapq.heappush(pending, (vnr.t_e, vnr.vnr_id, record, vnr))
         if on_record is not None:
             on_record(vnr, record)
     while pending:
-        event = heapq.heappop(pending)
-        substrate.release(event.record, event.vnr)
+        _, _, done, departed = heapq.heappop(pending)
+        substrate.release(done, departed)
     return substrate, ledger, records
 
 

@@ -27,7 +27,6 @@ class ParamUpload:
 
 @dataclass
 class FederationRound:
-    round_id: int
     uploads: list[ParamUpload]
     global_params: PolicyParams
     global_loss: float
@@ -62,8 +61,6 @@ class Coordinator:
         self.domain_ids = sorted(domain_ids)
         if not self.domain_ids:
             raise ValueError("coordinator needs at least one domain")
-        self.round_id = 0
-        self.global_params: PolicyParams | None = None
 
     def ready(self, agents: dict[int, DomainAgent]) -> bool:
         return all(agents[d].pending_samples > 0 for d in self.domain_ids)
@@ -80,19 +77,15 @@ class Coordinator:
             agent = agents[d]
             if agent.pending_samples <= 0:
                 raise ValueError(f"domain {d} has not produced a training batch")
-            uploads.append(
-                ParamUpload(d, agent.params.copy(), agent.pending_samples, agent.pending_loss)
-            )
+            local_loss = agent.pending_loss_weighted / agent.pending_samples
+            uploads.append(ParamUpload(d, agent.params.copy(), agent.pending_samples, local_loss))
             rewards = agent.pending_rewards
             reward_means[d] = float(np.mean(rewards)) if rewards else 0.0
         params = aggregate(uploads)
         loss = global_loss(uploads)
         for d in self.domain_ids:
             agents[d].apply_global(params)
-        self.round_id += 1
-        self.global_params = params
         return FederationRound(
-            round_id=self.round_id,
             uploads=uploads,
             global_params=params,
             global_loss=loss,

@@ -56,12 +56,36 @@ def vnr_cost(vnr, record) -> float:
 
 
 @dataclass
-class MetricsLedger:
-    """The embedding records of one run, in arrival order.
+class Tally:
+    """Running sums over embedding records, added one record at a time from 0.0.
 
-    The indicators are computed from the records themselves: a rejected
-    record carries zero revenue and zero cost.
+    A rejected record carries zero revenue and zero cost.
     """
+
+    records: int = 0
+    accepted: int = 0
+    revenue: float = 0.0
+    cost: float = 0.0
+
+    def add(self, record) -> None:
+        self.records += 1
+        self.accepted += int(record.accepted)
+        self.revenue += record.revenue
+        self.cost += record.cost
+
+    @property
+    def acc(self) -> float:
+        return self.accepted / self.records if self.records else 0.0
+
+    @property
+    def ltar2c(self) -> float | None:
+        """None while the cost is still zero."""
+        return self.revenue / self.cost if self.cost > 0 else None
+
+
+@dataclass
+class MetricsLedger:
+    """The embedding records of one run, in arrival order."""
 
     records: list = field(default_factory=list)
 
@@ -81,19 +105,13 @@ class MetricsLedger:
         end = records[-1].t_s
         check_series_rows(end, interval)
         rows = []
-        revenue = cost = 0.0
-        accepted = total = 0
+        tally = Tally()
         t = interval
         while True:
-            while total < len(records) and records[total].t_s <= t:
-                record = records[total]
-                revenue += record.revenue
-                cost += record.cost
-                accepted += int(record.accepted)
-                total += 1
-            if total > 0:
-                ratio = revenue / cost if cost > 0 else None
-                rows.append((t, revenue / t, ratio, accepted / total))
+            while tally.records < len(records) and records[tally.records].t_s <= t:
+                tally.add(records[tally.records])
+            if tally.records:
+                rows.append((t, tally.revenue / t, tally.ltar2c, tally.acc))
             if t >= end:
                 break
             t += interval
@@ -103,13 +121,9 @@ class MetricsLedger:
         """(ltar, ltar2c, acc) over the whole recorded horizon."""
         if not self.records:
             raise ValueError("summary is undefined for an empty ledger")
-        revenue = cost = 0.0
-        accepted = 0
+        tally = Tally()
         for record in self.records:
-            revenue += record.revenue
-            cost += record.cost
-            accepted += int(record.accepted)
+            tally.add(record)
         end = self.records[-1].t_s
-        ltar = revenue / end if end > 0 else 0.0
-        ratio = revenue / cost if cost > 0 else None
-        return ltar, ratio, accepted / len(self.records)
+        ltar = tally.revenue / end if end > 0 else 0.0
+        return ltar, tally.ltar2c, tally.acc

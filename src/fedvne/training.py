@@ -4,8 +4,10 @@ Each epoch replays the training stream on a fresh copy of the substrate.
 Every ``batch_size`` completed episodes, each domain with buffered traces
 takes one gradient step; a federation round runs as soon as every domain
 has trained since the previous round (a domain that saw no placements keeps
-the round deferred until it catches up). The result keeps each round with
-running counters over the episodes of its window, not the episodes' records.
+the round deferred until it catches up). The result keeps each round with a
+``Tally`` over the episodes of its window, not the episodes' records: a
+domain that never trains holds every round back, so a window can span every
+episode of every epoch.
 """
 
 from __future__ import annotations
@@ -16,45 +18,17 @@ from dataclasses import dataclass, field
 from .agent import DecisionTrace, DomainAgent, PolicyParams, episode_reward, init_params
 from .engine import run_simulation
 from .federation import Coordinator, FederationRound, ParamUpload, aggregate
+from .metrics import Tally
 from .policies import HflPolicy
 from .substrate import MultiDomainSubstrate
-
-
-@dataclass
-class RoundRow:
-    """One federation round plus running counters over the episodes of its window.
-
-    The window keeps counters, not the episodes' records: a domain that never
-    trains holds every round back, so a window can span every episode of
-    every epoch. ``fed_round`` is set when the round closes the window.
-    """
-
-    fed_round: FederationRound | None = None
-    window_episodes: int = 0
-    window_accepted: int = 0
-    window_revenue: float = 0.0
-    window_cost: float = 0.0
-
-    def add(self, record) -> None:
-        self.window_episodes += 1
-        self.window_accepted += int(record.accepted)
-        self.window_revenue += record.revenue
-        self.window_cost += record.cost
-
-    @property
-    def window_acc(self) -> float:
-        return self.window_accepted / self.window_episodes if self.window_episodes else 0.0
-
-    @property
-    def window_ltar2c(self) -> float | None:
-        return self.window_revenue / self.window_cost if self.window_cost > 0 else None
 
 
 @dataclass
 class TrainResult:
     domain_params: dict[int, PolicyParams]
     global_params: PolicyParams
-    round_rows: list[RoundRow] = field(default_factory=list)
+    # each round with the tally of the episodes in its window
+    round_rows: list[tuple[FederationRound, Tally]] = field(default_factory=list)
 
 
 class Trainer:
@@ -85,16 +59,17 @@ class Trainer:
         self.coordinator = Coordinator(self.agents.keys())
         self.reject_reward = reject_reward
         self.policy = HflPolicy(self.agents)
-        self.round_rows: list[RoundRow] = []
-        self._window = RoundRow()
+        self.round_rows: list[tuple[FederationRound, Tally]] = []
+        self._window = Tally()
         self._since_boundary = 0
 
     def run(self) -> TrainResult:
         for _ in range(self.epochs):
             run_simulation(self.template.copy(), self.vnrs, self.policy, on_record=self._on_record)
             self._boundary()  # flush a partial final batch of the epoch
-        global_params = self.coordinator.global_params
-        if global_params is None:
+        if self.round_rows:
+            global_params = self.round_rows[-1][0].global_params
+        else:
             # no round ever completed; fall back to a plain mean of the agents
             global_params = aggregate(
                 [ParamUpload(d, a.params.copy(), 1, 0.0) for d, a in sorted(self.agents.items())]
@@ -130,6 +105,5 @@ class Trainer:
                 self.agents[d].train(self.learning_rate)
         if not self.coordinator.ready(self.agents):
             return
-        self._window.fed_round = self.coordinator.run_round(self.agents)
-        self.round_rows.append(self._window)
-        self._window = RoundRow()
+        self.round_rows.append((self.coordinator.run_round(self.agents), self._window))
+        self._window = Tally()

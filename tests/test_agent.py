@@ -4,7 +4,15 @@ import random
 import numpy as np
 import pytest
 
-from _helpers import applied_record, batch_loss, feasible_view, forward, make_substrate, make_vnr
+from _helpers import (
+    applied_record,
+    batch_loss,
+    exactly,
+    feasible_view,
+    forward,
+    make_substrate,
+    make_vnr,
+)
 from fedvne.agent import (
     DecisionTrace,
     DomainAgent,
@@ -65,10 +73,9 @@ def finite_difference_gradient(params, traces, epsilon=1e-5):
 
 
 def analytic_gradient(params, traces, learning_rate=1.0):
-    result = train_step(params, traces, learning_rate)
-    assert not result.degenerate
-    grad_kernel = (params.kernel - result.params.kernel) / learning_rate
-    grad_bias = (params.bias - result.params.bias) / learning_rate
+    updated, _ = train_step(params, traces, learning_rate)
+    grad_kernel = (params.kernel - updated.kernel) / learning_rate
+    grad_bias = (params.bias - updated.bias) / learning_rate
     return np.append(grad_kernel, grad_bias)
 
 
@@ -227,53 +234,50 @@ def test_episode_reward_two_hop():
 # -- training -----------------------------------------------------------------
 
 
+def test_train_step_refuses_an_empty_batch():
+    with pytest.raises(ValueError, match=exactly("empty trace batch")):
+        train_step(params_of([0.1, 0.2, 0.3]), [], 0.1)
+
+
 def test_train_step_zero_rewards_is_noop():
     rng = random.Random(5)
     traces = [DecisionTrace([(random_state(rng, 4), 1)], 0.0) for _ in range(3)]
     params = params_of([0.5, 0.5, 0.5], 0.1)
-    result = train_step(params, traces, 0.1)
-    assert result.degenerate
-    assert np.array_equal(result.params.kernel, params.kernel)
-    assert result.params.bias == params.bias
+    updated, loss = train_step(params, traces, 0.1)
+    assert loss == 0.0
+    assert np.array_equal(updated.kernel, params.kernel)
+    assert updated.bias == params.bias
+    assert updated is not params
 
 
-def test_train_step_single_trace_explicit_baseline():
+def test_train_step_single_trace_is_noop():
+    # the baseline is the batch mean, so a lone trace has zero advantage
     rng = random.Random(6)
-    state = random_state(rng, 5)
-    trace = DecisionTrace([(state, 2)], 1.0)
+    trace = DecisionTrace([(random_state(rng, 5), 2)], 1.0)
     params = params_of([0.2, -0.3, 0.4], 0.0)
-    result = train_step(params, [trace], 1.0, baseline=0.0)
-    assert not result.degenerate
-    # gradient equals the gradient of -log p(chosen); check by finite differences
-    epsilon = 1e-5
-    for i in range(3):
-        up, down = params_of(params.kernel), params_of(params.kernel)
-        up.kernel = params.kernel.copy()
-        up.kernel[i] += epsilon
-        down.kernel = params.kernel.copy()
-        down.kernel[i] -= epsilon
-        fd = (batch_loss(up, [trace], 0.0) - batch_loss(down, [trace], 0.0)) / (2 * epsilon)
-        analytic = (params.kernel[i] - result.params.kernel[i]) / 1.0
-        assert abs(analytic - fd) < 1e-6
+    updated, loss = train_step(params, [trace], 1.0)
+    assert loss == 0.0
+    assert np.array_equal(updated.kernel, params.kernel)
 
 
 def test_train_step_duplicate_traces_same_loss():
     rng = random.Random(7)
-    state = random_state(rng, 4)
-    trace = DecisionTrace([(state, 0)], 0.8)
+    first = DecisionTrace([(random_state(rng, 4), 0)], 0.8)
+    second = DecisionTrace([(random_state(rng, 4), 1)], 0.2)
     params = params_of([0.1, 0.2, 0.3], 0.0)
-    single = batch_loss(params, [trace], baseline=0.0)
-    double = batch_loss(params, [trace, trace], baseline=0.0)
-    assert single == pytest.approx(double, rel=1e-12)
+    single, single_loss = train_step(params, [first, second], 0.5)
+    double, double_loss = train_step(params, [first, first, second, second], 0.5)
+    assert single_loss == pytest.approx(double_loss, rel=1e-12)
+    assert np.allclose(single.kernel, double.kernel, rtol=1e-12, atol=0.0)
 
 
-def test_train_step_default_baseline_is_batch_mean():
+def test_train_step_baseline_is_batch_mean():
     rng = random.Random(8)
     traces = [DecisionTrace([(random_state(rng, 4), 1)], r) for r in (0.2, 0.8)]
     params = params_of([0.3, 0.3, 0.3], 0.0)
-    explicit = train_step(params, traces, 0.5, baseline=0.5)
-    default = train_step(params, traces, 0.5)
-    assert np.allclose(explicit.params.kernel, default.params.kernel)
+    _, loss = train_step(params, traces, 0.5)
+    assert loss == pytest.approx(batch_loss(params, traces, baseline=0.5), rel=1e-12)
+    assert loss != pytest.approx(batch_loss(params, traces, baseline=0.0), rel=1e-6)
 
 
 def test_train_step_reuse_never_crosses_states():
@@ -295,10 +299,10 @@ def test_train_step_reuse_never_crosses_states():
             loss += -advantage * lp[chosen]
             grad_kernel += advantage * (p @ state.features - state.features[chosen])
             grad_bias += advantage * (p.sum() - 1.0)
-    result = train_step(params, traces, 0.1)
-    assert result.loss == float(loss / 6)
-    assert result.params.kernel.tobytes() == (params.kernel - 0.1 * (grad_kernel / 6)).tobytes()
-    assert result.params.bias == params.bias - 0.1 * (grad_bias / 6)
+    updated, step_loss = train_step(params, traces, 0.1)
+    assert step_loss == float(loss / 6)
+    assert updated.kernel.tobytes() == (params.kernel - 0.1 * (grad_kernel / 6)).tobytes()
+    assert updated.bias == params.bias - 0.1 * (grad_bias / 6)
 
 
 def test_gradient_matches_finite_differences():
@@ -320,8 +324,8 @@ def test_bias_gradient_vanishes_through_softmax():
     rng = random.Random(9)
     traces = random_batch(rng)
     params = params_of([0.4, -0.2, 0.1], 0.3)
-    result = train_step(params, traces, 1.0)
-    assert result.params.bias == params.bias
+    updated, _ = train_step(params, traces, 1.0)
+    assert updated.bias == params.bias
 
 
 def test_init_params_range_and_determinism():

@@ -6,6 +6,7 @@ import pkgutil
 import pytest
 
 import fedvne
+from _helpers import exactly
 from fedvne import cli
 from fedvne.config import (
     ConfigError,
@@ -60,6 +61,23 @@ def test_config_round_trip():
 @pytest.mark.parametrize("text", ["cpu_min=80\ncpu_max=20\n", "cpu_min=50.0\n"])
 def test_config_rejects_bad_range(text):
     with pytest.raises(ConfigError):
+        parse_config_text(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("epochs=0\n", "epochs must be at least 1"),
+        ("test_count=-1\n", "test_count must not be negative"),
+        ("inter_link_ratio=1.5\n", "inter_link_ratio must lie in [0, 1]"),
+        ("vlink_prob=-0.1\n", "vlink_prob must lie in [0, 1]"),
+        ("learning_rate=0\n", "learning_rate must be positive"),
+        ("policy=greedy\n", "policy must be one of hfl, noderank, random"),
+        ("seed=1\nno equals sign\n", "<config>:2: expected key=value"),
+    ],
+)
+def test_config_rejects_each_bad_value(text, message):
+    with pytest.raises(ConfigError, match=exactly(message)):
         parse_config_text(text)
 
 
@@ -258,6 +276,22 @@ def test_train_deterministic(tmp_path):
         outs.append(out)
     assert (outs[0] / "round_log.csv").read_bytes() == (outs[1] / "round_log.csv").read_bytes()
     assert (outs[0] / "checkpoint.txt").read_bytes() == (outs[1] / "checkpoint.txt").read_bytes()
+
+
+def test_train_bad_input_leaves_no_output_dir(tmp_path, capsys):
+    substrate_path, vnrs_path = generate_tiny(tmp_path)
+    lines = substrate_path.read_text().splitlines()
+    lines[1] = "0 0 1.0 2.0 x"
+    substrate_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    out = tmp_path / "train"
+    code = cli.main(
+        ["train", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
+         "--out-dir", str(out)] + tiny_flags()
+    )
+    assert code == 2
+    assert f"{substrate_path}:2: malformed node line" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_evaluate_full_cycle(tmp_path, capsys):

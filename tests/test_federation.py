@@ -129,10 +129,10 @@ def test_run_round_missing_upload_aborts():
     with pytest.raises(ValueError, match=exactly("domain 1 has not produced a training batch")):
         coordinator.run_round(agents)
     assert np.array_equal(agents[0].params.kernel, before.kernel)  # round left no trace
-    assert coordinator.round_id == 0
     # after the lagging domain trains, the retried round succeeds
     agents[1] = agent_with_pending(1, [0, 0, 0], 0.0)
-    assert coordinator.run_round(agents).round_id == 1
+    fed_round = coordinator.run_round(agents)
+    assert np.array_equal(agents[1].params.kernel, fed_round.global_params.kernel)
 
 
 def test_two_round_trace_matches_hand_computation():
@@ -160,7 +160,6 @@ def test_two_round_trace_matches_hand_computation():
     local_step(agents[1])
     second = coordinator.run_round(agents)
     assert np.allclose(second.global_params.kernel, 2.0)
-    assert second.round_id == 2
 
 
 def test_run_round_reports_mean_pending_reward_per_domain():

@@ -1,8 +1,10 @@
 import dataclasses
 
 import numpy as np
+import pytest
 
 from _helpers import (
+    exactly,
     feasible_view,
     make_substrate,
     make_vnr,
@@ -12,6 +14,7 @@ from _helpers import (
 from fedvne import engine, workload
 from fedvne.agent import DomainAgent, PolicyParams
 from fedvne.config import ExperimentConfig
+from fedvne.metrics import Tally
 from fedvne.policies import HflPolicy, ranked_by_score
 from fedvne.training import Trainer
 
@@ -105,10 +108,22 @@ def test_trainer_is_deterministic():
 
     (first, first_episodes), (second, second_episodes) = run(), run()
     assert np.array_equal(first.global_params.kernel, second.global_params.kernel)
-    assert [r.fed_round.global_loss for r in first.round_rows] == [
-        r.fed_round.global_loss for r in second.round_rows
+    assert [r.global_loss for r, _ in first.round_rows] == [
+        r.global_loss for r, _ in second.round_rows
     ]
     assert first_episodes == second_episodes
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [({"batch_size": 0}, "batch size must be at least 1"), ({"epochs": 0}, "need at least one epoch")],
+)
+def test_trainer_refuses_empty_batches_and_epochs(overrides, message):
+    cfg = small_config()
+    sub = workload.generate_substrate(cfg, 23)
+    settings = {"learning_rate": 1.0, "batch_size": 10, "epochs": 1, "seed": 5, **overrides}
+    with pytest.raises(ValueError, match=exactly(message)):
+        Trainer(sub, [], **settings)
 
 
 def test_trainer_single_domain_collapse():
@@ -128,10 +143,20 @@ def test_trainer_round_windows_cover_episodes():
     sub = workload.generate_substrate(cfg, 27)
     vnrs = workload.generate_vnr_stream(cfg, 28)[: cfg.train_count]
     trainer = Trainer(sub, vnrs, learning_rate=1.0, batch_size=10, epochs=2, seed=7)
-    result = trainer.run()
-    total_window = sum(r.window_episodes for r in result.round_rows)
-    assert total_window == 2 * len(vnrs)  # every episode of both epochs
-    for row in result.round_rows:
-        assert 0.0 <= row.window_acc <= 1.0
-        if row.window_ltar2c is not None:
-            assert 0.0 < row.window_ltar2c <= 1.0
+    result, episodes = train_with_episodes(trainer)
+    start = 0
+    for _, window in result.round_rows:
+        # the windows split the episodes in order; each tally holds its slice's
+        # running sums, added one episode at a time from 0.0
+        chunk = episodes[start : start + window.records]
+        assert chunk
+        revenue = cost = 0.0
+        for _, episode_revenue, episode_cost in chunk:
+            revenue += episode_revenue
+            cost += episode_cost
+        assert window == Tally(len(chunk), sum(accepted for accepted, _, _ in chunk), revenue, cost)
+        start += window.records
+        assert 0.0 <= window.acc <= 1.0
+        if window.ltar2c is not None:
+            assert 0.0 < window.ltar2c <= 1.0
+    assert start == len(episodes) == 2 * len(vnrs)  # every episode of both epochs
