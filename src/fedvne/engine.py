@@ -69,7 +69,7 @@ def min_hop_path(
     if src == dst:
         return []
     adjacency = substrate.adjacency
-    bw = substrate.bw_available
+    bw = memoryview(substrate.bw_available)
     from_src = {src: 0}
     from_dst = {dst: 0}
     src_frontier = [src]

@@ -41,6 +41,12 @@ class MultiDomainSubstrate:
     exactly when its endpoints lie in different domains. Resource state lives
     in ``cpu_available`` / ``bw_available`` and changes only through the
     allocate and release methods.
+
+    The numpy arrays are the one store; no list mirror is kept beside them.
+    The loops of ``allocate_path``, ``release`` and ``engine.min_hop_path``
+    index them through a ``memoryview`` taken once per call, whose items are
+    plain Python floats (an array index builds a numpy scalar). No view is
+    kept on the instance: a ``copy()`` shares all but the availability arrays.
     """
 
     def __init__(
@@ -184,12 +190,13 @@ class MultiDomainSubstrate:
 
     def allocate_path(self, path, bw_demand: float) -> None:
         """All-or-nothing allocation along an ordered list of link ids."""
+        bw = memoryview(self.bw_available)
         for link_id in path:
-            available = self.bw_available[link_id]
+            available = bw[link_id]
             if bw_demand > available:
-                raise ValueError(f"link {link_id}: bw demand {bw_demand} exceeds available {float(available)}")
+                raise ValueError(f"link {link_id}: bw demand {bw_demand} exceeds available {available}")
         for link_id in path:
-            self.bw_available[link_id] -= bw_demand
+            bw[link_id] -= bw_demand
 
     def release(self, record, vnr) -> None:
         """Return every resource ``record`` holds for request ``vnr``.
@@ -203,18 +210,20 @@ class MultiDomainSubstrate:
         """
         if not record.outstanding:
             raise ValueError(f"record for vnr {record.vnr_id} holds no resources")
+        cpu, cpu_capacity = memoryview(self.cpu_available), memoryview(self.cpu_capacity)
         for v_node, node_id in record.node_map.items():
             amount = vnr.node_demands[v_node]
-            restored = self.cpu_available[node_id] + amount
-            if restored > self.cpu_capacity[node_id]:
+            restored = cpu[node_id] + amount
+            if restored > cpu_capacity[node_id]:
                 raise ValueError(f"freeing {amount} cpu on node {node_id} exceeds capacity")
-            self.cpu_available[node_id] = restored
-        demand_of = {(a, b): bw for a, b, bw in vnr.link_demands}
+            cpu[node_id] = restored
+        bw, bw_capacity = memoryview(self.bw_available), memoryview(self.bw_capacity)
+        demand_of = {(a, b): d for a, b, d in vnr.link_demands}
         for v_link, path in record.link_paths.items():
             amount = demand_of[v_link]
             for link_id in path:
-                restored = self.bw_available[link_id] + amount
-                if restored > self.bw_capacity[link_id]:
+                restored = bw[link_id] + amount
+                if restored > bw_capacity[link_id]:
                     raise ValueError(f"freeing {amount} bw on link {link_id} exceeds capacity")
-                self.bw_available[link_id] = restored
+                bw[link_id] = restored
         record.outstanding = False

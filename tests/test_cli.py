@@ -1,9 +1,16 @@
+import contextlib
 import dataclasses
 import importlib
 import inspect
+import io
 import pkgutil
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fedvne
 from _helpers import exactly
@@ -745,3 +752,77 @@ def test_data_after_the_last_line_names_file_and_line(tmp_path, capsys, which):
     )
     assert code == 2
     assert f"{path}:{len(lines) + 1}: data after the last declared line" in capsys.readouterr().err
+
+
+# -- the whole pipeline over drawn configs ------------------------------------
+
+# 0, 1 and the 2^43 bound of every range key, and a value in between
+RANGE_VALUES = (0, 1, 50, 2**43)
+
+
+@st.composite
+def pipeline_flags(draw):
+    """Config flags of a small run: 1-3 domains of 1-6 nodes, a link budget
+    between a spanning tree and the complete graph, boundary range keys, and a
+    split that may leave training empty or smaller than one batch."""
+    domains = draw(st.integers(1, 3))
+    per_domain = draw(st.integers(1, 6))
+    n = domains * per_domain
+    config = dict(
+        num_domains=domains,
+        nodes_per_domain=per_domain,
+        num_links=draw(st.integers(max(1, n - 1), max(1, n * (n - 1) // 2))),
+        inter_link_ratio=draw(st.sampled_from((0.0, 0.1, 1.0))),
+        vlink_prob=draw(st.sampled_from((0.0, 0.5, 1.0))),
+        mean_lifetime=draw(st.sampled_from((1e-300, 1.0, 1000.0))),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    for key in ("cpu", "bw", "vnode_cpu", "vlink_bw"):
+        lo, hi = sorted(draw(st.lists(st.sampled_from(RANGE_VALUES), min_size=2, max_size=2)))
+        config.update({f"{key}_min": lo, f"{key}_max": hi})
+    config["vn_nodes_min"] = draw(st.integers(1, 3))
+    config["vn_nodes_max"] = draw(st.integers(config["vn_nodes_min"], 4))
+    config["vnr_count"] = draw(st.integers(0, 12))
+    config["train_count"] = draw(st.integers(0, config["vnr_count"]))
+    config["test_count"] = draw(st.integers(0, config["vnr_count"] - config["train_count"]))
+    config["batch_size"] = draw(st.sampled_from((1, config["train_count"] + 1)))
+    flags = []
+    for key, value in config.items():
+        flags += [f"--{key.replace('_', '-')}", repr(value)]
+    return flags
+
+
+def run_pipeline(root: Path, flags: list[str]) -> dict[str, bytes]:
+    """generate, train, compare and validate under ``root``; returns every
+    deterministic output by its path relative to ``root``."""
+    data, trained, compared = root / "data", root / "trained", root / "compared"
+    code = cli.main(["generate", "--out-dir", str(data)] + flags)
+    assert code in (0, 1)
+    if code == 0:
+        inputs = ["--substrate", str(data / "substrate.txt"), "--vnrs", str(data / "vnrs.txt")]
+        assert cli.main(["train", *inputs, "--epochs", "1", "--out-dir", str(trained)] + flags) == 0
+        assert cli.main(
+            ["compare", *inputs, "--checkpoint", str(trained / "checkpoint.txt"),
+             "--out-dir", str(compared)] + flags
+        ) == 0
+        for log in sorted(compared.glob("decisions_*.csv")):
+            report = io.StringIO()
+            with contextlib.redirect_stdout(report):
+                assert cli.main(["validate", *inputs, "--decisions", str(log)] + flags) == 0
+            assert report.getvalue().endswith(f"0 violations in {log}\n")
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file() and path.name != "compare_timing.csv"
+    }
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(flags=pipeline_flags())
+def test_pipeline_runs_cleanly_and_reproducibly(flags):
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            first = run_pipeline(Path(tmp) / "first", flags)
+            second = run_pipeline(Path(tmp) / "second", flags)
+    assert first == second

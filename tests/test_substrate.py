@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import applied_record, exactly, link_kind, make_substrate, make_vnr, reference_union_find
+from fedvne.engine import min_hop_path
 from fedvne.substrate import MultiDomainSubstrate, union_find
 
 
@@ -232,11 +233,23 @@ def test_link_kind_derivation():
 
 
 def test_copy_isolates_availability():
-    sub = two_node_substrate()
+    # a triangle: link 2 is the one single-hop path from node 0 to node 2
+    sub = make_substrate([0, 0, 0], [80.0] * 3, [(0, 1, 50.0), (1, 2, 50.0), (0, 2, 50.0)])
+    before = sub.resource_vector().tobytes()
     clone = sub.copy()
+    vnr = make_vnr(node_demands=(10.0, 5.0), link_demands=[(0, 1, 20.0)])
     clone.allocate_node(0, 10.0)
-    assert sub.cpu_available[0] == 80.0
-    assert clone.cpu_available[0] == 70.0
+    clone.allocate_node(1, 5.0)
+    clone.allocate_path([0], 20.0)
+    clone.allocate_path([2], 50.0)
+    assert clone.resource_vector().tolist() == [70.0, 75.0, 80.0, 30.0, 50.0, 0.0]
+    assert sub.resource_vector().tobytes() == before
+    # the link saturated on the clone still carries the original's search
+    assert min_hop_path(clone, 0, 2, 10.0) == [0, 1]
+    assert min_hop_path(sub, 0, 2, 10.0) == [2]
+    clone.release(applied_record(vnr, {0: 0, 1: 1}, {(0, 1): [0]}), vnr)
+    assert clone.resource_vector().tolist() == [80.0, 80.0, 80.0, 50.0, 50.0, 0.0]
+    assert sub.resource_vector().tobytes() == before
 
 
 @st.composite
