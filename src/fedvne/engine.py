@@ -64,14 +64,16 @@ def min_hop_path(
     first neighbor in ascending id order that stays on a shortest path, which
     is the lexicographically smallest choice at every position. Which
     frontier grows first affects only the running time: the result depends
-    only on the subgraph of feasible links.
+    only on the subgraph of feasible links. Distances live in two per-call
+    lists indexed by node id: 1 + the distance from that side, 0 if unreached.
     """
     if src == dst:
         return []
     adjacency = substrate.adjacency
     bw = memoryview(substrate.bw_available)
-    from_src = {src: 0}
-    from_dst = {dst: 0}
+    from_src = [0] * len(adjacency)
+    from_dst = [0] * len(adjacency)
+    from_src[src] = from_dst[dst] = 1
     src_frontier = [src]
     dst_frontier = [dst]
     meeting: set[int] = set()
@@ -80,15 +82,15 @@ def min_hop_path(
             frontier, reached, other = src_frontier, from_src, from_dst
         else:
             frontier, reached, other = dst_frontier, from_dst, from_src
-        level = reached[frontier[0]] + 1
+        tag = reached[frontier[0]] + 1
         grown = []
         for here in frontier:
             for neighbor, link_id in adjacency[here]:
-                if neighbor in reached or bw[link_id] < bw_demand:
+                if reached[neighbor] or bw[link_id] < bw_demand:
                     continue
-                reached[neighbor] = level
+                reached[neighbor] = tag
                 grown.append(neighbor)
-                if neighbor in other:
+                if other[neighbor]:
                     meeting.add(neighbor)
         if not grown:
             return None
@@ -98,13 +100,13 @@ def min_hop_path(
             dst_frontier = grown
 
     # on-path nodes at each distance from src, from the meeting set back to src
-    meet_level = from_src[next(iter(meeting))]
+    meet_tag = from_src[next(iter(meeting))]
     on_path = [meeting]
-    for level in range(meet_level - 1, 0, -1):
+    for tag in range(meet_tag - 1, 1, -1):
         layer: set[int] = set()
         for here in on_path[-1]:
             for neighbor, link_id in adjacency[here]:
-                if from_src.get(neighbor) == level and not bw[link_id] < bw_demand:
+                if from_src[neighbor] == tag and not bw[link_id] < bw_demand:
                     layer.add(neighbor)
         on_path.append(layer)
     on_path.reverse()
@@ -117,9 +119,9 @@ def min_hop_path(
                 path.append(link_id)
                 here = neighbor
                 break
-    for level in range(from_dst[here] - 1, -1, -1):
+    for tag in range(from_dst[here] - 1, 0, -1):
         for neighbor, link_id in adjacency[here]:
-            if from_dst.get(neighbor) == level and not bw[link_id] < bw_demand:
+            if from_dst[neighbor] == tag and not bw[link_id] < bw_demand:
                 path.append(link_id)
                 here = neighbor
                 break

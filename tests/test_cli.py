@@ -4,6 +4,7 @@ import importlib
 import inspect
 import io
 import pkgutil
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -474,11 +475,17 @@ def test_validate_flags_tampered_log(tmp_path, capsys):
     assert code == 2
 
 
+NODES, LINKS = TINY["num_domains"] * TINY["nodes_per_domain"], TINY["num_links"]
+
+
 @pytest.mark.parametrize(
     "fault, message",
     [
         ("logged_twice", "logged more than once"),
         ("foreign_path", "path for a link the request does not have"),
+        # the first id past the end: an off-by-one bound would index past the arrays
+        ("node_at_count", f"mapped to missing node {NODES}"),
+        ("link_at_count", f"path uses missing link {LINKS}"),
     ],
 )
 def test_validate_names_the_request_of_a_hand_edited_log(tmp_path, capsys, fault, message):
@@ -490,13 +497,20 @@ def test_validate_names_the_request_of_a_hand_edited_log(tmp_path, capsys, fault
     )
     decisions = eval_out / "decisions.csv"
     lines = decisions.read_text().splitlines()
-    i, fields = next((i, line.split(",")) for i, line in enumerate(lines) if line.split(",")[2] == "1")
+    # an accepted record that has a path
+    i, fields = next((i, f) for i, f in enumerate(line.split(",") for line in lines) if f[2] == "1" and f[7])
     if fault == "logged_twice":
         fields[3] = "123.5"  # the same decision with another revenue
         lines.append(",".join(fields))
+    elif fault == "foreign_path":
+        fields[6] = f"{fields[6]}|1"
+        fields[7] = f"{fields[7]}|5-6:8"
+        lines[i] = ",".join(fields)
+    elif fault == "node_at_count":
+        fields[5] = re.sub(r":\d+", f":{NODES}", fields[5], count=1)  # virtual node 0's host
+        lines[i] = ",".join(fields)
     else:
-        fields[6] = f"{fields[6]}|1" if fields[6] else "1"
-        fields[7] = f"{fields[7]}|5-6:8" if fields[7] else "5-6:8"
+        fields[7] = re.sub(r":\d+", f":{LINKS}", fields[7], count=1)  # the first link of a path
         lines[i] = ",".join(fields)
     decisions.write_text("\n".join(lines) + "\n")
     capsys.readouterr()

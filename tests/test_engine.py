@@ -188,6 +188,13 @@ def test_run_simulation_matches_hand_event_trace():
     assert ledger.records == records and ledger.summary()[2] == 2 / 3
 
 
+def test_run_simulation_runs_simultaneous_arrivals():
+    sub = make_substrate([0] * 2, [50.0] * 2, [(0, 1, 30.0)])
+    vnrs = [make_vnr(0, t_s=5.0, t_e=6.0), make_vnr(1, t_s=5.0, t_e=7.0)]
+    _, _, records = run_simulation(sub, vnrs, lambda s, v: [[0, 1]])
+    assert [r.accepted for r in records] == [True, True]
+
+
 def test_run_simulation_rejects_unsorted_stream():
     sub = make_substrate([0] * 2, [50.0] * 2, [(0, 1, 30.0)])
     vnrs = [make_vnr(0, t_s=5.0, t_e=6.0), make_vnr(1, t_s=1.0, t_e=2.0)]
@@ -237,6 +244,21 @@ def test_replay_validate_clean_run():
     assert violations == []
 
 
+def test_replay_validate_accepts_exact_fills_and_departures_at_an_arrival():
+    # vnr 0 fills node 0 and link 0 to exactly 0 and leaves at 10, exactly when
+    # vnr 1 arrives needing all of both: the replay must free vnr 0 first
+    sub = make_substrate([0] * 3, [50.0, 50.0, 0.0], [(0, 1, 30.0), (1, 2, 30.0)])
+    initial = sub.copy()
+    vnrs = [
+        make_vnr(0, node_demands=(50.0, 10.0), link_demands=((0, 1, 30.0),), t_s=0.0, t_e=10.0),
+        make_vnr(1, node_demands=(50.0, 10.0), link_demands=((0, 1, 30.0),), t_s=10.0, t_e=20.0),
+    ]
+    final, _, records = run_simulation(sub, vnrs, lambda s, v: [[0, 1, 2]] * v.num_nodes)
+    assert [r.accepted for r in records] == [True, True]
+    assert all(r.link_paths == {(0, 1): [0]} for r in records)
+    assert replay_validate(initial, vnrs, records, final.resource_vector()) == []
+
+
 def test_replay_validate_flags_tampering():
     sub = make_substrate([0] * 3, [50.0] * 3, [(0, 1, 30.0), (1, 2, 30.0)])
     initial = sub.copy()
@@ -270,13 +292,14 @@ def test_replay_validate_flags_tampering():
     [
         ({"node_map": {0: 0}}, ["vnr 0: not every virtual node is mapped exactly once"]),
         ({"node_map": {0: 0, 1: 0}}, ["vnr 0: node map is not injective"]),
-        ({"node_map": {0: 0, 1: 9}}, ["vnr 0: mapped to missing node 9"]),
+        # ids equal to the node and link counts: the first past each end
+        ({"node_map": {0: 0, 1: 3}}, ["vnr 0: mapped to missing node 3"]),
         (
             {"cpu": (60.0, 10.0)},
             ["vnr 0: cpu demand of virtual node 0 exceeds availability on node 0"],
         ),
         ({"path": []}, ["vnr 0: virtual link (0, 1) has no path"]),
-        ({"path": [5]}, ["vnr 0: path uses missing link 5"]),
+        ({"path": [2]}, ["vnr 0: path uses missing link 2"]),
         ({"path": [1]}, ["vnr 0: path for (0, 1) is not a connected walk"]),
         (
             {"node_map": {0: 0, 1: 2}},

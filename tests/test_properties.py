@@ -10,6 +10,7 @@ feasible view and through the node stage that consumes them. Providers that
 keep their last ranking are compared with freshly built ones.
 """
 
+import random
 from collections import deque
 
 import numpy as np
@@ -30,9 +31,11 @@ from _helpers import (
 from fedvne import baselines, policies
 from fedvne.agent import DomainAgent, PolicyParams, extract_state
 from fedvne.baselines import NodeRankPolicy
+from fedvne.config import ExperimentConfig
 from fedvne.engine import attempt_embedding, embed_nodes, min_hop_path
 from fedvne.policies import HflPolicy, ranked_by_score
 from fedvne.substrate import MultiDomainSubstrate
+from fedvne.workload import generate_substrate
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -180,6 +183,26 @@ def test_min_hop_path_is_a_feasible_walk(sub, data):
         assert here in (a, b)
         here = b if here == a else a
     assert here == dst
+
+
+def test_min_hop_path_matches_unidirectional_bfs_at_benchmark_scale():
+    # 1000 nodes and 6000 links, each link partly drained and 40% of them emptied:
+    # long searches that switch sides many times, which the hypothesis substrates
+    # (a few dozen nodes) cannot give
+    sub = generate_substrate(ExperimentConfig(nodes_per_domain=250, num_links=6000), 7)
+    rng = random.Random(7)
+    sub.bw_available[:] = [bw * rng.random() if rng.random() < 0.6 else 0.0 for bw in sub.bw_capacity]
+    failed, longest = 0, 0
+    for _ in range(400):
+        src, dst = rng.randrange(sub.num_nodes), rng.randrange(sub.num_nodes)
+        bw_demand = rng.randint(1, 50)
+        path = min_hop_path(sub, src, dst, bw_demand)
+        assert path == reference_min_hop_path(sub, src, dst, bw_demand), (src, dst, bw_demand)
+        if path is None:
+            failed += 1
+        else:
+            longest = max(longest, len(path))
+    assert failed >= 1 and longest >= 8, (failed, longest)
 
 
 # -- ranking ---------------------------------------------------------------------
