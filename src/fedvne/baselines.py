@@ -16,25 +16,25 @@ from .policies import SubstrateSnapshot, ranked_by_score
 from .substrate import MultiDomainSubstrate
 
 
-def _walk_pass(substrate: MultiDomainSubstrate, score: np.ndarray) -> np.ndarray:
-    """Each node spreads its score equally over its neighbors."""
-    n = substrate.num_nodes
-    out = np.zeros(n)
-    if not substrate.num_links:
-        return out
-    ends = substrate.link_ends
-    degree = np.bincount(ends.ravel(), minlength=n).astype(np.float64)
-    share = np.divide(score, degree, out=np.zeros(n), where=degree > 0)
-    np.add.at(out, ends[:, 1], share[ends[:, 0]])
-    np.add.at(out, ends[:, 0], share[ends[:, 1]])
-    return out
-
-
 def noderank_scores(substrate: MultiDomainSubstrate) -> np.ndarray:
-    """Two walk passes over available-cpu x incident-available-bandwidth."""
+    """Two walk passes over available-cpu x incident-available-bandwidth.
+
+    In each pass every node spreads its score equally over its neighbors.
+    """
+    n = substrate.num_nodes
+    if not substrate.num_links:
+        return np.zeros(n)
+    ends = substrate.link_ends
+    # every link carries a share both ways: a -> b for all links, then b -> a,
+    # so bincount adds each node's shares in the order np.add.at would
+    senders = np.concatenate((ends[:, 0], ends[:, 1]))
+    receivers = np.concatenate((ends[:, 1], ends[:, 0]))
+    degree = np.bincount(senders, minlength=n)
     score = substrate.cpu_available * substrate.available_bw_sums()
-    score = _walk_pass(substrate, score)
-    return _walk_pass(substrate, score)
+    for _ in range(2):
+        share = np.divide(score, degree, out=np.zeros(n), where=degree > 0)
+        score = np.bincount(receivers, weights=share[senders], minlength=n)
+    return score
 
 
 def random_ranking(substrate: MultiDomainSubstrate, seed: int) -> list[float]:

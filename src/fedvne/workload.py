@@ -28,7 +28,12 @@ class ValidationError(Exception):
 
 @dataclass(frozen=True)
 class VirtualNetworkRequest:
-    """A virtual network plus the window [t_s, t_e] during which it holds resources."""
+    """A virtual network plus the window [t_s, t_e] during which it holds resources.
+
+    Requests loaded from one file share equal demand floats and equal
+    ``(a, b, bw)`` link triples. Both are immutable; nothing may rely on
+    their identity.
+    """
 
     vnr_id: int
     node_demands: tuple[float, ...]
@@ -358,6 +363,13 @@ def save_vnrs(path, vnrs) -> None:
 
 
 def load_vnrs(path) -> list[VirtualNetworkRequest]:
+    """Read a request stream in save_vnrs's format; a bad line raises naming ``path:line``.
+
+    Within one call, every repeated cpu-demand token yields one shared float
+    and every repeated virtual-link line one shared ``(a, b, bw)`` tuple. They
+    are keyed by their text, so equal text is parsed and checked once and
+    ``-0.0`` stays apart from ``0.0``; validate_vnr runs on every request.
+    """
     path = str(path)
     with open(path) as fh:
         next_line = _line_reader(path, fh)
@@ -371,6 +383,9 @@ def load_vnrs(path) -> list[VirtualNetworkRequest]:
 
         stream = []
         seen_ids: set[int] = set()
+        # what each cpu-demand token and each virtual-link line read so far parsed to, by its text
+        demand_of: dict[str, float] = {}
+        link_of: dict[str, tuple[int, int, float]] = {}
         for _ in range(count):
             header_line, fields = next_line("request header")
             if len(fields) != 5:
@@ -398,25 +413,33 @@ def load_vnrs(path) -> list[VirtualNetworkRequest]:
                 line_no, fields = next_line("cpu demand")
                 if len(fields) != 1:
                     raise ParseError(path, line_no, "cpu demand line must hold one number")
-                try:
-                    demand = float(fields[0])
-                except ValueError:
-                    raise ParseError(path, line_no, "malformed cpu demand") from None
-                if not isfinite(demand):
-                    raise ParseError(path, line_no, f"number must be finite, got {fields[0]}")
+                text = fields[0]
+                demand = demand_of.get(text)
+                if demand is None:
+                    try:
+                        demand = float(text)
+                    except ValueError:
+                        raise ParseError(path, line_no, "malformed cpu demand") from None
+                    if not isfinite(demand):
+                        raise ParseError(path, line_no, f"number must be finite, got {text}")
+                    demand_of[text] = demand
                 demands.append(demand)
             links = []
             for _ in range(m):
                 line_no, fields = next_line("virtual link")
                 if len(fields) != 3:
                     raise ParseError(path, line_no, "virtual link must be '<a> <b> <bw>'")
-                try:
-                    a, b, demand = int(fields[0]), int(fields[1]), float(fields[2])
-                except ValueError:
-                    raise ParseError(path, line_no, "malformed virtual link") from None
-                if not isfinite(demand):
-                    raise ParseError(path, line_no, f"number must be finite, got {fields[2]}")
-                links.append((a, b, demand))
+                key = " ".join(fields)  # fields hold no whitespace: one text per field list
+                link = link_of.get(key)
+                if link is None:
+                    try:
+                        a, b, demand = int(fields[0]), int(fields[1]), float(fields[2])
+                    except ValueError:
+                        raise ParseError(path, line_no, "malformed virtual link") from None
+                    if not isfinite(demand):
+                        raise ParseError(path, line_no, f"number must be finite, got {fields[2]}")
+                    link = link_of[key] = (a, b, demand)
+                links.append(link)
             vnr = VirtualNetworkRequest(vnr_id, tuple(demands), tuple(links), t_s, t_e)
             try:
                 validate_vnr(vnr)

@@ -172,6 +172,24 @@ def reference_hfl_candidates(agents, substrate, vnr):
     return candidates
 
 
+def reference_noderank_scores(substrate) -> np.ndarray:
+    """The noderank walk as two passes of per-pass degree counts and np.add.at."""
+
+    def walk_pass(score):
+        n = substrate.num_nodes
+        out = np.zeros(n)
+        if not substrate.num_links:
+            return out
+        ends = substrate.link_ends
+        degree = np.bincount(ends.ravel(), minlength=n).astype(np.float64)
+        share = np.divide(score, degree, out=np.zeros(n), where=degree > 0)
+        np.add.at(out, ends[:, 1], share[ends[:, 0]])
+        np.add.at(out, ends[:, 0], share[ends[:, 1]])
+        return out
+
+    return walk_pass(walk_pass(substrate.cpu_available * substrate.available_bw_sums()))
+
+
 # -- reference loaders: the generator-based line reader, per-number checks and
 # per-row adjacency build that the streaming loaders replaced; the
 # differential test in test_fuzz.py holds the loaders to them

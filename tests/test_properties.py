@@ -27,6 +27,7 @@ from _helpers import (
     make_vnr,
     reference_extract_state,
     reference_hfl_candidates,
+    reference_noderank_scores,
 )
 from fedvne import baselines, policies
 from fedvne.agent import DomainAgent, PolicyParams, extract_state
@@ -233,6 +234,31 @@ def test_hfl_candidates_match_per_demand_lists(sub, data):
     vnr = make_vnr(node_demands=demands)
     candidates = HflPolicy(agents)(sub, vnr)
     assert feasible_view(sub, vnr, candidates) == reference_hfl_candidates(agents, sub, vnr)
+
+
+@SETTINGS
+@given(sub=any_substrate, data=st.data())
+def test_noderank_scores_match_add_at_reference(sub, data):
+    fraction = st.sampled_from([0.0, 0.1, 0.37, 0.5, 1.0])
+    sub.cpu_available[:] = sub.cpu_capacity * data.draw(
+        st.lists(fraction, min_size=sub.num_nodes, max_size=sub.num_nodes))
+    sub.bw_available[:] = sub.bw_capacity * data.draw(
+        st.lists(fraction, min_size=sub.num_links, max_size=sub.num_links))
+    scores = baselines.noderank_scores(sub)
+    assert scores.dtype == np.float64
+    assert scores.tobytes() == reference_noderank_scores(sub).tobytes()
+
+
+@pytest.mark.parametrize("overrides", [{}, {"nodes_per_domain": 250, "num_links": 6000}])
+def test_noderank_scores_match_add_at_reference_at_benchmark_scale(overrides):
+    # the 100-node and the 1000-node benchmark topologies, drained at random:
+    # every node sums many shares, so a change of summation order would show
+    sub = generate_substrate(ExperimentConfig(**overrides), 11)
+    rng = random.Random(11)
+    for _ in range(40):
+        sub.cpu_available[:] = [cpu * rng.random() for cpu in sub.cpu_capacity]
+        sub.bw_available[:] = [bw * rng.random() if rng.random() < 0.8 else 0.0 for bw in sub.bw_capacity]
+        assert baselines.noderank_scores(sub).tobytes() == reference_noderank_scores(sub).tobytes()
 
 
 # -- all-domain state pass and unfiltered orders ----------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -232,6 +233,58 @@ def test_load_reports_end_of_file_after_the_last_line(tmp_path):
     with pytest.raises(ParseError) as exc:
         load_vnrs(path)
     assert str(exc.value) == f"{path}:5: unexpected end of file, expected request header"
+
+
+def test_load_vnrs_accepts_boundary_values(tmp_path):
+    # endpoint 0 on the far side, zero demands, and two requests arriving at once
+    path = tmp_path / "vnrs.txt"
+    path.write_text("2\n0 1.0 5.0 2 1\n0.0\n3.0\n1 0 0.0\n1 1.0 6.0 1 0\n2.0\n")
+    first, second = load_vnrs(path)
+    assert first.node_demands == (0.0, 3.0)
+    assert first.link_demands == ((1, 0, 0.0),)
+    assert second.t_s == first.t_s
+
+
+def test_load_vnrs_shares_repeated_demands_and_links_by_their_text(tmp_path):
+    path = tmp_path / "vnrs.txt"
+    path.write_text(
+        "2\n"
+        "0 0.0 5.0 3 2\n23.0\n0.0\n-0.0\n0 1 7.0\n1 2 -0.0\n"
+        "1 1.0 6.0 3 2\n23.0\n-0.0\n0.0\n0 1 7.0\n1 2 0.0\n"
+    )
+    first, second = load_vnrs(path)
+    assert first.node_demands[0] is second.node_demands[0]
+    assert first.link_demands[0] is second.link_demands[0]
+    # equal values from different text stay apart: zeros keep their sign
+    assert [math.copysign(1.0, d) for d in first.node_demands[1:]] == [1.0, -1.0]
+    assert [math.copysign(1.0, d) for d in second.node_demands[1:]] == [-1.0, 1.0]
+    assert math.copysign(1.0, first.link_demands[1][2]) == -1.0
+    assert math.copysign(1.0, second.link_demands[1][2]) == 1.0
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ("23.0\n23.0x\n0 1 5.0\n1 0 5.0", "11: malformed cpu demand"),
+        ("23.0\n1e999\n0 1 5.0\n1 0 5.0", "11: number must be finite, got 1e999"),
+        ("1.0\n1.0\n0 1 23.0x\n1 0 5.0", "12: malformed virtual link"),
+        ("1.0\n1.0\n0 1 1e999\n1 0 5.0", "12: number must be finite, got 1e999"),
+        ("1.0\n1.0\n0 1 23.0\n0 1 23.0", "9: vnr 0: duplicate virtual link (0, 1)"),
+        ("1.0\n1.0\n0 1 23.0\n1 2 23.0", "9: vnr 0: virtual link endpoint out of range"),
+        ("1.0\n1.0\n0 1 23.0\n2 0 23.0", "9: vnr 0: virtual link endpoint out of range"),
+    ],
+)
+def test_load_vnrs_checks_text_that_resembles_an_earlier_line(tmp_path, lines, message):
+    # the 3-node request before holds the good tokens and link lines, so a memo
+    # of parsed text must neither hide a bad one nor skip the checks of the
+    # 2-node request it lands in
+    path = tmp_path / "vnrs.txt"
+    path.write_text(
+        "2\n9 0.0 1.0 3 3\n23.0\n23.0\n23.0\n0 1 23.0\n1 2 23.0\n2 0 23.0\n"
+        f"0 0.0 5.0 2 2\n{lines}\n"
+    )
+    with pytest.raises((ParseError, ValidationError), match=exactly(f"{path}:{message}")):
+        load_vnrs(path)
 
 
 def test_rebase_stream_shifts_clock():
