@@ -1,7 +1,7 @@
 """Per-domain policy: state extraction, scoring, ranking, and training.
 
 Each domain runs the same tiny model: a 3-feature linear layer (kernel plus
-bias) over the domain's state matrix, followed by a softmax that turns node
+bias) over the domain's state, followed by a softmax that turns node
 scores into allocation probabilities. Training is one policy-gradient step
 per batch of completed episodes, with the batch-mean reward as baseline.
 """
@@ -16,20 +16,6 @@ import numpy as np
 from .substrate import MultiDomainSubstrate
 
 NUM_FEATURES = 3
-
-
-@dataclass
-class StateMatrix:
-    """Per-node features for one domain.
-
-    Rows follow ``node_ids``. ``raw`` holds [available cpu, incident
-    available bandwidth, incident distance sum]; ``features`` is the same
-    matrix min-max normalized per column (constant columns map to 0.5).
-    """
-
-    node_ids: list[int]
-    raw: np.ndarray
-    features: np.ndarray
 
 
 @dataclass
@@ -49,7 +35,7 @@ class DecisionTrace:
     the episode reward is shared by all samples.
     """
 
-    samples: list[tuple[StateMatrix, int]]
+    samples: list[tuple[np.ndarray, int]]
     reward: float
 
 
@@ -58,13 +44,17 @@ def init_params(rng: random.Random) -> PolicyParams:
     return PolicyParams(kernel=kernel, bias=0.0)
 
 
-def extract_state(substrate: MultiDomainSubstrate) -> list[StateMatrix]:
-    """Build every domain's state matrix from one substrate snapshot.
+def extract_state(substrate: MultiDomainSubstrate) -> list[np.ndarray]:
+    """Build every domain's state from one substrate snapshot.
 
-    Incident sums include inter-domain links. The distance column weights
-    each incident link's Euclidean length by 1/(1 + hops); incident links
-    are one hop away, so each contributes half its length. The states'
-    arrays are row slices of one matrix in ``substrate.domain_order``.
+    A domain's state is one row per node, in ascending node-id order (node
+    ``i`` is row ``substrate.row_in_domain[i]``), over the columns [available
+    cpu, incident available bandwidth, incident distance sum], min-max
+    normalized per column (constant columns map to 0.5). Incident sums
+    include inter-domain links. The distance column weights each incident
+    link's Euclidean length by 1/(1 + hops); incident links are one hop away,
+    so each contributes half its length. The states are row slices of one
+    matrix in ``substrate.domain_order``.
     """
     bounds, rows = substrate.domain_bounds, substrate.domain_rows
     raw = np.column_stack(
@@ -75,17 +65,14 @@ def extract_state(substrate: MultiDomainSubstrate) -> list[StateMatrix]:
     # min-max normalized per domain and column; constant columns map to 0.5
     features = np.full_like(raw, 0.5)
     np.divide(raw - lo[rows], span, out=features, where=span > 0)
-    return [
-        StateMatrix(substrate.domain_node_list(d), raw[a:b], features[a:b])
-        for d, (a, b) in enumerate(bounds)
-    ]
+    return [features[a:b] for a, b in bounds]
 
 
-def scores(params: PolicyParams, state: StateMatrix) -> np.ndarray:
-    return state.features @ params.kernel + params.bias
+def scores(params: PolicyParams, state: np.ndarray) -> np.ndarray:
+    return state @ params.kernel + params.bias
 
 
-def log_probs(params: PolicyParams, state: StateMatrix) -> np.ndarray:
+def log_probs(params: PolicyParams, state: np.ndarray) -> np.ndarray:
     z = scores(params, state)
     shifted = z - z.max()
     return shifted - np.log(np.exp(shifted).sum())
@@ -124,10 +111,10 @@ def train_step(params: PolicyParams, traces, learning_rate: float) -> tuple[Poli
                 state = sample_state
                 lp = log_probs(params, state)
                 p = np.exp(lp)
-                expected_features = p @ state.features
+                expected_features = p @ state
                 mass_error = p.sum() - 1.0
             loss += -advantage * lp[chosen]
-            grad_kernel += advantage * (expected_features - state.features[chosen])
+            grad_kernel += advantage * (expected_features - state[chosen])
             grad_bias += advantage * mass_error
     loss /= n_samples
     grad_kernel /= n_samples

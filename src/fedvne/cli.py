@@ -40,11 +40,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return "" if value is None else repr(value)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:

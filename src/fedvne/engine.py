@@ -294,7 +294,9 @@ def replay_validate(
     that order), then joint bandwidth per substrate link; a record that
     fails one of them is not applied. When ``final_vector`` is
     given it is compared against the replayed end-of-run resource vector,
-    which must match exactly.
+    which must match exactly. Demands must be non-negative, as validate_vnr
+    requires of every loaded or generated request: then an applied record
+    leaves no availability below zero, so that is not checked.
     """
     violations: list[str] = []
     cpu = np.array(initial.cpu_capacity, dtype=np.float64)
@@ -346,8 +348,6 @@ def replay_validate(
         for link_id, total in demand_on_link.items():
             bw[link_id] -= total
         heapq.heappush(departures, (vnr.t_e, vnr.vnr_id, record, demand_of))
-        if np.any(cpu < 0) or np.any(bw < 0):
-            return "availability driven below zero"
         return None
 
     for record in records:

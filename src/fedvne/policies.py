@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .agent import DomainAgent, StateMatrix, extract_state
+from .agent import DomainAgent, extract_state, scores
 from .substrate import MultiDomainSubstrate
 
 
@@ -66,12 +66,12 @@ class HflPolicy:
     substrate snapshot changed, and the probabilities and per-domain orders
     only when the snapshot or a parameter value changed; the block order
     depends on the request and is computed on every call. ``states`` holds
-    the per-domain state matrices the last ranking used.
+    the per-domain states the last ranking used.
     """
 
     def __init__(self, agents: dict[int, DomainAgent]):
         self.agents = agents
-        self.states: list[StateMatrix] = []
+        self.states: list[np.ndarray] = []
         self._snapshot = SubstrateSnapshot()
         self._param_key = None
         # padded per-domain cpu and probabilities in rank order, the per-domain
@@ -100,10 +100,9 @@ class HflPolicy:
 
     def _rank(self, substrate: MultiDomainSubstrate, params) -> None:
         bounds, rows = substrate.domain_bounds, substrate.domain_rows
-        # a softmax of the linear node scores per domain; only the matrix product
-        # and the sum stay per domain, because their all-node forms round differently
-        z = np.concatenate([s.features @ p.kernel for s, p in zip(self.states, params)])
-        z += np.array([p.bias for p in params])[rows]
+        # a softmax of the linear node scores per domain; only the scores and the
+        # sum stay per domain, because their all-node forms round differently
+        z = np.concatenate([scores(p, s) for s, p in zip(self.states, params)])
         e = np.exp(z - np.maximum.reduceat(z, substrate.domain_starts[:-1])[rows])
         probs = e / np.array([e[a:b].sum() for a, b in bounds])[rows]
         # rows ascend by node id inside each domain, so stable ties go to the lower id

@@ -135,13 +135,15 @@ class MultiDomainSubstrate:
         self.adjacency: list[list[tuple[int, int]]] = [sorted(e) for e in adj]
         # node ids grouped by domain, ascending inside each domain: domain d owns
         # positions a:b of domain_order, (a, b) = domain_bounds[d]; domain_rows
-        # holds each position's domain
+        # holds each position's domain and row_in_domain each node's offset in
+        # its domain's block, which is its row in that domain's state
         self.domain_order = np.argsort(self.node_domain, kind="stable")
         self.domain_rows = self.node_domain[self.domain_order]
         self.domain_starts = np.searchsorted(self.domain_rows, np.arange(self.num_domains + 1))
         starts = self.domain_starts.tolist()
         self.domain_bounds = list(zip(starts[:-1], starts[1:]))
-        self._domain_node_lists = [self.domain_order[a:b].tolist() for a, b in self.domain_bounds]
+        self.row_in_domain = np.empty(self.num_nodes, dtype=np.int64)
+        self.row_in_domain[self.domain_order] = np.arange(self.num_nodes) - self.domain_starts[self.domain_rows]
         # per node, half the Euclidean length of every incident link (one hop away)
         self.incident_distance = np.zeros(self.num_nodes)
         if self.num_links:
@@ -153,10 +155,6 @@ class MultiDomainSubstrate:
             )
 
     # -- accessors -----------------------------------------------------
-
-    def domain_node_list(self, domain_id: int) -> list[int]:
-        """The domain's node ids in ascending order, as a shared read-only list."""
-        return self._domain_node_lists[domain_id]
 
     def available_bw_sums(self) -> np.ndarray:
         """Per node, the sum of available bandwidth on incident links."""

@@ -89,8 +89,8 @@ class Trainer:
         for v in sorted(record.node_map):
             node_id = record.node_map[v]
             d = int(self.template.node_domain[node_id])
-            state = self.policy.states[d]
-            samples.setdefault(d, []).append((state, state.node_ids.index(node_id)))
+            row = int(self.template.row_in_domain[node_id])
+            samples.setdefault(d, []).append((self.policy.states[d], row))
         for d, sample_list in samples.items():
             self.agents[d].add_trace(DecisionTrace(samples=sample_list, reward=reward))
         self._window.add(record)

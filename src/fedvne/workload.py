@@ -93,7 +93,7 @@ def generate_substrate(config, seed: int) -> MultiDomainSubstrate:
     n = num_domains * per_domain
 
     tree_links = num_domains * (per_domain - 1)
-    domain_tree = num_domains - 1 if num_domains > 1 else 0
+    domain_tree = num_domains - 1
     if total_links < tree_links + domain_tree:
         raise ConfigError(
             f"{total_links} links cannot connect {num_domains} domains of {per_domain} nodes"
@@ -124,10 +124,9 @@ def generate_substrate(config, seed: int) -> MultiDomainSubstrate:
             add_edge(rng.choice(order[:i]), order[i])
 
     used = len(link_ends)
-    inter_target = 0
-    if num_domains > 1:
-        inter_target = max(domain_tree, round(total_links * config.inter_link_ratio))
-        inter_target = min(inter_target, max_inter, total_links - used)
+    # a single domain has max_inter == 0, so it draws no inter-domain link
+    inter_target = max(domain_tree, round(total_links * config.inter_link_ratio))
+    inter_target = min(inter_target, max_inter, total_links - used)
     intra_extra = total_links - used - inter_target
 
     # spread the extra intra links evenly across domains, lower domain ids
@@ -150,22 +149,21 @@ def generate_substrate(config, seed: int) -> MultiDomainSubstrate:
         for a, b in rng.sample(candidates, quota[d]):
             add_edge(a, b)
 
-    if num_domains > 1:
-        for d in range(1, num_domains):
-            other = rng.randrange(d)
-            add_edge(rng.choice(domain_ids[other]), rng.choice(domain_ids[d]))
-        remaining = inter_target - domain_tree
-        if remaining > 0:
-            candidates = sorted(
-                (min(a, b), max(a, b))
-                for da in range(num_domains)
-                for db in range(da + 1, num_domains)
-                for a in domain_ids[da]
-                for b in domain_ids[db]
-                if (min(a, b), max(a, b)) not in edges
-            )
-            for a, b in rng.sample(candidates, remaining):
-                add_edge(a, b)
+    for d in range(1, num_domains):
+        other = rng.randrange(d)
+        add_edge(rng.choice(domain_ids[other]), rng.choice(domain_ids[d]))
+    remaining = inter_target - domain_tree
+    if remaining > 0:
+        candidates = sorted(
+            (min(a, b), max(a, b))
+            for da in range(num_domains)
+            for db in range(da + 1, num_domains)
+            for a in domain_ids[da]
+            for b in domain_ids[db]
+            if (min(a, b), max(a, b)) not in edges
+        )
+        for a, b in rng.sample(candidates, remaining):
+            add_edge(a, b)
 
     bw = [float(rng.randint(config.bw_min, config.bw_max)) for _ in link_ends]
     return MultiDomainSubstrate(num_domains, node_domains, coords, cpu, link_ends, bw)
@@ -287,6 +285,14 @@ def _line_reader(path: str, fh):
     return next_line
 
 
+def _finite(path: str, line_no: int, text: str) -> float:
+    """``text`` as a float: ValueError when it does not parse, ParseError unless finite."""
+    value = float(text)
+    if not isfinite(value):
+        raise ParseError(path, line_no, f"number must be finite, got {text}")
+    return value
+
+
 def load_substrate(path) -> MultiDomainSubstrate:
     path = str(path)
     with open(path) as fh:
@@ -310,11 +316,7 @@ def load_substrate(path) -> MultiDomainSubstrate:
             try:
                 node_id, domain = int(fields[0]), int(fields[1])
                 # each number is checked as soon as it parses: the first bad field names the error
-                numbers = []
-                for text in fields[2:]:
-                    numbers.append(float(text))
-                    if not isfinite(numbers[-1]):
-                        raise ParseError(path, line_no, f"number must be finite, got {text}")
+                x, y, capacity = (_finite(path, line_no, text) for text in fields[2:])
             except ValueError:
                 raise ParseError(path, line_no, "malformed node line") from None
             if node_id != i:
@@ -323,8 +325,8 @@ def load_substrate(path) -> MultiDomainSubstrate:
                 )
             element_lines.append(line_no)
             node_domains.append(domain)
-            coords.append((numbers[0], numbers[1]))
-            cpu.append(numbers[2])
+            coords.append((x, y))
+            cpu.append(capacity)
 
         link_ends, bw = [], []
         for _ in range(num_links):
@@ -332,12 +334,9 @@ def load_substrate(path) -> MultiDomainSubstrate:
             if len(fields) != 3:
                 raise ParseError(path, line_no, "link line must be '<a> <b> <bw>'")
             try:
-                a, b = int(fields[0]), int(fields[1])
-                capacity = float(fields[2])
+                a, b, capacity = int(fields[0]), int(fields[1]), _finite(path, line_no, fields[2])
             except ValueError:
                 raise ParseError(path, line_no, "malformed link line") from None
-            if not isfinite(capacity):
-                raise ParseError(path, line_no, f"number must be finite, got {fields[2]}")
             element_lines.append(line_no)
             link_ends.append((a, b))
             bw.append(capacity)
@@ -394,12 +393,7 @@ def load_vnrs(path) -> list[VirtualNetworkRequest]:
                 )
             try:
                 vnr_id = int(fields[0])
-                t_s = float(fields[1])
-                if not isfinite(t_s):
-                    raise ParseError(path, header_line, f"number must be finite, got {fields[1]}")
-                t_e = float(fields[2])
-                if not isfinite(t_e):
-                    raise ParseError(path, header_line, f"number must be finite, got {fields[2]}")
+                t_s, t_e = _finite(path, header_line, fields[1]), _finite(path, header_line, fields[2])
                 n, m = int(fields[3]), int(fields[4])
             except ValueError:
                 raise ParseError(path, header_line, "malformed request header") from None
@@ -417,12 +411,9 @@ def load_vnrs(path) -> list[VirtualNetworkRequest]:
                 demand = demand_of.get(text)
                 if demand is None:
                     try:
-                        demand = float(text)
+                        demand = demand_of[text] = _finite(path, line_no, text)
                     except ValueError:
                         raise ParseError(path, line_no, "malformed cpu demand") from None
-                    if not isfinite(demand):
-                        raise ParseError(path, line_no, f"number must be finite, got {text}")
-                    demand_of[text] = demand
                 demands.append(demand)
             links = []
             for _ in range(m):
@@ -433,11 +424,9 @@ def load_vnrs(path) -> list[VirtualNetworkRequest]:
                 link = link_of.get(key)
                 if link is None:
                     try:
-                        a, b, demand = int(fields[0]), int(fields[1]), float(fields[2])
+                        a, b, demand = int(fields[0]), int(fields[1]), _finite(path, line_no, fields[2])
                     except ValueError:
                         raise ParseError(path, line_no, "malformed virtual link") from None
-                    if not isfinite(demand):
-                        raise ParseError(path, line_no, f"number must be finite, got {fields[2]}")
                     link = link_of[key] = (a, b, demand)
                 links.append(link)
             vnr = VirtualNetworkRequest(vnr_id, tuple(demands), tuple(links), t_s, t_e)

@@ -8,7 +8,7 @@ import re
 import numpy as np
 
 from fedvne import training
-from fedvne.agent import PolicyParams, StateMatrix, log_probs, scores
+from fedvne.agent import PolicyParams, log_probs, scores
 from fedvne.engine import EmbeddingRecord
 from fedvne.substrate import MultiDomainSubstrate
 from fedvne.workload import ParseError, ValidationError, VirtualNetworkRequest
@@ -87,7 +87,7 @@ def link_kind(substrate, link_id: int) -> str:
     return INTRA if substrate.node_domain[a] == substrate.node_domain[b] else INTER
 
 
-def forward(params: PolicyParams, state: StateMatrix) -> np.ndarray:
+def forward(params: PolicyParams, state: np.ndarray) -> np.ndarray:
     """Allocation probabilities: softmax over the linear node scores."""
     z = scores(params, state)
     z = z - z.max()
@@ -124,7 +124,7 @@ def indicator_acceptance(vnr, record: EmbeddingRecord) -> int:
 
 
 def reference_extract_state(substrate, domain_id):
-    """One domain's state matrix, built from that domain's rows alone."""
+    """One domain's node ids and state, built from that domain's rows alone."""
     ids = np.flatnonzero(substrate.node_domain == domain_id)
     raw = np.column_stack(
         [
@@ -139,7 +139,7 @@ def reference_extract_state(substrate, domain_id):
     for c in range(raw.shape[1]):
         if span[c] > 0:
             features[:, c] = (raw[:, c] - lo[c]) / span[c]
-    return StateMatrix(node_ids=ids.tolist(), raw=raw, features=features)
+    return ids.tolist(), features
 
 
 def feasible_view(substrate, vnr, candidates):
@@ -156,10 +156,10 @@ def reference_hfl_candidates(agents, substrate, vnr):
     domains = sorted(agents)
     ranked = {}
     for d in domains:
-        state = reference_extract_state(substrate, d)
+        ids, state = reference_extract_state(substrate, d)
         probs = forward(agents[d].params, state)
-        order = sorted(range(len(state.node_ids)), key=lambda r: (-probs[r], state.node_ids[r]))
-        ranked[d] = [(state.node_ids[r], float(state.raw[r, 0]), float(probs[r])) for r in order]
+        order = sorted(range(len(ids)), key=lambda r: (-probs[r], ids[r]))
+        ranked[d] = [(ids[r], float(substrate.cpu_available[ids[r]]), float(probs[r])) for r in order]
     candidates = []
     for demand in vnr.node_demands:
         blocks = []

@@ -20,7 +20,6 @@ from fedvne.agent import (
     DecisionTrace,
     DomainAgent,
     PolicyParams,
-    StateMatrix,
     train_step,
 )
 from fedvne.baselines import NodeRankPolicy, RandomPolicy
@@ -304,8 +303,7 @@ def test_c3_oracle_equivalence():
 
 
 def random_state(rng, rows):
-    features = np.array([[rng.random() for _ in range(3)] for _ in range(rows)])
-    return StateMatrix(node_ids=list(range(rows)), raw=features.copy(), features=features)
+    return np.array([[rng.random() for _ in range(3)] for _ in range(rows)])
 
 
 def test_c4_gradient_check():
@@ -318,7 +316,7 @@ def test_c4_gradient_check():
             samples = []
             for _ in range(rng.randint(1, 3)):
                 state = random_state(rng, rng.randint(2, 7))
-                samples.append((state, rng.randrange(len(state.node_ids))))
+                samples.append((state, rng.randrange(len(state))))
             traces.append(DecisionTrace(samples=samples, reward=rng.random()))
         params = PolicyParams(
             np.array([rng.uniform(-1, 1) for _ in range(3)]), rng.uniform(-0.5, 0.5)
@@ -355,7 +353,7 @@ def test_c4_gradient_check():
 
 def ready_agent(domain_id, kernel, bias):
     agent = DomainAgent(domain_id, PolicyParams(np.array(kernel, dtype=float), float(bias)))
-    state = StateMatrix([0, 1], np.ones((2, 3)), np.full((2, 3), 0.5))
+    state = np.full((2, 3), 0.5)
     agent.add_trace(DecisionTrace([(state, 0)], 1.0))
     agent.train(0.0)
     return agent

@@ -17,7 +17,6 @@ from fedvne.agent import (
     DecisionTrace,
     DomainAgent,
     PolicyParams,
-    StateMatrix,
     episode_reward,
     extract_state,
     init_params,
@@ -35,8 +34,7 @@ def params_of(kernel, bias=0.0):
 
 
 def random_state(rng, n_rows):
-    features = np.array([[rng.random() for _ in range(3)] for _ in range(n_rows)])
-    return StateMatrix(node_ids=list(range(n_rows)), raw=features.copy(), features=features)
+    return np.array([[rng.random() for _ in range(3)] for _ in range(n_rows)])
 
 
 def random_batch(rng, n_traces=4):
@@ -45,7 +43,7 @@ def random_batch(rng, n_traces=4):
         samples = []
         for _ in range(rng.randint(1, 3)):
             state = random_state(rng, rng.randint(2, 6))
-            samples.append((state, rng.randrange(len(state.node_ids))))
+            samples.append((state, rng.randrange(len(state))))
         traces.append(DecisionTrace(samples=samples, reward=rng.random()))
     return traces
 
@@ -85,33 +83,33 @@ def analytic_gradient(params, traces, learning_rate=1.0):
 def test_extract_state_single_isolated_node():
     sub = make_substrate([0], [40.0], [])
     state = extract_state(sub)[0]
-    assert state.raw.shape == (1, 3)
-    assert state.raw[0, 1] == 0.0 and state.raw[0, 2] == 0.0
-    assert (state.features[0] == 0.5).all()  # constant columns normalize to 0.5
+    assert state.shape == (1, 3)
+    assert sub.available_bw_sums()[0] == 0.0 and sub.incident_distance[0] == 0.0
+    assert (state[0] == 0.5).all()  # constant columns normalize to 0.5
 
 
 def test_extract_state_two_node_domain():
     sub = make_substrate([0, 0], [40.0, 40.0], [(0, 1, 40.0)], coords=[(0.0, 0.0), (3.0, 4.0)])
-    state = extract_state(sub)[0]
-    assert state.raw[:, 1].tolist() == [40.0, 40.0]
-    assert state.raw[:, 2].tolist() == [2.5, 2.5]  # distance 5 over 1 + 1 hop
+    assert extract_state(sub)[0].shape == (2, 3)
+    assert sub.available_bw_sums().tolist() == [40.0, 40.0]
+    assert sub.incident_distance.tolist() == [2.5, 2.5]  # distance 5 over 1 + 1 hop
 
 
 def test_extract_state_uses_available_not_capacity():
     sub = make_substrate([0, 0], [40.0, 40.0], [(0, 1, 40.0)])
     sub.allocate_node(0, 10.0)
     sub.allocate_path([0], 5.0)
-    state = extract_state(sub)[0]
-    assert state.raw[0, 0] == 30.0
-    assert state.raw[0, 1] == 35.0
+    assert extract_state(sub)[0][:, 0].tolist() == [0.0, 1.0]  # cpu 30 against 40
+    assert sub.cpu_available[0] == 30.0
+    assert sub.available_bw_sums()[0] == 35.0
 
 
 def test_extract_state_includes_inter_domain_links():
     sub = make_substrate(
         [0, 0, 1], [40.0] * 3, [(0, 1, 10.0), (1, 2, 20.0)], num_domains=2
     )
-    state = extract_state(sub)[0]
-    assert state.raw[1, 1] == 30.0  # node 1 counts its inter-domain link
+    assert extract_state(sub)[0][:, 1].tolist() == [0.0, 1.0]  # bw 10 against 30
+    assert sub.available_bw_sums()[1] == 30.0  # node 1 counts its inter-domain link
 
 
 def test_extract_state_default_scale_shape():
@@ -121,16 +119,16 @@ def test_extract_state_default_scale_shape():
     sub = generate_substrate(ExperimentConfig(), 2)
     for d in range(4):
         state = extract_state(sub)[d]
-        assert state.features.shape == (25, 3)
-        assert np.isfinite(state.features).all()
-        assert state.features.min() >= 0.0 and state.features.max() <= 1.0
+        assert state.shape == (25, 3)
+        assert np.isfinite(state).all()
+        assert state.min() >= 0.0 and state.max() <= 1.0
 
 
 # -- forward pass -------------------------------------------------------------
 
 
 def test_forward_uniform_for_equal_rows():
-    state = StateMatrix([0, 1, 2], np.ones((3, 3)), np.ones((3, 3)) * 0.5)
+    state = np.ones((3, 3)) * 0.5
     p = forward(params_of([1.0, -2.0, 0.5], 0.3), state)
     assert np.allclose(p, 1 / 3)
 
@@ -144,11 +142,7 @@ def test_forward_uniform_for_zero_kernel():
 
 def test_forward_matches_independent_softmax():
     # rows engineered so scores come out as {1, 2, 3}
-    state = StateMatrix(
-        [0, 1, 2],
-        np.zeros((3, 3)),
-        np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3.0, 0.0, 0.0]]),
-    )
+    state = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
     p = forward(params_of([1.0, 0.0, 0.0]), state)
     denominator = math.exp(1) + math.exp(2) + math.exp(3)
     expected = [math.exp(1) / denominator, math.exp(2) / denominator, math.exp(3) / denominator]
@@ -297,7 +291,7 @@ def test_train_step_reuse_never_crosses_states():
             lp = log_probs(params, state)
             p = np.exp(lp)
             loss += -advantage * lp[chosen]
-            grad_kernel += advantage * (p @ state.features - state.features[chosen])
+            grad_kernel += advantage * (p @ state - state[chosen])
             grad_bias += advantage * (p.sum() - 1.0)
     updated, step_loss = train_step(params, traces, 0.1)
     assert step_loss == float(loss / 6)

@@ -115,6 +115,20 @@ def test_env_var_supplies_config(tmp_path, monkeypatch, capsys):
     assert cli.main(["generate", "--out-dir", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("name", ["missing.cfg", "."])  # no such file; a directory
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_unreadable_config_file_exits_one(tmp_path, monkeypatch, capsys, name, source):
+    path = tmp_path / name
+    args = ["generate", "--out-dir", str(tmp_path / "out")]
+    if source == "flag":
+        args += ["--config", str(path)]
+    else:
+        monkeypatch.setenv(cli.CONFIG_ENV_VAR, str(path))
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err.startswith(f"config error: cannot read config file {path}: ")
+    assert not (tmp_path / "out").exists()
+
+
 # -- subcommands --------------------------------------------------------------
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from _helpers import exactly
-from fedvne.agent import DecisionTrace, DomainAgent, PolicyParams, StateMatrix
+from fedvne.agent import DecisionTrace, DomainAgent, PolicyParams
 from fedvne.federation import (
     Coordinator,
     ParamUpload,
@@ -21,7 +21,7 @@ def upload(domain_id, kernel, bias, count, loss=0.0):
 def agent_with_pending(domain_id, kernel, bias, reward=0.5):
     """An agent that has trained once and is ready to upload."""
     agent = DomainAgent(domain_id, PolicyParams(np.array(kernel, dtype=float), bias))
-    state = StateMatrix([0, 1], np.ones((2, 3)), np.full((2, 3), 0.5))
+    state = np.full((2, 3), 0.5)
     agent.add_trace(DecisionTrace([(state, 0)], reward))
     agent.train(0.0)  # zero step: upload bookkeeping without moving params
     return agent
@@ -141,7 +141,7 @@ def test_two_round_trace_matches_hand_computation():
 
     def local_step(agent):
         agent.params.kernel = agent.params.kernel - 0.25 * (agent.params.kernel - target)
-        state = StateMatrix([0], np.ones((1, 3)), np.full((1, 3), 0.5))
+        state = np.full((1, 3), 0.5)
         agent.add_trace(DecisionTrace([(state, 0)], 1.0))
         agent.train(0.0)
 
@@ -164,7 +164,7 @@ def test_two_round_trace_matches_hand_computation():
 
 def test_run_round_reports_mean_pending_reward_per_domain():
     agents = {0: agent_with_pending(0, [0, 0, 0], 0.0, reward=0.25)}
-    state = StateMatrix([0, 1], np.ones((2, 3)), np.full((2, 3), 0.5))
+    state = np.full((2, 3), 0.5)
     agents[0].add_trace(DecisionTrace([(state, 1)], 1.0))
     agents[0].train(0.0)
     # samples but no recorded rewards: the round reports a mean of 0.0

@@ -83,8 +83,8 @@ def test_trainer_routes_traces_to_owning_domains():
         for trace in agent.buffer:
             assert trace.reward == record.revenue / record.cost
             for state, row in trace.samples:
-                node_id = state.node_ids[row]
-                assert int(sub.node_domain[node_id]) == d
+                assert state is trainer.policy.states[d]
+                node_id = int(np.flatnonzero(sub.node_domain == d)[row])
                 assert node_id in record.node_map.values()
                 placed += 1
     assert placed == vnr.num_nodes

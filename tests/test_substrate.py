@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import applied_record, exactly, link_kind, make_substrate, make_vnr, reference_union_find
+from fedvne.agent import extract_state
 from fedvne.engine import min_hop_path
 from fedvne.substrate import MultiDomainSubstrate, union_find
 
@@ -230,6 +231,18 @@ def test_link_kind_derivation():
     sub = make_substrate([0, 0, 1], [10.0] * 3, [(0, 1, 5.0), (1, 2, 5.0)], num_domains=2)
     assert link_kind(sub, 0) == "intra"
     assert link_kind(sub, 1) == "inter"
+
+
+def test_row_in_domain_counts_each_domain_in_node_order():
+    # domain 0 holds nodes 1, 3, 4 and domain 1 nodes 0, 2
+    links = [(1, 3, 5.0), (3, 4, 5.0), (0, 2, 5.0), (0, 1, 5.0)]
+    sub = make_substrate([1, 0, 1, 0, 0], [10.0, 20.0, 30.0, 40.0, 50.0], links)
+    assert sub.row_in_domain.dtype == np.int64
+    assert sub.row_in_domain.tolist() == [0, 0, 1, 1, 2]
+    states = extract_state(sub)
+    # rows follow node ids: cpu 20, 40, 50 in domain 0 and 10, 30 in domain 1
+    assert states[0][:, 0].tolist() == [0.0, 2 / 3, 1.0]
+    assert states[1][:, 0].tolist() == [0.0, 1.0]
 
 
 def test_copy_isolates_availability():

@@ -41,7 +41,7 @@ def test_generate_substrate_default_scale():
     assert sub.num_links == 600
     assert sub.num_domains == 4
     for d in range(4):
-        assert len(sub.domain_node_list(d)) == 25
+        assert sub.node_domain.tolist().count(d) == 25
     kinds = {link_kind(sub, i) for i in range(sub.num_links)}
     assert kinds == {"intra", "inter"}
     assert all(50 <= c <= 100 for c in sub.cpu_capacity)
