@@ -79,8 +79,7 @@ class Coordinator:
                 raise ValueError(f"domain {d} has not produced a training batch")
             local_loss = agent.pending_loss_weighted / agent.pending_samples
             uploads.append(ParamUpload(d, agent.params.copy(), agent.pending_samples, local_loss))
-            rewards = agent.pending_rewards
-            reward_means[d] = float(np.mean(rewards)) if rewards else 0.0
+            reward_means[d] = float(np.mean(agent.pending_rewards))
         params = aggregate(uploads)
         loss = global_loss(uploads)
         for d in self.domain_ids:

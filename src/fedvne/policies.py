@@ -11,9 +11,10 @@ A provider may keep state between calls only if its output stays a function
 of the substrate snapshot (the topology and the bytes of ``cpu_available``
 and ``bw_available``), the request and, for the trained multi-domain policy,
 the values of the domains' parameters. Both ranking providers keep their last
-ranking and redo it only when ``SubstrateSnapshot`` or the parameters say it
-is stale. ``RandomPolicy`` is the one provider whose output is not a function
-of the snapshot: it draws fresh scores per arrival.
+ranking and redo all of it when ``SubstrateSnapshot.changed`` says it is
+stale; ``HflPolicy`` passes its parameter values as the snapshot's extra key.
+``RandomPolicy`` is the one provider whose output is not a function of the
+snapshot: it draws fresh scores per arrival.
 """
 
 from __future__ import annotations
@@ -32,24 +33,22 @@ def ranked_by_score(score: np.ndarray) -> list[int]:
 class SubstrateSnapshot:
     """Tells a provider whether the substrate changed since its last ranking.
 
-    A snapshot is the topology plus the bytes of both availability arrays.
-    ``MultiDomainSubstrate.copy()`` shares every topology attribute, so the
-    identity of the adjacency list stands for the topology. A held reference
-    keeps that list alive, so its identity cannot be reused by another one.
+    A snapshot is the topology, the bytes of both availability arrays and the
+    caller's ``extra`` key, compared by value. ``MultiDomainSubstrate.copy()``
+    shares every topology attribute, so the identity of the adjacency list
+    stands for the topology. A held reference keeps that list alive, so its
+    identity cannot be reused by another one.
     """
 
     def __init__(self):
-        self._topology = None
-        self._cpu = b""
-        self._bw = b""
+        self._topology = self._key = None
 
-    def changed(self, substrate: MultiDomainSubstrate) -> bool:
-        """True when ``substrate`` differs from the previous call's; remembers it."""
-        cpu = substrate.cpu_available.tobytes()
-        bw = substrate.bw_available.tobytes()
-        if substrate.adjacency is self._topology and cpu == self._cpu and bw == self._bw:
+    def changed(self, substrate: MultiDomainSubstrate, extra=None) -> bool:
+        """True when ``substrate`` or ``extra`` differs from the last call's; remembers both."""
+        key = (substrate.cpu_available.tobytes(), substrate.bw_available.tobytes(), extra)
+        if substrate.adjacency is self._topology and key == self._key:
             return False
-        self._topology, self._cpu, self._bw = substrate.adjacency, cpu, bw
+        self._topology, self._key = substrate.adjacency, key
         return True
 
 
@@ -62,18 +61,16 @@ class HflPolicy:
     carry, and inside each block all the domain's nodes follow its
     probabilities. Requests therefore pack into the domain whose agent
     currently offers the most allocatable probability instead of scattering
-    across all domains. The states are extracted again only when the
-    substrate snapshot changed, and the probabilities and per-domain orders
-    only when the snapshot or a parameter value changed; the block order
-    depends on the request and is computed on every call. ``states`` holds
-    the per-domain states the last ranking used.
+    across all domains. The states, probabilities and per-domain orders are
+    built again, together, only when the substrate snapshot or a parameter
+    value changed; the block order depends on the request and is computed on
+    every call. ``states`` holds the per-domain states the last ranking used.
     """
 
     def __init__(self, agents: dict[int, DomainAgent]):
         self.agents = agents
         self.states: list[np.ndarray] = []
         self._snapshot = SubstrateSnapshot()
-        self._param_key = None
         # padded per-domain cpu and probabilities in rank order, the per-domain
         # ranked id lists, and the joined list of every block order seen so far
         self._cpu = self._prob = None
@@ -82,12 +79,8 @@ class HflPolicy:
 
     def __call__(self, substrate: MultiDomainSubstrate, vnr):
         params = [self.agents[d].params for d in range(substrate.num_domains)]
-        param_key = [(p.kernel.tobytes(), p.bias) for p in params]
-        if self._snapshot.changed(substrate):
+        if self._snapshot.changed(substrate, [(p.kernel.tobytes(), p.bias) for p in params]):
             self.states = extract_state(substrate)
-            self._param_key = None
-        if param_key != self._param_key:
-            self._param_key = param_key
             self._rank(substrate, params)
         feasible = self._cpu >= np.array(vnr.node_demands)[:, None, None]
         mass = np.cumsum(np.where(feasible, self._prob, 0.0), axis=-1)[..., -1]

@@ -84,6 +84,8 @@ def test_extract_state_single_isolated_node():
     sub = make_substrate([0], [40.0], [])
     state = extract_state(sub)[0]
     assert state.shape == (1, 3)
+    # float zeros, as for a linked node: a weighted bincount over no links would give int64
+    assert sub.available_bw_sums().dtype == np.float64
     assert sub.available_bw_sums()[0] == 0.0 and sub.incident_distance[0] == 0.0
     assert (state[0] == 0.5).all()  # constant columns normalize to 0.5
 
@@ -252,6 +254,14 @@ def test_train_step_single_trace_is_noop():
     updated, loss = train_step(params, [trace], 1.0)
     assert loss == 0.0
     assert np.array_equal(updated.kernel, params.kernel)
+
+
+def test_train_step_without_samples_is_noop():
+    params = params_of([0.2, -0.3, 0.4], 0.1)
+    updated, loss = train_step(params, [DecisionTrace([], 0.2), DecisionTrace([], 0.8)], 1.0)
+    assert loss == 0.0
+    assert np.array_equal(updated.kernel, params.kernel) and updated.bias == params.bias
+    assert updated is not params
 
 
 def test_train_step_duplicate_traces_same_loss():

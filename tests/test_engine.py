@@ -6,6 +6,7 @@ import pytest
 
 from _helpers import indicator_acceptance, make_substrate, make_vnr
 from fedvne import engine
+from fedvne.baselines import NodeRankPolicy
 from fedvne.engine import (
     attempt_embedding,
     embed_links,
@@ -169,6 +170,24 @@ def test_run_simulation_single_feasible_vnr():
     assert ledger.summary()[2] == 1.0
     assert records[0].accepted
     assert not records[0].outstanding  # departure drained at end of run
+    assert sub.resource_vector().tobytes() == initial.tobytes()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ValueError,
+    reason="float availability: 1.0 - 0.2 - 0.1 + 0.2 + 0.1 is 1.0000000000000002, "
+    "so the last release is refused until resources are held in integer units",
+)
+def test_run_simulation_gives_back_fractional_bandwidth_exactly():
+    sub = make_substrate([0] * 2, [10.0] * 2, [(0, 1, 1.0)])
+    initial = sub.resource_vector()
+    vnrs = [
+        make_vnr(0, node_demands=(1.0, 1.0), link_demands=((0, 1, 0.2),), t_s=0.0, t_e=5.0),
+        make_vnr(1, node_demands=(1.0, 1.0), link_demands=((0, 1, 0.1),), t_s=1.0, t_e=10.0),
+    ]
+    _, _, records = run_simulation(sub, vnrs, NodeRankPolicy())
+    assert [r.accepted for r in records] == [True, True]
     assert sub.resource_vector().tobytes() == initial.tobytes()
 
 

@@ -167,9 +167,7 @@ def test_run_round_reports_mean_pending_reward_per_domain():
     state = np.full((2, 3), 0.5)
     agents[0].add_trace(DecisionTrace([(state, 1)], 1.0))
     agents[0].train(0.0)
-    # samples but no recorded rewards: the round reports a mean of 0.0
-    agents[1] = DomainAgent(1, PolicyParams(np.zeros(3), 0.0))
-    agents[1].pending_samples = 1
+    agents[1] = agent_with_pending(1, [0, 0, 0], 0.0, reward=0.0)
     fed_round = Coordinator(agents.keys()).run_round(agents)
     assert fed_round.reward_means == {0: 0.625, 1: 0.0}
     assert all(not a.pending_rewards for a in agents.values())

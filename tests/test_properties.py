@@ -430,7 +430,7 @@ def test_rankings_are_redone_only_when_the_snapshot_or_the_parameters_change(mon
     assert hfl(sub, vnr)[0] == [0, 1, 2]
     agents[0].params.kernel[0] = -1.0
     assert hfl(sub, vnr)[0] == [2, 1, 0]
-    assert calls["extract_state"] == 3
+    assert calls["extract_state"] == 4
 
     # the same availability bytes over another topology
     other = make_substrate([0, 0, 0], [30.0, 20.0, 10.0], [(0, 2, 20.0), (2, 1, 20.0)])
@@ -438,3 +438,17 @@ def test_rankings_are_redone_only_when_the_snapshot_or_the_parameters_change(mon
     assert noderank(other, vnr) == NodeRankPolicy()(other, vnr) != noderank(sub, vnr)
     hfl(other, vnr)
     assert hfl.states[0].tobytes() == extract_state(other)[0].tobytes()
+
+
+def test_hfl_ranks_again_over_equal_links_in_other_domains():
+    """Equal links do not mean equal domains or coordinates: the topology is
+    told apart by identity, so a substrate with the same links, capacities and
+    availability but another domain layout gets a fresh ranking."""
+    links = [(0, 1, 20.0), (1, 2, 20.0), (2, 3, 20.0), (0, 3, 20.0)]
+    cpu = [40.0, 30.0, 20.0, 10.0]
+    agents = {d: DomainAgent(d, PolicyParams(np.array([1.0, 0.0, 0.0]), 0.0)) for d in (0, 1)}
+    vnr = make_vnr(node_demands=(5.0, 5.0))
+    hfl = HflPolicy(agents)
+    hfl(make_substrate([0, 0, 1, 1], cpu, links), vnr)
+    other = make_substrate([0, 1, 1, 0], cpu, links)
+    assert hfl(other, vnr) == HflPolicy(agents)(other, vnr)
