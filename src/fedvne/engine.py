@@ -133,9 +133,10 @@ def embed_nodes(
 ) -> dict[int, int] | None:
     """Greedy node placement into ``node_map``.
 
-    Virtual nodes are processed in descending cpu demand; each takes the
-    highest-priority candidate not already used by this request that has
-    enough cpu, and is allocated and mapped at once. Returns the filled map,
+    Virtual nodes are processed in descending cpu demand; each walks its own
+    order (an iterable, walked once) up to the first candidate not already
+    used by this request that has enough cpu, and is allocated and mapped at
+    once; orders must not share an iterator. Returns the filled map,
     or None at the first virtual node no candidate can host; the placements
     made before it stay allocated and mapped, for the caller to release. Cpu
     is read once, at entry: during the stage only nodes this request took

@@ -1,11 +1,12 @@
 """Policy-provider adapters for the embedding engine.
 
 A policy provider is a callable (substrate, vnr) -> candidate orders, one
-descending-priority list of substrate node ids per virtual node. An order
-may hold nodes that cannot host its virtual node: the engine's node stage
-skips those, along with nodes the request already uses, so providers do not
-filter. Virtual nodes may share one list, and nobody mutates it, so a
-provider may also hand out the same list on later calls.
+per virtual node: an iterable of substrate node ids by descending priority
+that the engine's node stage walks once, up to the first node that fits. An
+order may hold nodes that cannot host its virtual node: the node stage skips
+those, along with nodes the request already uses, so providers do not filter.
+Orders from one call never share an iterator, but they may share one list,
+which nobody mutates; a provider may also hand out that list on later calls.
 
 A provider may keep state between calls only if its output stays a function
 of the substrate snapshot (the topology and the bytes of ``cpu_available``
@@ -18,6 +19,8 @@ snapshot: it draws fresh scores per arrival.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -64,18 +67,17 @@ class HflPolicy:
     across all domains. The states, probabilities and per-domain orders are
     built again, together, only when the substrate snapshot or a parameter
     value changed; the block order depends on the request and is computed on
-    every call. ``states`` holds the per-domain states the last ranking used.
+    every call, and each virtual node gets a fresh lazy walk over its blocks.
+    ``states`` holds the per-domain states the last ranking used.
     """
 
     def __init__(self, agents: dict[int, DomainAgent]):
         self.agents = agents
         self.states: list[np.ndarray] = []
         self._snapshot = SubstrateSnapshot()
-        # padded per-domain cpu and probabilities in rank order, the per-domain
-        # ranked id lists, and the joined list of every block order seen so far
+        # padded per-domain cpu and probabilities in rank order; per-domain ranked ids
         self._cpu = self._prob = None
         self._lists: list[list[int]] = []
-        self._joined: dict[tuple, list[int]] = {}
 
     def __call__(self, substrate: MultiDomainSubstrate, vnr):
         params = [self.agents[d].params for d in range(substrate.num_domains)]
@@ -84,12 +86,8 @@ class HflPolicy:
             self._rank(substrate, params)
         feasible = self._cpu >= np.array(vnr.node_demands)[:, None, None]
         mass = np.cumsum(np.where(feasible, self._prob, 0.0), axis=-1)[..., -1]
-        blocks = [tuple(b) for b in np.argsort(-mass, axis=1, kind="stable").tolist()]
-        joined = self._joined
-        for b in blocks:
-            if b not in joined:
-                joined[b] = [node_id for d in b for node_id in self._lists[d]]
-        return [joined[b] for b in blocks]
+        blocks = np.argsort(-mass, axis=1, kind="stable").tolist()
+        return [chain.from_iterable([self._lists[d] for d in b]) for b in blocks]
 
     def _rank(self, substrate: MultiDomainSubstrate, params) -> None:
         bounds, rows = substrate.domain_bounds, substrate.domain_rows
@@ -111,4 +109,3 @@ class HflPolicy:
         self._prob[cells] = probs[order]
         ranked = ids.tolist()
         self._lists = [ranked[a:b] for a, b in bounds]
-        self._joined = {}

@@ -145,26 +145,20 @@ class MultiDomainSubstrate:
         self.row_in_domain = np.empty(self.num_nodes, dtype=np.int64)
         self.row_in_domain[self.domain_order] = np.arange(self.num_nodes) - self.domain_starts[self.domain_rows]
         # per node, half the Euclidean length of every incident link (one hop away)
-        self.incident_distance = np.zeros(self.num_nodes)
-        if self.num_links:
-            delta = self.coords[self.link_ends[:, 0]] - self.coords[self.link_ends[:, 1]]
-            self.incident_distance = np.bincount(
-                self.link_ends.ravel(),
-                weights=np.repeat(np.hypot(delta[:, 0], delta[:, 1]) / 2.0, 2),
-                minlength=self.num_nodes,
-            )
+        delta = self.coords[self.link_ends[:, 0]] - self.coords[self.link_ends[:, 1]]
+        self.incident_distance = self._incident_sums(np.hypot(delta[:, 0], delta[:, 1]) / 2.0)
+
+    def _incident_sums(self, per_link: np.ndarray) -> np.ndarray:
+        """Per node, the sum of ``per_link`` over its incident links. Float64 for
+        every link count: a weighted bincount over no links gives int64 zeros."""
+        sums = np.bincount(self.link_ends.ravel(), weights=np.repeat(per_link, 2), minlength=self.num_nodes)
+        return sums.astype(np.float64, copy=False)
 
     # -- accessors -----------------------------------------------------
 
     def available_bw_sums(self) -> np.ndarray:
         """Per node, the sum of available bandwidth on incident links."""
-        if not self.num_links:
-            return np.zeros(self.num_nodes)
-        return np.bincount(
-            self.link_ends.ravel(),
-            weights=np.repeat(self.bw_available, 2),
-            minlength=self.num_nodes,
-        )
+        return self._incident_sums(self.bw_available)
 
     def resource_vector(self) -> np.ndarray:
         """Concatenated cpu/bw availability, for conservation checks."""

@@ -86,6 +86,7 @@ def test_extract_state_single_isolated_node():
     assert state.shape == (1, 3)
     # float zeros, as for a linked node: a weighted bincount over no links would give int64
     assert sub.available_bw_sums().dtype == np.float64
+    assert sub.incident_distance.dtype == np.float64
     assert sub.available_bw_sums()[0] == 0.0 and sub.incident_distance[0] == 0.0
     assert (state[0] == 0.5).all()  # constant columns normalize to 0.5
 

@@ -66,7 +66,27 @@ def test_hfl_policy_is_deterministic():
     sub = workload.generate_substrate(cfg, 18)
     policy = HflPolicy(fresh_agents(sub))
     vnr = make_vnr(node_demands=(10.0, 20.0))
-    assert policy(sub, vnr) == policy(sub, vnr)
+    assert [list(o) for o in policy(sub, vnr)] == [list(o) for o in policy(sub, vnr)]
+
+
+def test_hfl_policy_walks_each_virtual_node_independently():
+    """Two virtual nodes of equal demand get the same block order; each must
+    still walk it from the start, so no two orders may share one iterator."""
+    # domain 0 (nodes 0-2) fits both virtual nodes; node 4 of domain 1 fits neither
+    sub = make_substrate(
+        [0, 0, 0, 1, 1], [40.0, 40.0, 40.0, 40.0, 5.0],
+        [(0, 1, 20.0), (1, 2, 20.0), (2, 3, 20.0), (3, 4, 20.0)], num_domains=2,
+    )
+    agents = fresh_agents(sub)
+    hfl = HflPolicy(agents)
+    vnr = make_vnr(node_demands=(10.0, 10.0), link_demands=((0, 1, 5.0),))
+    walked = [list(o) for o in hfl(sub, vnr)]
+    assert walked[0] == walked[1]
+    assert feasible_view(sub, vnr, walked) == reference_hfl_candidates(agents, sub, vnr)
+    record = engine.attempt_embedding(sub, vnr, hfl(sub, vnr))
+    assert record.accepted
+    assert len(set(record.node_map.values())) == 2
+    assert set(record.node_map.values()) <= {0, 1, 2}
 
 
 def test_trainer_routes_traces_to_owning_domains():
