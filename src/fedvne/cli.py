@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import os
 import sys
 import time
 from pathlib import Path
@@ -31,9 +30,6 @@ from .config import (
 from .policies import HflPolicy
 from .training import Trainer
 
-CONFIG_ENV_VAR = "FEDVNE_CONFIG"
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # bad flags are configuration errors
         raise ConfigError(message)
@@ -44,7 +40,7 @@ def _fmt(value) -> str:
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help=f"config file (default: ${CONFIG_ENV_VAR} if set)")
+    parser.add_argument("--config", help="config file; flags override its values")
     for name, kind in field_types().items():
         parser.add_argument(
             "--" + name.replace("_", "-"),
@@ -56,8 +52,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_config(args) -> ExperimentConfig:
-    path = args.config or os.environ.get(CONFIG_ENV_VAR)
-    config = load_config(path) if path else ExperimentConfig()
+    config = load_config(args.config) if args.config else ExperimentConfig()
     overrides = {
         f.name: getattr(args, f.name)
         for f in dataclasses.fields(ExperimentConfig)
@@ -304,7 +299,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (workload.ParseError, workload.ValidationError, OSError, ValueError, RuntimeError) as exc:
+    except (workload.ParseError, workload.ValidationError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -118,9 +118,7 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
             values[key] = types[key](value)
         except ValueError:
             raise ConfigError(f"{source}:{line_no}: bad value for '{key}'") from None
-    config = ExperimentConfig(**values)
-    config.validate()
-    return config
+    return ExperimentConfig(**values)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -133,6 +131,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def apply_overrides(config: ExperimentConfig, overrides: dict[str, object]) -> ExperimentConfig:
+    """The config with the overrides applied, checked once as a whole."""
     updated = dataclasses.replace(config, **overrides)
     updated.validate()
     return updated

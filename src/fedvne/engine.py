@@ -416,12 +416,16 @@ def _parse_decision(line: str) -> EmbeddingRecord:
             raise ValueError(f"{name} must be finite, got {getattr(record, name)}")
     if fields[5]:
         for pair in fields[5].split("|"):
-            v, node = pair.split(":")
-            record.node_map[int(v)] = int(node)
+            v, node = (int(x) for x in pair.split(":"))
+            if v in record.node_map:
+                raise ValueError(f"node_map repeats virtual node {v}")
+            record.node_map[v] = node
     if fields[7]:
         for chunk in fields[7].split("|"):
             key, seq = chunk.split(":")
             a, b = (int(x) for x in key.split("-"))
+            if (a, b) in record.link_paths:
+                raise ValueError(f"link_paths repeats virtual link {a}-{b}")
             record.link_paths[(a, b)] = [int(x) for x in seq.split(">")] if seq else []
     if fields[6] != _format_paths(record)[0]:
         raise ValueError(f"path_hops {fields[6]} do not match link_paths")

@@ -66,10 +66,15 @@ def test_config_round_trip():
     assert parsed.to_text() == config.to_text()
 
 
+def checked(text):
+    """The config a file holding ``text`` resolves to with no flags: parsed, then checked once."""
+    return apply_overrides(parse_config_text(text), {})
+
+
 @pytest.mark.parametrize("text", ["cpu_min=80\ncpu_max=20\n", "cpu_min=50.0\n"])
 def test_config_rejects_bad_range(text):
     with pytest.raises(ConfigError):
-        parse_config_text(text)
+        checked(text)
 
 
 @pytest.mark.parametrize(
@@ -86,7 +91,7 @@ def test_config_rejects_bad_range(text):
 )
 def test_config_rejects_each_bad_value(text, message):
     with pytest.raises(ConfigError, match=exactly(message)):
-        parse_config_text(text)
+        checked(text)
 
 
 def test_config_rejects_unknown_key():
@@ -95,8 +100,25 @@ def test_config_rejects_unknown_key():
 
 
 def test_config_rejects_bad_split():
-    with pytest.raises(ConfigError):
-        parse_config_text("vnr_count=10\ntrain_count=8\ntest_count=8\n")
+    with pytest.raises(ConfigError, match=exactly("train_count + test_count must not exceed vnr_count")):
+        checked("vnr_count=10\ntrain_count=8\ntest_count=8\n")
+
+
+def test_config_file_values_are_checked_after_the_flags(tmp_path, capsys):
+    """A file value the flags make valid is accepted; a flag the file cannot mend is refused."""
+    path = tmp_path / "run.cfg"
+    path.write_text("train_count=1500\n")  # with the default test_count, 2500 > vnr_count
+    merged, flags_only = tmp_path / "merged", tmp_path / "flags"
+    assert cli.main(["generate", "--config", str(path), "--test-count", "100", "--out-dir", str(merged)]) == 0
+    assert cli.main(["generate", "--train-count", "1500", "--test-count", "100", "--out-dir", str(flags_only)]) == 0
+    for name in ("substrate.txt", "vnrs.txt"):
+        assert (merged / name).read_bytes() == (flags_only / name).read_bytes()
+    capsys.readouterr()
+    path.write_text("train_count=100\ntest_count=100\n")
+    args = ["generate", "--config", str(path), "--train-count", "1950", "--out-dir", str(tmp_path / "out")]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == "config error: train_count + test_count must not exceed vnr_count\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_file_and_overrides(tmp_path):
@@ -108,22 +130,10 @@ def test_config_file_and_overrides(tmp_path):
     assert overridden.seed == 11
 
 
-def test_env_var_supplies_config(tmp_path, monkeypatch, capsys):
-    path = tmp_path / "env.cfg"
-    path.write_text("cpu_min=200\ncpu_max=100\n")  # invalid on purpose
-    monkeypatch.setenv(cli.CONFIG_ENV_VAR, str(path))
-    assert cli.main(["generate", "--out-dir", str(tmp_path)]) == 1
-
-
 @pytest.mark.parametrize("name", ["missing.cfg", "."])  # no such file; a directory
-@pytest.mark.parametrize("source", ["flag", "env"])
-def test_unreadable_config_file_exits_one(tmp_path, monkeypatch, capsys, name, source):
+def test_unreadable_config_file_exits_one(tmp_path, capsys, name):
     path = tmp_path / name
-    args = ["generate", "--out-dir", str(tmp_path / "out")]
-    if source == "flag":
-        args += ["--config", str(path)]
-    else:
-        monkeypatch.setenv(cli.CONFIG_ENV_VAR, str(path))
+    args = ["generate", "--out-dir", str(tmp_path / "out"), "--config", str(path)]
     assert cli.main(args) == 1
     assert capsys.readouterr().err.startswith(f"config error: cannot read config file {path}: ")
     assert not (tmp_path / "out").exists()
@@ -544,6 +554,9 @@ def test_validate_names_the_request_of_a_hand_edited_log(tmp_path, capsys, fault
         (6, "7", "path_hops 7 do not match link_paths"),
         (1, "nan", "t_s must be finite, got nan"),
         (4, "inf", "cost must be finite, got inf"),
+        # a repeated entry would otherwise keep only its last value
+        (5, "0:999|0:1", "node_map repeats virtual node 0"),
+        (7, "0-1:3|0-1:3", "link_paths repeats virtual link 0-1"),
     ],
 )
 def test_validate_malformed_log_names_file_and_line(tmp_path, capsys, field, value, message):
