@@ -52,7 +52,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_config(args) -> ExperimentConfig:
-    config = load_config(args.config) if args.config else ExperimentConfig()
+    config = load_config(args.config) if args.config is not None else ExperimentConfig()
     overrides = {
         f.name: getattr(args, f.name)
         for f in dataclasses.fields(ExperimentConfig)

@@ -66,11 +66,25 @@ def min_hop_path(
     frontier grows first affects only the running time: the result depends
     only on the subgraph of feasible links. Distances live in two per-call
     lists indexed by node id: 1 + the distance from that side, 0 if unreached.
+
+    Between two domains the search first reads the domains' border links
+    (``substrate.node_borders``) and returns None when every border link of
+    either domain has less bandwidth than the demand. This is exact: every
+    path leaves src's domain over one of its border links and enters dst's
+    domain over one of its own, so no feasible path exists then.
     """
     if src == dst:
         return []
     adjacency = substrate.adjacency
     bw = memoryview(substrate.bw_available)
+    src_borders, dst_borders = substrate.node_borders[src], substrate.node_borders[dst]
+    if src_borders is not dst_borders:
+        for borders in (src_borders, dst_borders):
+            for link_id in borders:
+                if not bw[link_id] < bw_demand:
+                    break
+            else:
+                return None
     from_src = [0] * len(adjacency)
     from_dst = [0] * len(adjacency)
     from_src[src] = from_dst[dst] = 1

@@ -47,6 +47,11 @@ class MultiDomainSubstrate:
     index them through a ``memoryview`` taken once per call, whose items are
     plain Python floats (an array index builds a numpy scalar). No view is
     kept on the instance: a ``copy()`` shares all but the availability arrays.
+
+    The border index is static like ``adjacency``: ``node_borders[i]`` lists
+    the inter-domain link ids of node i's domain in ascending order, one list
+    object per domain, so two nodes lie in one domain exactly when their lists
+    are the same object.
     """
 
     def __init__(
@@ -144,6 +149,14 @@ class MultiDomainSubstrate:
         self.domain_bounds = list(zip(starts[:-1], starts[1:]))
         self.row_in_domain = np.empty(self.num_nodes, dtype=np.int64)
         self.row_in_domain[self.domain_order] = np.arange(self.num_nodes) - self.domain_starts[self.domain_rows]
+        # per domain, its inter-domain link ids; each node holds its domain's list
+        domains = self.node_domain.tolist()
+        borders: list[list[int]] = [[] for _ in range(self.num_domains)]
+        for lid, (a, b) in enumerate(ends):
+            if domains[a] != domains[b]:
+                borders[domains[a]].append(lid)
+                borders[domains[b]].append(lid)
+        self.node_borders = [borders[d] for d in domains]
         # per node, half the Euclidean length of every incident link (one hop away)
         delta = self.coords[self.link_ends[:, 0]] - self.coords[self.link_ends[:, 1]]
         self.incident_distance = self._incident_sums(np.hypot(delta[:, 0], delta[:, 1]) / 2.0)

@@ -139,6 +139,14 @@ def test_unreadable_config_file_exits_one(tmp_path, capsys, name):
     assert not (tmp_path / "out").exists()
 
 
+def test_empty_config_path_exits_one(tmp_path, capsys):
+    # an empty path names no file; it is refused, not read as "no config file"
+    args = ["generate", "--out-dir", str(tmp_path / "out"), "--config", ""]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err.startswith("config error: cannot read config file : ")
+    assert not (tmp_path / "out").exists()
+
+
 # -- subcommands --------------------------------------------------------------
 
 

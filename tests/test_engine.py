@@ -1,5 +1,6 @@
 import copy
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -70,6 +71,33 @@ def test_min_hop_lexicographic_tie_break():
         [(0, 1, 10.0), (0, 2, 10.0), (1, 3, 10.0), (2, 3, 10.0)],
     )
     assert min_hop_path(sub, 0, 3, 5.0) == [0, 2]
+
+
+def two_domains(border_bw):
+    # domain 0 is the path 0-1-2 and domain 1 the path 3-4; link 2 (2-3) is the only border link
+    return make_substrate(
+        [0, 0, 0, 1, 1], [10.0] * 5, [(0, 1, 10.0), (1, 2, 10.0), (2, 3, border_bw), (3, 4, 10.0)]
+    )
+
+
+def test_min_hop_crosses_a_border_link_that_carries_exactly_the_demand():
+    sub = two_domains(5.0)
+    assert min_hop_path(sub, 0, 4, 5) == [0, 1, 2, 3]
+    assert min_hop_path(sub, 4, 1, 5) == [3, 2, 1]
+
+
+def test_min_hop_between_domains_fails_at_a_sealed_border():
+    sub = two_domains(5.0)
+    just_above = math.nextafter(5.0, math.inf)
+    assert min_hop_path(sub, 0, 4, just_above) is None
+    assert min_hop_path(sub, 3, 2, just_above) is None
+
+
+def test_min_hop_inside_a_domain_whose_border_is_sealed():
+    sub = two_domains(0.0)
+    assert min_hop_path(sub, 0, 2, 5.0) == [0, 1]
+    assert min_hop_path(sub, 4, 3, 5.0) == [3]
+    assert min_hop_path(sub, 2, 3, 5.0) is None
 
 
 def test_embed_nodes_highest_priority_wins():

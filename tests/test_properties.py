@@ -206,6 +206,36 @@ def test_min_hop_path_matches_unidirectional_bfs_at_benchmark_scale():
     assert failed >= 1 and longest >= 8, (failed, longest)
 
 
+@pytest.mark.parametrize("drained", [(1,), (0, 3)])
+def test_min_hop_path_matches_unidirectional_bfs_at_drained_borders(drained):
+    # the benchmark-scale topology with the inter-domain links of the drained domains
+    # left with at most 10 bandwidth, so that many demands find such a border sealed
+    sub = generate_substrate(ExperimentConfig(nodes_per_domain=250, num_links=6000), 13)
+    rng = random.Random(13)
+    domain = sub.node_domain.tolist()
+    borders = {d: [] for d in range(sub.num_domains)}
+    for lid, (a, b) in enumerate(sub.link_ends.tolist()):
+        if domain[a] != domain[b]:
+            borders[domain[a]].append(lid)
+            borders[domain[b]].append(lid)
+    sub.bw_available[:] = [bw * rng.random() for bw in sub.bw_capacity]
+    for d in drained:
+        for lid in borders[d]:
+            sub.bw_available[lid] = rng.uniform(0.0, 10.0)
+    sealed = crossed = 0
+    for _ in range(300):
+        src, dst = rng.randrange(sub.num_nodes), rng.randrange(sub.num_nodes)
+        bw_demand = rng.randint(1, 20)
+        path = min_hop_path(sub, src, dst, bw_demand)
+        assert path == reference_min_hop_path(sub, src, dst, bw_demand), (src, dst, bw_demand)
+        if domain[src] != domain[dst]:
+            if any(all(sub.bw_available[lid] < bw_demand for lid in borders[domain[x]]) for x in (src, dst)):
+                sealed += 1
+            elif path is not None:
+                crossed += 1
+    assert sealed >= 20 and crossed >= 20, (sealed, crossed)
+
+
 # -- ranking ---------------------------------------------------------------------
 
 
