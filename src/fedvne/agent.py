@@ -31,11 +31,12 @@ class PolicyParams:
 class DecisionTrace:
     """One episode's placement decisions inside a single domain.
 
-    Each sample is (state, chosen row index) for one embedded virtual node;
-    the episode reward is shared by all samples.
+    ``rows`` are the rows of ``state`` chosen for the domain's embedded
+    virtual nodes, in virtual-node order; they share the episode reward.
     """
 
-    samples: list[tuple[np.ndarray, int]]
+    state: np.ndarray
+    rows: list[int]
     reward: float
 
 
@@ -96,23 +97,20 @@ def train_step(params: PolicyParams, traces, learning_rate: float) -> tuple[Poli
         raise ValueError("empty trace batch")
     baseline = float(np.mean([t.reward for t in traces]))
     advantages = [t.reward - baseline for t in traces]
-    n_samples = sum(len(t.samples) for t in traces)
+    n_samples = sum(len(t.rows) for t in traces)
     if n_samples == 0 or all(a == 0.0 for a in advantages):
         return params.copy(), 0.0
 
     grad_kernel = np.zeros(NUM_FEATURES)
     grad_bias = 0.0
     loss = 0.0
-    state = None
     for trace, advantage in zip(traces, advantages):
-        for sample_state, chosen in trace.samples:
-            # a trace's samples share one state: its softmax is computed once per run
-            if sample_state is not state:
-                state = sample_state
-                lp = log_probs(params, state)
-                p = np.exp(lp)
-                expected_features = p @ state
-                mass_error = p.sum() - 1.0
+        state = trace.state
+        lp = log_probs(params, state)
+        p = np.exp(lp)
+        expected_features = p @ state
+        mass_error = p.sum() - 1.0
+        for chosen in trace.rows:
             loss += -advantage * lp[chosen]
             grad_kernel += advantage * (expected_features - state[chosen])
             grad_bias += advantage * mass_error
@@ -143,12 +141,9 @@ class DomainAgent:
         self.pending_loss_weighted = 0.0
         self.pending_rewards: list[float] = []
 
-    def add_trace(self, trace: DecisionTrace) -> None:
-        self.buffer.append(trace)
-
     def train(self, learning_rate: float) -> None:
         self.params, loss = train_step(self.params, self.buffer, learning_rate)
-        samples = sum(len(t.samples) for t in self.buffer)
+        samples = sum(len(t.rows) for t in self.buffer)
         self.pending_samples += samples
         self.pending_loss_weighted += loss * samples
         self.pending_rewards.extend(t.reward for t in self.buffer)

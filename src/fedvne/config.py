@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 POLICIES = ("hfl", "noderank", "random")
@@ -47,6 +48,9 @@ class ExperimentConfig:
     policy: str = "hfl"
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite")
         positive = (
             "num_domains",
             "nodes_per_domain",

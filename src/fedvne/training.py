@@ -85,14 +85,13 @@ class Trainer:
         # states the policy ranked this request with: run_simulation reports
         # each record right after that ranking call
         reward = episode_reward(record, self.reject_reward)
-        samples: dict[int, list] = {}
+        rows: dict[int, list[int]] = {}
         for v in sorted(record.node_map):
             node_id = record.node_map[v]
             d = int(self.template.node_domain[node_id])
-            row = int(self.template.row_in_domain[node_id])
-            samples.setdefault(d, []).append((self.policy.states[d], row))
-        for d, sample_list in samples.items():
-            self.agents[d].add_trace(DecisionTrace(samples=sample_list, reward=reward))
+            rows.setdefault(d, []).append(int(self.template.row_in_domain[node_id]))
+        for d, chosen in rows.items():
+            self.agents[d].buffer.append(DecisionTrace(self.policy.states[d], chosen, reward))
         self._window.add(record)
         self._since_boundary += 1
         if self._since_boundary >= self.batch_size:

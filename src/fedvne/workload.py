@@ -201,6 +201,8 @@ def generate_vnr_stream(config, seed: int) -> list[VirtualNetworkRequest]:
         )
         vnr = VirtualNetworkRequest(vnr_id, cpu, links, t, t + lifetime)
         try:  # the generator refuses what the loader would refuse
+            if not (isfinite(vnr.t_s) and isfinite(vnr.t_e)):
+                raise ValidationError(f"vnr {vnr_id}: arrival and departure times must be finite")
             validate_vnr(vnr)
         except ValidationError as exc:
             raise ConfigError(f"generated {exc}") from None

@@ -96,7 +96,7 @@ def forward(params: PolicyParams, state: np.ndarray) -> np.ndarray:
 
 
 def batch_loss(params: PolicyParams, traces, baseline: float | None = None) -> float:
-    """Mean over samples of -log p(chosen) * (reward - baseline)."""
+    """Mean over chosen rows of -log p(row) * (reward - baseline)."""
     if not traces:
         raise ValueError("empty trace batch")
     if baseline is None:
@@ -105,8 +105,8 @@ def batch_loss(params: PolicyParams, traces, baseline: float | None = None) -> f
     count = 0
     for trace in traces:
         advantage = trace.reward - baseline
-        for state, chosen in trace.samples:
-            total += -advantage * log_probs(params, state)[chosen]
+        for chosen in trace.rows:
+            total += -advantage * log_probs(params, trace.state)[chosen]
             count += 1
     return total / count if count else 0.0
 

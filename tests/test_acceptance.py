@@ -313,11 +313,9 @@ def test_c4_gradient_check():
     for _ in range(100):
         traces = []
         for _ in range(rng.randint(2, 5)):
-            samples = []
-            for _ in range(rng.randint(1, 3)):
-                state = random_state(rng, rng.randint(2, 7))
-                samples.append((state, rng.randrange(len(state))))
-            traces.append(DecisionTrace(samples=samples, reward=rng.random()))
+            state = random_state(rng, rng.randint(2, 7))
+            rows = [rng.randrange(len(state)) for _ in range(rng.randint(1, 3))]
+            traces.append(DecisionTrace(state, rows, rng.random()))
         params = PolicyParams(
             np.array([rng.uniform(-1, 1) for _ in range(3)]), rng.uniform(-0.5, 0.5)
         )
@@ -354,7 +352,7 @@ def test_c4_gradient_check():
 def ready_agent(domain_id, kernel, bias):
     agent = DomainAgent(domain_id, PolicyParams(np.array(kernel, dtype=float), float(bias)))
     state = np.full((2, 3), 0.5)
-    agent.add_trace(DecisionTrace([(state, 0)], 1.0))
+    agent.buffer.append(DecisionTrace(state, [0], 1.0))
     agent.train(0.0)
     return agent
 

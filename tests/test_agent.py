@@ -37,14 +37,16 @@ def random_state(rng, n_rows):
     return np.array([[rng.random() for _ in range(3)] for _ in range(n_rows)])
 
 
-def random_batch(rng, n_traces=4):
+def random_batch(rng, n_groups=4):
+    """One-row traces in groups of 1-3, each group sharing one drawn reward."""
     traces = []
-    for _ in range(n_traces):
-        samples = []
+    for _ in range(n_groups):
+        drawn = []
         for _ in range(rng.randint(1, 3)):
             state = random_state(rng, rng.randint(2, 6))
-            samples.append((state, rng.randrange(len(state))))
-        traces.append(DecisionTrace(samples=samples, reward=rng.random()))
+            drawn.append((state, rng.randrange(len(state))))
+        reward = rng.random()
+        traces.extend(DecisionTrace(state, [row], reward) for state, row in drawn)
     return traces
 
 
@@ -238,7 +240,7 @@ def test_train_step_refuses_an_empty_batch():
 
 def test_train_step_zero_rewards_is_noop():
     rng = random.Random(5)
-    traces = [DecisionTrace([(random_state(rng, 4), 1)], 0.0) for _ in range(3)]
+    traces = [DecisionTrace(random_state(rng, 4), [1], 0.0) for _ in range(3)]
     params = params_of([0.5, 0.5, 0.5], 0.1)
     updated, loss = train_step(params, traces, 0.1)
     assert loss == 0.0
@@ -250,7 +252,7 @@ def test_train_step_zero_rewards_is_noop():
 def test_train_step_single_trace_is_noop():
     # the baseline is the batch mean, so a lone trace has zero advantage
     rng = random.Random(6)
-    trace = DecisionTrace([(random_state(rng, 5), 2)], 1.0)
+    trace = DecisionTrace(random_state(rng, 5), [2], 1.0)
     params = params_of([0.2, -0.3, 0.4], 0.0)
     updated, loss = train_step(params, [trace], 1.0)
     assert loss == 0.0
@@ -259,7 +261,8 @@ def test_train_step_single_trace_is_noop():
 
 def test_train_step_without_samples_is_noop():
     params = params_of([0.2, -0.3, 0.4], 0.1)
-    updated, loss = train_step(params, [DecisionTrace([], 0.2), DecisionTrace([], 0.8)], 1.0)
+    state = np.full((2, 3), 0.5)
+    updated, loss = train_step(params, [DecisionTrace(state, [], 0.2), DecisionTrace(state, [], 0.8)], 1.0)
     assert loss == 0.0
     assert np.array_equal(updated.kernel, params.kernel) and updated.bias == params.bias
     assert updated is not params
@@ -267,8 +270,8 @@ def test_train_step_without_samples_is_noop():
 
 def test_train_step_duplicate_traces_same_loss():
     rng = random.Random(7)
-    first = DecisionTrace([(random_state(rng, 4), 0)], 0.8)
-    second = DecisionTrace([(random_state(rng, 4), 1)], 0.2)
+    first = DecisionTrace(random_state(rng, 4), [0], 0.8)
+    second = DecisionTrace(random_state(rng, 4), [1], 0.2)
     params = params_of([0.1, 0.2, 0.3], 0.0)
     single, single_loss = train_step(params, [first, second], 0.5)
     double, double_loss = train_step(params, [first, first, second, second], 0.5)
@@ -278,7 +281,7 @@ def test_train_step_duplicate_traces_same_loss():
 
 def test_train_step_baseline_is_batch_mean():
     rng = random.Random(8)
-    traces = [DecisionTrace([(random_state(rng, 4), 1)], r) for r in (0.2, 0.8)]
+    traces = [DecisionTrace(random_state(rng, 4), [1], r) for r in (0.2, 0.8)]
     params = params_of([0.3, 0.3, 0.3], 0.0)
     _, loss = train_step(params, traces, 0.5)
     assert loss == pytest.approx(batch_loss(params, traces, baseline=0.5), rel=1e-12)
@@ -288,17 +291,20 @@ def test_train_step_baseline_is_batch_mean():
 def test_train_step_reuse_never_crosses_states():
     rng = random.Random(12)
     a, b = random_state(rng, 4), random_state(rng, 4)
+    # consecutive traces over different states, the first and last over the same one
     traces = [
-        DecisionTrace([(a, 0), (b, 1), (a, 2)], 0.9),
-        DecisionTrace([(b, 3), (b, 0), (a, 1)], 0.2),
+        DecisionTrace(a, [0, 2], 0.9),
+        DecisionTrace(b, [3, 0, 1], 0.2),
+        DecisionTrace(a, [1], 0.5),
     ]
     params = params_of([0.37, -1.3, 0.8], 0.25)
-    # the softmax recomputed for every sample, accumulated in the same order
+    # the softmax recomputed for every row, accumulated in the same order
     baseline = float(np.mean([t.reward for t in traces]))
     loss, grad_kernel, grad_bias = 0.0, np.zeros(3), 0.0
     for trace in traces:
         advantage = trace.reward - baseline
-        for state, chosen in trace.samples:
+        state = trace.state
+        for chosen in trace.rows:
             lp = log_probs(params, state)
             p = np.exp(lp)
             loss += -advantage * lp[chosen]

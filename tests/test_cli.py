@@ -85,6 +85,14 @@ def test_config_rejects_bad_range(text):
         ("inter_link_ratio=1.5\n", "inter_link_ratio must lie in [0, 1]"),
         ("vlink_prob=-0.1\n", "vlink_prob must lie in [0, 1]"),
         ("learning_rate=0\n", "learning_rate must be positive"),
+        # every float key must be finite: nan passes each comparison, inf passes "positive"
+        ("inter_link_ratio=nan\n", "inter_link_ratio must be finite"),
+        ("vlink_prob=nan\n", "vlink_prob must be finite"),
+        ("arrival_rate=nan\n", "arrival_rate must be finite"),
+        ("mean_lifetime=inf\n", "mean_lifetime must be finite"),
+        ("learning_rate=nan\n", "learning_rate must be finite"),
+        ("reject_reward=inf\n", "reject_reward must be finite"),
+        ("metrics_interval=-inf\n", "metrics_interval must be finite"),
         ("policy=greedy\n", "policy must be one of hfl, noderank, random"),
         ("seed=1\nno equals sign\n", "<config>:2: expected key=value"),
     ],
@@ -200,6 +208,9 @@ def test_generate_invalid_range_exits_one(tmp_path, capsys, flags):
         # the drawn lifetime vanishes when added to the arrival time
         (["--mean-lifetime", "1e-300", "--vnr-count", "8", "--train-count", "4", "--test-count", "4"],
          "generated vnr 0: departure time must exceed arrival time"),
+        # a drawn lifetime overflows; its loader would refuse the infinite departure time
+        (["--mean-lifetime", "1e308", "--vnr-count", "8", "--train-count", "4", "--test-count", "4"],
+         "generated vnr 1: arrival and departure times must be finite"),
     ],
 )
 def test_generate_infeasible_topology_exits_one(tmp_path, capsys, flags, message):
@@ -219,6 +230,20 @@ def test_evaluate_too_fine_metrics_interval_exits_two(tmp_path, capsys):
     )
     assert code == 2
     assert "above the limit of 1000000" in capsys.readouterr().err
+
+
+def test_evaluate_nan_metrics_interval_exits_one(tmp_path, capsys):
+    # no series bound holds for nan: sampling would never end
+    substrate_path, vnrs_path = generate_tiny(tmp_path)
+    capsys.readouterr()
+    code = cli.main(
+        ["evaluate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
+         "--policy", "noderank", "--metrics-interval", "nan", "--out-dir", str(tmp_path / "out")]
+        + tiny_flags()
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "config error: metrics_interval must be finite\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", [["evaluate", "--policy", "noderank"],

@@ -22,7 +22,7 @@ def agent_with_pending(domain_id, kernel, bias, reward=0.5):
     """An agent that has trained once and is ready to upload."""
     agent = DomainAgent(domain_id, PolicyParams(np.array(kernel, dtype=float), bias))
     state = np.full((2, 3), 0.5)
-    agent.add_trace(DecisionTrace([(state, 0)], reward))
+    agent.buffer.append(DecisionTrace(state, [0], reward))
     agent.train(0.0)  # zero step: upload bookkeeping without moving params
     return agent
 
@@ -142,7 +142,7 @@ def test_two_round_trace_matches_hand_computation():
     def local_step(agent):
         agent.params.kernel = agent.params.kernel - 0.25 * (agent.params.kernel - target)
         state = np.full((1, 3), 0.5)
-        agent.add_trace(DecisionTrace([(state, 0)], 1.0))
+        agent.buffer.append(DecisionTrace(state, [0], 1.0))
         agent.train(0.0)
 
     agents = {
@@ -165,7 +165,7 @@ def test_two_round_trace_matches_hand_computation():
 def test_run_round_reports_mean_pending_reward_per_domain():
     agents = {0: agent_with_pending(0, [0, 0, 0], 0.0, reward=0.25)}
     state = np.full((2, 3), 0.5)
-    agents[0].add_trace(DecisionTrace([(state, 1)], 1.0))
+    agents[0].buffer.append(DecisionTrace(state, [1], 1.0))
     agents[0].train(0.0)
     agents[1] = agent_with_pending(1, [0, 0, 0], 0.0, reward=0.0)
     fed_round = Coordinator(agents.keys()).run_round(agents)

@@ -102,8 +102,8 @@ def test_trainer_routes_traces_to_owning_domains():
     for d, agent in agents.items():
         for trace in agent.buffer:
             assert trace.reward == record.revenue / record.cost
-            for state, row in trace.samples:
-                assert state is trainer.policy.states[d]
+            assert trace.state is trainer.policy.states[d]
+            for row in trace.rows:
                 node_id = int(np.flatnonzero(sub.node_domain == d)[row])
                 assert node_id in record.node_map.values()
                 placed += 1
