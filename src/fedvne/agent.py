@@ -9,6 +9,7 @@ per batch of completed episodes, with the batch-mean reward as baseline.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,10 @@ import numpy as np
 from .substrate import MultiDomainSubstrate
 
 NUM_FEATURES = 3
+# features lie in [0, 1], so a node score is at most the sum of the parameters'
+# magnitudes; under this bound neither a score nor its shift by the domain's
+# largest score overflows
+MAX_PARAM_MAGNITUDE = sys.float_info.max / 4
 
 
 @dataclass
@@ -33,6 +38,10 @@ class DecisionTrace:
 
     ``rows`` are the rows of ``state`` chosen for the domain's embedded
     virtual nodes, in virtual-node order; they share the episode reward.
+    ``state`` is the domain state the policy ranked the request with; traces
+    of requests ranked on one snapshot hold the same array, which nobody
+    mutates. A domain's states all have one row per node, so one agent's
+    traces share one row count.
     """
 
     state: np.ndarray
@@ -57,16 +66,12 @@ def extract_state(substrate: MultiDomainSubstrate) -> list[np.ndarray]:
     so each contributes half its length. The states are row slices of one
     matrix in ``substrate.domain_order``.
     """
-    bounds, rows = substrate.domain_bounds, substrate.domain_rows
-    raw = np.column_stack(
-        [substrate.cpu_available, substrate.available_bw_sums(), substrate.incident_distance]
-    )[substrate.domain_order]
-    lo = np.minimum.reduceat(raw, substrate.domain_starts[:-1])
-    span = (np.maximum.reduceat(raw, substrate.domain_starts[:-1]) - lo)[rows]
-    # min-max normalized per domain and column; constant columns map to 0.5
-    features = np.full_like(raw, 0.5)
-    np.divide(raw - lo[rows], span, out=features, where=span > 0)
-    return [features[a:b] for a, b in bounds]
+    raw = np.column_stack([substrate.cpu_available, substrate.available_bw_sums()])
+    raw = raw.take(substrate.domain_order, axis=0)  # rows in domain order
+    features = np.empty((substrate.num_nodes, NUM_FEATURES))
+    substrate.normalize_by_domain(raw, features[:, :2])
+    features[:, 2] = substrate.distance_feature  # static: normalized once per topology
+    return [features[a:b] for a, b in substrate.domain_bounds]
 
 
 def scores(params: PolicyParams, state: np.ndarray) -> np.ndarray:
@@ -92,6 +97,13 @@ def train_step(params: PolicyParams, traces, learning_rate: float) -> tuple[Poli
     The gradient is computed analytically through the softmax and linear
     layer. A batch whose rewards all equal their mean has zero advantage
     everywhere and returns a copy of ``params`` with loss 0.0.
+
+    The softmax of every trace with chosen rows is computed in one pass per
+    state row count: the states are stacked, and each numpy call gives every
+    state the bits its own per-state call would. One agent's traces share one
+    row count, so a training batch is one pass. Each chosen row's loss, kernel
+    and bias terms then go to their slot in trace order and are added left to
+    right onto 0.0, as a per-row loop would add them.
     """
     if not traces:
         raise ValueError("empty trace batch")
@@ -101,22 +113,35 @@ def train_step(params: PolicyParams, traces, learning_rate: float) -> tuple[Poli
     if n_samples == 0 or all(a == 0.0 for a in advantages):
         return params.copy(), 0.0
 
-    grad_kernel = np.zeros(NUM_FEATURES)
-    grad_bias = 0.0
-    loss = 0.0
+    # row 0 stays zero and row 1 + k holds the k-th chosen row's terms in trace order
+    loss_terms = np.zeros(n_samples + 1)
+    kernel_terms = np.zeros((n_samples + 1, NUM_FEATURES))
+    bias_terms = np.zeros(n_samples + 1)
+    slots, groups = 1, {}
     for trace, advantage in zip(traces, advantages):
-        state = trace.state
-        lp = log_probs(params, state)
+        if trace.rows:
+            groups.setdefault(len(trace.state), []).append((trace, advantage, slots))
+            slots += len(trace.rows)
+    for members in groups.values():
+        states = np.stack([trace.state for trace, _, _ in members])
+        z = states @ params.kernel + params.bias
+        shifted = z - z.max(axis=1)[:, None]
+        lp = shifted - np.log(np.exp(shifted).sum(axis=1))[:, None]
         p = np.exp(lp)
-        expected_features = p @ state
-        mass_error = p.sum() - 1.0
-        for chosen in trace.rows:
-            loss += -advantage * lp[chosen]
-            grad_kernel += advantage * (expected_features - state[chosen])
-            grad_bias += advantage * mass_error
-    loss /= n_samples
-    grad_kernel /= n_samples
-    grad_bias /= n_samples
+        expected_features = np.matmul(p[:, None, :], states)[:, 0]
+        mass_error = p.sum(axis=1) - 1.0
+        # per chosen row: its trace's place in the group, the row and its slot
+        local, chosen, where = np.array(
+            [(t, row, slot + k) for t, (trace, _, slot) in enumerate(members) for k, row in enumerate(trace.rows)]
+        ).T
+        advantage = np.array([a for trace, a, _ in members for _ in trace.rows])
+        loss_terms[where] = -advantage * lp[local, chosen]
+        kernel_terms[where] = advantage[:, None] * (expected_features[local] - states[local, chosen])
+        bias_terms[where] = advantage * mass_error[local]
+    # cumsum adds the terms strictly left to right, onto the leading 0.0
+    loss = np.cumsum(loss_terms)[-1] / n_samples
+    grad_kernel = np.cumsum(kernel_terms, axis=0)[-1] / n_samples
+    grad_bias = np.cumsum(bias_terms)[-1] / n_samples
     updated = PolicyParams(
         kernel=params.kernel - learning_rate * grad_kernel,
         bias=params.bias - learning_rate * grad_bias,
@@ -184,6 +209,9 @@ def load_checkpoint(path) -> tuple[dict[int, PolicyParams], PolicyParams]:
             raise ValueError(f"{where}: {exc}") from None
         if not np.isfinite(values).all():
             raise ValueError(f"{where}: checkpoint values must be finite")
+        if sum(abs(v) for v in values) > MAX_PARAM_MAGNITUDE:
+            limit = f"{MAX_PARAM_MAGNITUDE!r}"
+            raise ValueError(f"{where}: the magnitudes of checkpoint values must sum to at most {limit}")
         params.append(PolicyParams(kernel=np.array(values[:NUM_FEATURES]), bias=values[-1]))
     domains = {d: p for d, p in enumerate(params[:-1])}
     return domains, params[-1]

@@ -91,21 +91,22 @@ class HflPolicy:
 
     def _rank(self, substrate: MultiDomainSubstrate, params) -> None:
         bounds, rows = substrate.domain_bounds, substrate.domain_rows
-        # a softmax of the linear node scores per domain; only the scores and the
-        # sum stay per domain, because their all-node forms round differently
+        # a softmax of the linear node scores per domain, computed in place in z;
+        # only the scores and the sum stay per domain, because their all-node
+        # forms round differently
         z = np.concatenate([scores(p, s) for s, p in zip(self.states, params)])
-        e = np.exp(z - np.maximum.reduceat(z, substrate.domain_starts[:-1])[rows])
-        probs = e / np.array([e[a:b].sum() for a, b in bounds])[rows]
+        z -= np.maximum.reduceat(z, substrate.domain_starts[:-1])[rows]
+        np.exp(z, out=z)
+        z /= np.array([z[a:b].sum() for a, b in bounds])[rows]
         # rows ascend by node id inside each domain, so stable ties go to the lower id
-        order = np.lexsort((-probs, rows))
+        order = np.lexsort((-z, rows))
         ids = substrate.domain_order[order]
         # per domain, in rank order and zero-padded to the widest domain: cumsum
         # adds the feasible probabilities strictly left to right, as the block
         # order's definition does (padding adds exact zeros); ties keep domain order
-        cells = (rows, np.arange(len(rows)) - substrate.domain_starts[rows])
-        self._cpu = np.zeros((len(bounds), max(b - a for a, b in bounds)))
-        self._cpu[cells] = substrate.cpu_available[ids]
-        self._prob = np.zeros_like(self._cpu)
-        self._prob[cells] = probs[order]
+        shape = (len(bounds), substrate.widest_domain)
+        self._cpu, self._prob = np.zeros(shape), np.zeros(shape)
+        self._cpu.flat[substrate.padded_cells] = substrate.cpu_available[ids]
+        self._prob.flat[substrate.padded_cells] = z[order]
         ranked = ids.tolist()
         self._lists = [ranked[a:b] for a, b in bounds]

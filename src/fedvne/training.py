@@ -62,6 +62,9 @@ class Trainer:
         self.round_rows: list[tuple[FederationRound, Tally]] = []
         self._window = Tally()
         self._since_boundary = 0
+        # each node's domain and its row in that domain's state, as plain ints
+        self._domain_of = substrate.node_domain.tolist()
+        self._row_of = substrate.row_in_domain.tolist()
 
     def run(self) -> TrainResult:
         for _ in range(self.epochs):
@@ -88,8 +91,7 @@ class Trainer:
         rows: dict[int, list[int]] = {}
         for v in sorted(record.node_map):
             node_id = record.node_map[v]
-            d = int(self.template.node_domain[node_id])
-            rows.setdefault(d, []).append(int(self.template.row_in_domain[node_id]))
+            rows.setdefault(self._domain_of[node_id], []).append(self._row_of[node_id])
         for d, chosen in rows.items():
             self.agents[d].buffer.append(DecisionTrace(self.policy.states[d], chosen, reward))
         self._window.add(record)

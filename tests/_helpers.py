@@ -8,7 +8,7 @@ import re
 import numpy as np
 
 from fedvne import training
-from fedvne.agent import PolicyParams, log_probs, scores
+from fedvne.agent import NUM_FEATURES, PolicyParams, log_probs, scores
 from fedvne.engine import EmbeddingRecord
 from fedvne.substrate import MultiDomainSubstrate
 from fedvne.workload import ParseError, ValidationError, VirtualNetworkRequest
@@ -109,6 +109,39 @@ def batch_loss(params: PolicyParams, traces, baseline: float | None = None) -> f
             total += -advantage * log_probs(params, trace.state)[chosen]
             count += 1
     return total / count if count else 0.0
+
+
+def reference_train_step(params: PolicyParams, traces, learning_rate: float) -> tuple[PolicyParams, float]:
+    """``train_step`` as one softmax per trace and one update per chosen row, in trace order."""
+    if not traces:
+        raise ValueError("empty trace batch")
+    baseline = float(np.mean([t.reward for t in traces]))
+    advantages = [t.reward - baseline for t in traces]
+    n_samples = sum(len(t.rows) for t in traces)
+    if n_samples == 0 or all(a == 0.0 for a in advantages):
+        return params.copy(), 0.0
+
+    grad_kernel = np.zeros(NUM_FEATURES)
+    grad_bias = 0.0
+    loss = 0.0
+    for trace, advantage in zip(traces, advantages):
+        state = trace.state
+        lp = log_probs(params, state)
+        p = np.exp(lp)
+        expected_features = p @ state
+        mass_error = p.sum() - 1.0
+        for chosen in trace.rows:
+            loss += -advantage * lp[chosen]
+            grad_kernel += advantage * (expected_features - state[chosen])
+            grad_bias += advantage * mass_error
+    loss /= n_samples
+    grad_kernel /= n_samples
+    grad_bias /= n_samples
+    updated = PolicyParams(
+        kernel=params.kernel - learning_rate * grad_kernel,
+        bias=params.bias - learning_rate * grad_bias,
+    )
+    return updated, float(loss)
 
 
 def indicator_acceptance(vnr, record: EmbeddingRecord) -> int:

@@ -659,6 +659,9 @@ def test_checkpoint_domain_count_must_match_substrate(tmp_path, capsys, command,
     assert f"{domain_lines} domain lines" in err and "2 domains" in err
 
 
+BOUND_MESSAGE = "the magnitudes of checkpoint values must sum to at most 4.4942328371557893e+307"
+
+
 @pytest.mark.parametrize("command", ["evaluate", "compare"])
 @pytest.mark.parametrize(
     "bad_line, message",
@@ -667,6 +670,9 @@ def test_checkpoint_domain_count_must_match_substrate(tmp_path, capsys, command,
         ("nan 0.0 0.0 0.0", "checkpoint values must be finite"),
         ("0.1 inf 0.0 0.0", "checkpoint values must be finite"),
         ("0.1 0.2 0.3", "each checkpoint line needs 4 values"),
+        # finite, but a node score or its shift by the domain maximum would overflow
+        ("1e308 1e308 1e308 0.0", BOUND_MESSAGE),
+        ("0.0 0.0 -4.4942328371557893e+307 1e292", BOUND_MESSAGE),
     ],
 )
 def test_bad_checkpoint_line_names_file_and_line(tmp_path, capsys, command, bad_line, message):
@@ -681,6 +687,26 @@ def test_bad_checkpoint_line_names_file_and_line(tmp_path, capsys, command, bad_
     assert code == 2
     err = capsys.readouterr().err
     assert f"{checkpoint}:2: {message}" in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "compare"])
+def test_checkpoint_at_the_magnitude_bound_runs_without_overflow(tmp_path, capsys, command):
+    substrate_path, vnrs_path = generate_tiny(tmp_path)
+    checkpoint = tmp_path / "checkpoint.txt"
+    # each line's magnitudes sum to sys.float_info.max / 4 exactly
+    checkpoint.write_text(
+        "4.4942328371557893e+307 0.0 0.0 0.0\n"
+        "-2.2471164185778946e+307 2.2471164185778946e+307 0.0 0.0\n"
+        "0.0 0.0 -2.2471164185778946e+307 2.2471164185778946e+307\n"
+    )
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(
+            [command, "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
+             "--checkpoint", str(checkpoint), "--out-dir", str(tmp_path / "out")] + tiny_flags()
+        )
+    assert code == 0
 
 
 @pytest.mark.parametrize("text, line_no", [("\n", 1), ("0.1 0.2 0.3 0.0\n\n", 2)])

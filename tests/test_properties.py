@@ -3,8 +3,10 @@
 Each reference is the straightforward definition the engine and the policies
 must agree with exactly: a unidirectional breadth-first search that expands
 neighbors in ascending id, per-domain state extraction, and filtered rankings
-built by ``sorted`` with an explicit (-score, node id) key (the hfl ranking and
-the state extraction, shared with other test modules, live in ``_helpers``).
+built by ``sorted`` with an explicit (-score, node id) key, and a training step
+that computes one softmax per trace and adds each chosen row's terms one at a
+time (the hfl ranking, the state extraction and the training step, shared with
+other test modules, live in ``_helpers``).
 Providers return unfiltered orders, so rankings are compared through their
 feasible view and through the node stage that consumes them. Providers that
 keep their last ranking are compared with freshly built ones.
@@ -15,7 +17,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from _helpers import (
@@ -28,9 +30,10 @@ from _helpers import (
     reference_extract_state,
     reference_hfl_candidates,
     reference_noderank_scores,
+    reference_train_step,
 )
 from fedvne import baselines, policies
-from fedvne.agent import DomainAgent, PolicyParams, extract_state
+from fedvne.agent import DecisionTrace, DomainAgent, PolicyParams, extract_state, train_step
 from fedvne.baselines import NodeRankPolicy
 from fedvne.config import ExperimentConfig
 from fedvne.engine import attempt_embedding, embed_nodes, min_hop_path
@@ -482,3 +485,43 @@ def test_hfl_ranks_again_over_equal_links_in_other_domains():
     hfl(make_substrate([0, 0, 1, 1], cpu, links), vnr)
     other = make_substrate([0, 1, 1, 0], cpu, links)
     assert [list(o) for o in hfl(other, vnr)] == [list(o) for o in HflPolicy(agents)(other, vnr)]
+
+
+# -- training step -------------------------------------------------------------
+
+
+@st.composite
+def trace_batches(draw):
+    """(params, traces, learning rate): traces over 1-4 states of mixed row counts, often
+    sharing one state object, some without rows, with rewards that may all be equal."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.sampled_from([1, 2, 9, 13, 25, 40, 77]), min_size=1, max_size=4))
+    grid = [draw(st.booleans()) for _ in sizes]  # many exact ties, or none
+    states = [rng.choice([0.0, 0.5, 1.0], size=(n, 3)) if g else rng.random((n, 3)) for n, g in zip(sizes, grid)]
+    rewards = st.sampled_from([0.0, 0.5, 1.0, 1.75])
+    same_reward = draw(st.one_of(st.none(), rewards))
+    traces = []
+    for _ in range(draw(st.integers(1, 12))):
+        state = states[draw(st.integers(0, len(states) - 1))]
+        rows = draw(st.lists(st.integers(0, len(state) - 1), max_size=6))
+        traces.append(DecisionTrace(state, rows, draw(rewards) if same_reward is None else same_reward))
+    params = PolicyParams(np.array(draw(st.lists(weights, min_size=3, max_size=3))), draw(biases))
+    return params, traces, draw(st.sampled_from([0.01, 0.5]))
+
+
+ONE_ROW = np.array([[0.25, 0.5, 1.0]])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(batch=trace_batches())
+# a one-row state has log-probability 0.0, so its one chosen row at a positive
+# advantage makes the batch's only loss term -0.0; the leading 0.0 turns it into 0.0
+@example(batch=(PolicyParams(np.array([0.37, -1.3, 2.0]), 0.25),
+                [DecisionTrace(ONE_ROW, [0], 1.0), DecisionTrace(ONE_ROW, [], 0.0)], 0.5))
+def test_train_step_matches_per_trace_reference(batch):
+    params, traces, learning_rate = batch
+    updated, loss = train_step(params, traces, learning_rate)
+    expected, expected_loss = reference_train_step(params, traces, learning_rate)
+    assert updated.kernel.tobytes() == expected.kernel.tobytes()
+    assert np.float64(updated.bias).tobytes() == np.float64(expected.bias).tobytes()
+    assert np.float64(loss).tobytes() == np.float64(expected_loss).tobytes()

@@ -265,6 +265,32 @@ def test_copy_isolates_availability():
     assert sub.resource_vector().tobytes() == before
 
 
+def test_copy_shares_the_static_rank_pieces():
+    # domain 0 holds nodes 1, 4 and domain 1 nodes 0, 2, 3: in the 2 x 3 padded
+    # layout, domain 0 takes cells 0-1 and domain 1 cells 3-5
+    links = [(1, 4, 5.0), (0, 2, 5.0), (2, 3, 5.0), (0, 1, 5.0)]
+    coords = [(0.0, 0.0), (3.0, 4.0), (1.0, 0.0), (1.0, 2.0), (0.0, 0.0)]
+    sub = make_substrate([1, 0, 1, 1, 0], [10.0, 20.0, 30.0, 40.0, 50.0], links, coords=coords)
+    assert sub.widest_domain == 3
+    assert sub.padded_cells.tolist() == [0, 1, 3, 4, 5]
+    # half lengths: 2.5 + 2.5 and 2.5 in domain 0; 2.5 + 0.5, 0.5 + 1 and 1 in domain 1
+    assert sub.incident_distance.tolist() == [3.0, 5.0, 1.5, 1.0, 2.5]
+    assert sub.distance_feature.tolist() == [1.0, 0.0, 1.0, 0.25, 0.0]
+    static = sub.distance_feature.tobytes(), sub.padded_cells.tobytes()
+    clone = sub.copy()
+    assert clone.distance_feature is sub.distance_feature
+    assert clone.padded_cells is sub.padded_cells
+    vnr = make_vnr(node_demands=(10.0, 5.0), link_demands=[(0, 1, 2.0)])
+    for target in (clone, sub):
+        target.allocate_node(1, 10.0)
+        target.allocate_node(2, 5.0)
+        target.allocate_path([3, 1], 2.0)
+        for state, (a, b) in zip(extract_state(target), target.domain_bounds):
+            assert state[:, 2].tobytes() == sub.distance_feature[a:b].tobytes()
+        target.release(applied_record(vnr, {0: 1, 1: 2}, {(0, 1): [3, 1]}), vnr)
+        assert (sub.distance_feature.tobytes(), sub.padded_cells.tobytes()) == static
+
+
 @st.composite
 def edge_lists(draw):
     n = draw(st.integers(1, 12))
