@@ -49,6 +49,16 @@ class DecisionTrace:
     reward: float
 
 
+def check_params(params: PolicyParams, where: str) -> None:
+    """Refuse, with a ValueError that begins with ``where``, what no checkpoint may hold."""
+    values = [*params.kernel.tolist(), float(params.bias)]
+    if not np.isfinite(values).all():
+        raise ValueError(f"{where}: checkpoint values must be finite")
+    if sum(abs(v) for v in values) > MAX_PARAM_MAGNITUDE:
+        limit = f"{MAX_PARAM_MAGNITUDE!r}"
+        raise ValueError(f"{where}: the magnitudes of checkpoint values must sum to at most {limit}")
+
+
 def init_params(rng: random.Random) -> PolicyParams:
     kernel = np.array([rng.uniform(-0.1, 0.1) for _ in range(NUM_FEATURES)])
     return PolicyParams(kernel=kernel, bias=0.0)
@@ -76,12 +86,6 @@ def extract_state(substrate: MultiDomainSubstrate) -> list[np.ndarray]:
 
 def scores(params: PolicyParams, state: np.ndarray) -> np.ndarray:
     return state @ params.kernel + params.bias
-
-
-def log_probs(params: PolicyParams, state: np.ndarray) -> np.ndarray:
-    z = scores(params, state)
-    shifted = z - z.max()
-    return shifted - np.log(np.exp(shifted).sum())
 
 
 def episode_reward(record, reject_reward: float = 0.0) -> float:
@@ -124,7 +128,7 @@ def train_step(params: PolicyParams, traces, learning_rate: float) -> tuple[Poli
             slots += len(trace.rows)
     for members in groups.values():
         states = np.stack([trace.state for trace, _, _ in members])
-        z = states @ params.kernel + params.bias
+        z = scores(params, states)
         shifted = z - z.max(axis=1)[:, None]
         lp = shifted - np.log(np.exp(shifted).sum(axis=1))[:, None]
         p = np.exp(lp)
@@ -207,11 +211,7 @@ def load_checkpoint(path) -> tuple[dict[int, PolicyParams], PolicyParams]:
             values = [float(x) for x in row]
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
-        if not np.isfinite(values).all():
-            raise ValueError(f"{where}: checkpoint values must be finite")
-        if sum(abs(v) for v in values) > MAX_PARAM_MAGNITUDE:
-            limit = f"{MAX_PARAM_MAGNITUDE!r}"
-            raise ValueError(f"{where}: the magnitudes of checkpoint values must sum to at most {limit}")
         params.append(PolicyParams(kernel=np.array(values[:NUM_FEATURES]), bias=values[-1]))
+        check_params(params[-1], where)
     domains = {d: p for d, p in enumerate(params[:-1])}
     return domains, params[-1]

@@ -35,10 +35,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _fmt(value) -> str:
-    return "" if value is None else repr(value)
-
-
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="config file; flags override its values")
     for name, kind in field_types().items():
@@ -98,18 +94,11 @@ def _test_split(config: ExperimentConfig, vnrs_path, vnrs):
     return split
 
 
-def _write_series(path: Path, rows) -> None:
-    lines = ["t,ltar,ltar2c,acc"]
-    for t, ltar, ltar2c, acc in rows:
-        lines.append(f"{_fmt(t)},{_fmt(ltar)},{_fmt(ltar2c)},{_fmt(acc)}")
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _summary_line(name: str, ledger) -> str:
     if not ledger.records:
         return f"{name}: no requests processed"
-    ltar, ltar2c, acc = ledger.summary()
-    return f"{name}: ltar={_fmt(ltar)} ltar2c={_fmt(ltar2c)} acc={_fmt(acc)}"
+    ltar, ltar2c, acc = map(engine.csv_cell, ledger.summary())
+    return f"{name}: ltar={ltar} ltar2c={ltar2c} acc={acc}"
 
 
 # -- subcommands -------------------------------------------------------------
@@ -151,25 +140,21 @@ def cmd_train(args) -> int:
     save_checkpoint(checkpoint_path, result.domain_params, result.global_params)
 
     domains = sorted(result.domain_params)
-    header = ["round_id", "global_loss"]
-    header += [f"local_loss_d{d}" for d in domains]
-    header += [f"reward_mean_d{d}" for d in domains]
-    header += ["window_acc", "window_ltar2c"]
-    lines = [",".join(header)]
-    for round_id, (fed_round, window) in enumerate(result.round_rows, 1):
-        # uploads come in ascending domain order, one per domain
-        fields = [str(round_id), _fmt(fed_round.global_loss)]
-        fields += [_fmt(u.local_loss) for u in fed_round.uploads]
-        fields += [_fmt(fed_round.reward_means[d]) for d in domains]
-        fields += [_fmt(window.acc), _fmt(window.ltar2c)]
-        lines.append(",".join(fields))
+    header = ["round_id", "global_loss", *(f"local_loss_d{d}" for d in domains)]
+    header += [*(f"reward_mean_d{d}" for d in domains), "window_acc", "window_ltar2c"]
+    # uploads come in ascending domain order, one per domain
+    rows = [
+        [round_id, fed_round.global_loss, *(u.local_loss for u in fed_round.uploads),
+         *(fed_round.reward_means[d] for d in domains), window.acc, window.ltar2c]
+        for round_id, (fed_round, window) in enumerate(result.round_rows, 1)
+    ]
     round_log_path = out_dir / "round_log.csv"
-    round_log_path.write_text("\n".join(lines) + "\n")
+    engine.write_csv(round_log_path, header, rows)
 
     print(f"{checkpoint_path}")
     print(f"{round_log_path} rounds={len(result.round_rows)}")
     if result.round_rows:
-        print(f"final global_loss={_fmt(result.round_rows[-1][0].global_loss)}")
+        print(f"final global_loss={engine.csv_cell(result.round_rows[-1][0].global_loss)}")
     return 0
 
 
@@ -192,7 +177,8 @@ def cmd_evaluate(args) -> int:
     config = _resolve_config(args)
     out_dir = Path(args.out_dir)
     for ledger, records, _ in _run_policies(args, config, [config.policy]):
-        _write_series(out_dir / "metrics.csv", ledger.series(config.metrics_interval))
+        series = ledger.series(config.metrics_interval)
+        engine.write_csv(out_dir / "metrics.csv", ["t", "ltar", "ltar2c", "acc"], series)
         engine.write_decision_log(out_dir / "decisions.csv", records)
         print(_summary_line(config.policy, ledger))
     return 0
@@ -218,17 +204,10 @@ def cmd_compare(args) -> int:
 
     # every policy sees the same test stream, one record per request, so the
     # series share one time grid
-    columns = list(series_by_policy)
-    for metric_index, metric in ((1, "ltar"), (2, "ltar2c"), (3, "acc")):
-        lines = ["t," + ",".join(columns)]
-        for rows in zip(*series_by_policy.values()):
-            values = [row[metric_index] for row in rows]
-            lines.append(_fmt(rows[0][0]) + "," + ",".join(_fmt(v) for v in values))
-        (out_dir / f"compare_{metric}.csv").write_text("\n".join(lines) + "\n")
-
-    timing_lines = ["policy,seconds_per_round"]
-    timing_lines += [f"{name},{_fmt(seconds)}" for name, seconds in timing]
-    (out_dir / "compare_timing.csv").write_text("\n".join(timing_lines) + "\n")
+    for metric_index, metric in enumerate(("ltar", "ltar2c", "acc"), 1):
+        rows = [(at_t[0][0], *(row[metric_index] for row in at_t)) for at_t in zip(*series_by_policy.values())]
+        engine.write_csv(out_dir / f"compare_{metric}.csv", ["t", *series_by_policy], rows)
+    engine.write_csv(out_dir / "compare_timing.csv", ["policy", "seconds_per_round"], timing)
     return 0
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from math import isfinite
+from math import inf, isfinite
 
 import numpy as np
 
@@ -153,22 +153,22 @@ def embed_nodes(
     once; orders must not share an iterator. Returns the filled map,
     or None at the first virtual node no candidate can host; the placements
     made before it stay allocated and mapped, for the caller to release. Cpu
-    is read once, at entry: during the stage only nodes this request took
-    change, and those are skipped as used.
+    is read once, at entry, into a per-call list: during the stage only nodes
+    this request took change, and each is marked taken there with -inf, which
+    no demand fits (demands are non-negative).
     """
     cpu = substrate.cpu_available.tolist()
     order = sorted(range(vnr.num_nodes), key=lambda v: (-vnr.node_demands[v], v))
-    used: set[int] = set()
     for v in order:
         demand = vnr.node_demands[v]
         for node_id in ranked_candidates[v]:
-            if cpu[node_id] >= demand and node_id not in used:
+            if cpu[node_id] >= demand:
                 break
         else:
             return None
         substrate.allocate_node(node_id, demand)
         node_map[v] = node_id
-        used.add(node_id)
+        cpu[node_id] = -inf
     return node_map
 
 
@@ -402,17 +402,23 @@ def _format_paths(record: EmbeddingRecord) -> tuple[str, str]:
     return hops, paths
 
 
-def write_decision_log(path, records) -> None:
-    lines = [DECISION_LOG_HEADER]
-    for record in records:
-        hops, paths = _format_paths(record)
-        lines.append(
-            f"{record.vnr_id},{repr(record.t_s)},{int(record.accepted)},"
-            f"{repr(record.revenue)},{repr(record.cost)},"
-            f"{_format_node_map(record)},{hops},{paths}"
-        )
+def csv_cell(value) -> str:
+    """A value as every fedvne CSV holds it: None as an empty cell, else ``str(value)``."""
+    return "" if value is None else str(value)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write the header, then each row as ``rows`` yields it, as newline-ended comma-joined lines."""
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(",".join(map(csv_cell, row)) + "\n" for part in ([header], rows) for row in part))
+
+
+def write_decision_log(path, records) -> None:
+    rows = (
+        (r.vnr_id, r.t_s, int(r.accepted), r.revenue, r.cost, _format_node_map(r), *_format_paths(r))
+        for r in records
+    )
+    write_csv(path, DECISION_LOG_HEADER.split(","), rows)
 
 
 def _parse_decision(line: str) -> EmbeddingRecord:

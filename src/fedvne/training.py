@@ -15,7 +15,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .agent import DecisionTrace, DomainAgent, PolicyParams, episode_reward, init_params
+import numpy as np
+
+from .agent import DecisionTrace, DomainAgent, PolicyParams, check_params, episode_reward, init_params
 from .engine import run_simulation
 from .federation import Coordinator, FederationRound, ParamUpload, aggregate
 from .metrics import Tally
@@ -66,8 +68,11 @@ class Trainer:
         self._domain_of = substrate.node_domain.tolist()
         self._row_of = substrate.row_in_domain.tolist()
 
+    # an overflow leaves a non-finite value for the checks to refuse, not a warning
+    @np.errstate(over="ignore", invalid="ignore")
     def run(self) -> TrainResult:
-        for _ in range(self.epochs):
+        for epoch in range(1, self.epochs + 1):
+            self._epoch = epoch
             run_simulation(self.template.copy(), self.vnrs, self.policy, on_record=self._on_record)
             self._boundary()  # flush a partial final batch of the epoch
         if self.round_rows:
@@ -77,6 +82,7 @@ class Trainer:
             global_params = aggregate(
                 [ParamUpload(d, a.params.copy(), 1, 0.0) for d, a in sorted(self.agents.items())]
             )
+            check_params(global_params, self._diverged("global parameters"))
         return TrainResult(
             domain_params={d: a.params.copy() for d, a in self.agents.items()},
             global_params=global_params,
@@ -104,7 +110,15 @@ class Trainer:
         for d in sorted(self.agents):
             if self.agents[d].buffer:
                 self.agents[d].train(self.learning_rate)
+                check_params(self.agents[d].params, self._diverged(f"domain {d}"))
         if not self.coordinator.ready(self.agents):
             return
-        self.round_rows.append((self.coordinator.run_round(self.agents), self._window))
+        fed_round = self.coordinator.run_round(self.agents)
+        check_params(fed_round.global_params, self._diverged("global parameters"))
+        if not np.isfinite([fed_round.global_loss, *fed_round.reward_means.values()]).all():
+            raise ValueError(f"{self._diverged('round log')}: losses and mean rewards must be finite")
+        self.round_rows.append((fed_round, self._window))
         self._window = Tally()
+
+    def _diverged(self, whose: str) -> str:
+        return f"training diverged in epoch {self._epoch}, round {len(self.round_rows) + 1}, {whose}"

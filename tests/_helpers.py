@@ -8,7 +8,7 @@ import re
 import numpy as np
 
 from fedvne import training
-from fedvne.agent import NUM_FEATURES, PolicyParams, log_probs, scores
+from fedvne.agent import NUM_FEATURES, PolicyParams, scores
 from fedvne.engine import EmbeddingRecord
 from fedvne.substrate import MultiDomainSubstrate
 from fedvne.workload import ParseError, ValidationError, VirtualNetworkRequest
@@ -93,6 +93,13 @@ def forward(params: PolicyParams, state: np.ndarray) -> np.ndarray:
     z = z - z.max()
     e = np.exp(z)
     return e / e.sum()
+
+
+def log_probs(params: PolicyParams, state: np.ndarray) -> np.ndarray:
+    """Log allocation probabilities, shifted by the largest score."""
+    z = scores(params, state)
+    shifted = z - z.max()
+    return shifted - np.log(np.exp(shifted).sum())
 
 
 def batch_loss(params: PolicyParams, traces, baseline: float | None = None) -> float:

@@ -1,8 +1,13 @@
 import math
 import random
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from _helpers import (
     applied_record,
@@ -10,18 +15,20 @@ from _helpers import (
     exactly,
     feasible_view,
     forward,
+    log_probs,
     make_substrate,
     make_vnr,
 )
 from fedvne.agent import (
+    MAX_PARAM_MAGNITUDE,
     DecisionTrace,
     DomainAgent,
     PolicyParams,
+    check_params,
     episode_reward,
     extract_state,
     init_params,
     load_checkpoint,
-    log_probs,
     save_checkpoint,
     train_step,
 )
@@ -362,3 +369,41 @@ def test_checkpoint_round_trip(tmp_path):
         assert loaded_domains[d].bias == domains[d].bias
     assert np.array_equal(loaded_global.kernel, global_params.kernel)
     assert loaded_global.bias == global_params.bias
+
+
+def expected_fault(values):
+    """The fault text the parameter check gives ``values``, or None inside the bound."""
+    if not all(math.isfinite(v) for v in values):
+        return "checkpoint values must be finite"
+    if sum(abs(v) for v in values) > MAX_PARAM_MAGNITUDE:
+        return f"the magnitudes of checkpoint values must sum to at most {MAX_PARAM_MAGNITUDE!r}"
+    return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.lists(st.floats(), min_size=4, max_size=4), min_size=2, max_size=4))
+@example([[MAX_PARAM_MAGNITUDE, 0.0, -0.0, 0.0], [-MAX_PARAM_MAGNITUDE / 2, 0.0, 0.0, MAX_PARAM_MAGNITUDE / 2]])
+@example([[0.1, 0.2, 0.3, 0.0], [0.0, 0.0, -MAX_PARAM_MAGNITUDE, 1e292]])
+@example([[sys.float_info.max, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+def test_checkpoint_keeps_bounded_values_bit_for_bit_and_refuses_the_rest(lines):
+    params = [params_of(values[:3], values[3]) for values in lines]
+    faults = [expected_fault(values) for values in lines]
+    for p, fault in zip(params, faults):
+        if fault is None:
+            check_params(p, "here")
+        else:
+            with pytest.raises(ValueError, match=exactly(f"here: {fault}")):
+                check_params(p, "here")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "checkpoint.txt"
+        save_checkpoint(path, dict(enumerate(params[:-1])), params[-1])
+        refused = [(line_no, fault) for line_no, fault in enumerate(faults, 1) if fault is not None]
+        if refused:
+            line_no, fault = refused[0]
+            with pytest.raises(ValueError, match=exactly(f"{path}:{line_no}: {fault}")):
+                load_checkpoint(path)
+            return
+        domains, global_params = load_checkpoint(path)
+    for loaded, p in zip([*domains.values(), global_params], params):
+        assert loaded.kernel.tobytes() == p.kernel.tobytes()
+        assert np.float64(loaded.bias).tobytes() == np.float64(p.bias).tobytes()

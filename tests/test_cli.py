@@ -3,6 +3,7 @@ import dataclasses
 import importlib
 import inspect
 import io
+import math
 import pkgutil
 import re
 import tempfile
@@ -359,6 +360,31 @@ def test_train_bad_input_leaves_no_output_dir(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        ("--learning-rate 1e308", "global parameters: checkpoint values must be finite"),
+        # the parameters stay finite, but the rewards overflow the losses and their means
+        ("--learning-rate 1 --reject-reward 1e300", "round log: losses and mean rewards must be finite"),
+    ],
+)
+def test_train_overflow_exits_two_and_leaves_no_output_dir(tmp_path, capsys, flags, message):
+    # the README quick start's tiny config, as CI runs it
+    tiny = "--num-domains 2 --nodes-per-domain 5 --num-links 12 --vnr-count 60 --train-count 30 --test-count 30"
+    data, out = tmp_path / "data", tmp_path / "train"
+    assert cli.main(["generate", "--out-dir", str(data), *tiny.split()]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(
+            ["train", "--substrate", str(data / "substrate.txt"), "--vnrs", str(data / "vnrs.txt"),
+             "--out-dir", str(out), "--epochs", "3", *tiny.split(), *flags.split()]
+        )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: training diverged in epoch 2, round 2, {message}\n"
+    assert not out.exists()
+
+
 def test_evaluate_full_cycle(tmp_path, capsys):
     substrate_path, vnrs_path = generate_tiny(tmp_path)
     train_out = tmp_path / "train"
@@ -447,6 +473,22 @@ def test_compare_all_policies_with_checkpoint(tmp_path):
     timing = (cmp_out / "compare_timing.csv").read_text().splitlines()
     assert timing[0] == "policy,seconds_per_round"
     assert len(timing) == 4
+
+
+def test_compare_timing_rows_are_a_column_and_a_finite_float(tmp_path):
+    substrate_path, vnrs_path = generate_tiny(tmp_path)
+    cmp_out = tmp_path / "cmp"
+    assert cli.main(
+        ["compare", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
+         "--policies", "noderank,random,noderank", "--out-dir", str(cmp_out)] + tiny_flags()
+    ) == 0
+    text = (cmp_out / "compare_timing.csv").read_text()
+    header, *rows = text.removesuffix("\n").split("\n")
+    assert text.endswith("\n") and header == "policy,seconds_per_round"
+    assert [row.split(",")[0] for row in rows] == ["noderank#0", "random", "noderank#2"]
+    for row in rows:
+        _, seconds = row.split(",")
+        assert math.isfinite(float(seconds)) and repr(float(seconds)) == seconds
 
 
 def test_compare_duplicate_policy_gives_identical_columns(tmp_path):
