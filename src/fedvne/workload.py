@@ -30,9 +30,10 @@ class ValidationError(Exception):
 class VirtualNetworkRequest:
     """A virtual network plus the window [t_s, t_e] during which it holds resources.
 
-    Requests loaded from one file share equal demand floats and equal
-    ``(a, b, bw)`` link triples. Both are immutable; nothing may rely on
-    their identity.
+    Requests loaded from one file share values by equal raw line text of one
+    kind: cpu-demand lines of equal text one float, virtual-link lines of
+    equal text one ``(a, b, bw)`` triple. Both are immutable; nothing may
+    rely on their identity.
     """
 
     vnr_id: int
@@ -266,10 +267,17 @@ def save_substrate(path, substrate: MultiDomainSubstrate) -> None:
 
 
 def _line_reader(path: str, fh):
-    """Returns next_line(what) -> (line number, fields) of the open file's next
-    data line; blank lines and lines starting with ``#`` are skipped. At end of
-    file it raises ParseError naming the line after the last one.
-    next_line(None) instead rejects any data line that is left."""
+    """Returns (next_line, read_section) over the open file's lines; blank lines
+    and lines starting with ``#`` are skipped.
+
+    next_line(what) -> (line number, fields) of the next data line, and
+    next_line(None) rejects any data line that is left. read_section(count,
+    what, table, parse) -> the values of the next ``count`` data lines (none
+    when ``count <= 0``): a line whose raw text, newline included, is a key of
+    ``table`` gives that key's value unsplit; any other data line gives
+    ``parse(path, line number, fields)``, stored under its raw text. At end of
+    file both raise ParseError naming the line after the last one.
+    """
     lines = enumerate(fh, 1)
     last = 0
 
@@ -284,7 +292,25 @@ def _line_reader(path: str, fh):
         if what is not None:
             raise ParseError(path, last + 1, f"unexpected end of file, expected {what}")
 
-    return next_line
+    def read_section(count, what, table, parse):
+        nonlocal last
+        values = []
+        if count <= 0:
+            return values
+        for last, raw in lines:
+            value = table.get(raw)
+            if value is None:  # no line parses to None, so a stored line never lands here
+                fields = raw.split()
+                if not fields or fields[0][0] == "#":
+                    continue
+                value = table[raw] = parse(path, last, fields)
+            values.append(value)
+            count -= 1
+            if not count:
+                return values
+        raise ParseError(path, last + 1, f"unexpected end of file, expected {what}")
+
+    return next_line, read_section
 
 
 def _finite(path: str, line_no: int, text: str) -> float:
@@ -298,7 +324,7 @@ def _finite(path: str, line_no: int, text: str) -> float:
 def load_substrate(path) -> MultiDomainSubstrate:
     path = str(path)
     with open(path) as fh:
-        next_line = _line_reader(path, fh)
+        next_line, _ = _line_reader(path, fh)
         header_line, header = next_line("header")
         if len(header) != 3:
             raise ParseError(path, header_line, "header must be '<nodes> <links> <domains>'")
@@ -363,17 +389,36 @@ def save_vnrs(path, vnrs) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _cpu_demand(path: str, line_no: int, fields: list[str]) -> float:
+    if len(fields) != 1:
+        raise ParseError(path, line_no, "cpu demand line must hold one number")
+    try:
+        return _finite(path, line_no, fields[0])
+    except ValueError:
+        raise ParseError(path, line_no, "malformed cpu demand") from None
+
+
+def _virtual_link(path: str, line_no: int, fields: list[str]) -> tuple[int, int, float]:
+    if len(fields) != 3:
+        raise ParseError(path, line_no, "virtual link must be '<a> <b> <bw>'")
+    try:
+        return int(fields[0]), int(fields[1]), _finite(path, line_no, fields[2])
+    except ValueError:
+        raise ParseError(path, line_no, "malformed virtual link") from None
+
+
 def load_vnrs(path) -> list[VirtualNetworkRequest]:
     """Read a request stream in save_vnrs's format; a bad line raises naming ``path:line``.
 
-    Within one call, every repeated cpu-demand token yields one shared float
-    and every repeated virtual-link line one shared ``(a, b, bw)`` tuple. They
-    are keyed by their text, so equal text is parsed and checked once and
-    ``-0.0`` stays apart from ``0.0``; validate_vnr runs on every request.
+    Within one call, cpu-demand lines with equal raw text yield one shared
+    float, and virtual-link lines with equal raw text one shared ``(a, b, bw)``
+    tuple. Each kind has its own table, so equal text is parsed and checked
+    once per kind, a line accepted as one kind is still checked as the other,
+    and ``-0.0`` stays apart from ``0.0``; validate_vnr runs on every request.
     """
     path = str(path)
     with open(path) as fh:
-        next_line = _line_reader(path, fh)
+        next_line, read_section = _line_reader(path, fh)
         line_no, header = next_line("request count")
         try:
             (count,) = (int(x) for x in header)
@@ -384,7 +429,7 @@ def load_vnrs(path) -> list[VirtualNetworkRequest]:
 
         stream = []
         seen_ids: set[int] = set()
-        # what each cpu-demand token and each virtual-link line read so far parsed to, by its text
+        # what each raw cpu-demand line and each raw virtual-link line read so far parsed to
         demand_of: dict[str, float] = {}
         link_of: dict[str, tuple[int, int, float]] = {}
         for _ in range(count):
@@ -404,33 +449,8 @@ def load_vnrs(path) -> list[VirtualNetworkRequest]:
             if vnr_id in seen_ids:
                 raise ParseError(path, header_line, f"duplicate request id {vnr_id}")
             seen_ids.add(vnr_id)
-            demands = []
-            for _ in range(n):
-                line_no, fields = next_line("cpu demand")
-                if len(fields) != 1:
-                    raise ParseError(path, line_no, "cpu demand line must hold one number")
-                text = fields[0]
-                demand = demand_of.get(text)
-                if demand is None:
-                    try:
-                        demand = demand_of[text] = _finite(path, line_no, text)
-                    except ValueError:
-                        raise ParseError(path, line_no, "malformed cpu demand") from None
-                demands.append(demand)
-            links = []
-            for _ in range(m):
-                line_no, fields = next_line("virtual link")
-                if len(fields) != 3:
-                    raise ParseError(path, line_no, "virtual link must be '<a> <b> <bw>'")
-                key = " ".join(fields)  # fields hold no whitespace: one text per field list
-                link = link_of.get(key)
-                if link is None:
-                    try:
-                        a, b, demand = int(fields[0]), int(fields[1]), _finite(path, line_no, fields[2])
-                    except ValueError:
-                        raise ParseError(path, line_no, "malformed virtual link") from None
-                    link = link_of[key] = (a, b, demand)
-                links.append(link)
+            demands = read_section(n, "cpu demand", demand_of, _cpu_demand)
+            links = read_section(m, "virtual link", link_of, _virtual_link)
             vnr = VirtualNetworkRequest(vnr_id, tuple(demands), tuple(links), t_s, t_e)
             try:
                 validate_vnr(vnr)

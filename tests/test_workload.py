@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from _helpers import exactly, link_kind
+from _helpers import exactly, link_kind, reference_load_vnrs
 from fedvne import workload
 from fedvne.config import ConfigError, ExperimentConfig
 from fedvne.workload import (
@@ -248,11 +248,12 @@ def test_load_vnrs_accepts_boundary_values(tmp_path):
 def test_load_vnrs_shares_repeated_demands_and_links_by_their_text(tmp_path):
     path = tmp_path / "vnrs.txt"
     path.write_text(
-        "2\n"
+        "3\n"
         "0 0.0 5.0 3 2\n23.0\n0.0\n-0.0\n0 1 7.0\n1 2 -0.0\n"
         "1 1.0 6.0 3 2\n23.0\n-0.0\n0.0\n0 1 7.0\n1 2 0.0\n"
+        "2 2.0 7.0 3 2\n 23.0\n23.0 \n\t23.0\n0  1 7.0\n1 2 7.0 "  # no newline at the end
     )
-    first, second = load_vnrs(path)
+    first, second, third = load_vnrs(path)
     assert first.node_demands[0] is second.node_demands[0]
     assert first.link_demands[0] is second.link_demands[0]
     # equal values from different text stay apart: zeros keep their sign
@@ -260,6 +261,77 @@ def test_load_vnrs_shares_repeated_demands_and_links_by_their_text(tmp_path):
     assert [math.copysign(1.0, d) for d in second.node_demands[1:]] == [-1.0, 1.0]
     assert math.copysign(1.0, first.link_demands[1][2]) == -1.0
     assert math.copysign(1.0, second.link_demands[1][2]) == 1.0
+    # other spacing around equal numbers gives equal values
+    assert third.node_demands == (23.0, 23.0, 23.0)
+    assert third.link_demands == ((0, 1, 7.0), (1, 2, 7.0))
+    assert [first, second, third] == reference_load_vnrs(path)
+
+
+def load_outcome(load, path):
+    try:
+        return load(path)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "second, message",
+    [
+        # a line taken as a virtual link, then met where a cpu demand is due
+        ("1 1.0 6.0 2 0\n0 1 5.0\n5.0", "7: cpu demand line must hold one number"),
+        # a line taken as a cpu demand, then met where a virtual link is due
+        ("1 1.0 6.0 2 1\n5.0\n5.0\n5.0", "9: virtual link must be '<a> <b> <bw>'"),
+    ],
+)
+def test_load_vnrs_checks_a_line_seen_as_the_other_kind(tmp_path, second, message):
+    path = tmp_path / "vnrs.txt"
+    path.write_text(f"2\n0 0.0 5.0 2 1\n5.0\n5.0\n0 1 5.0\n{second}\n")
+    with pytest.raises(ParseError, match=exactly(f"{path}:{message}")):
+        load_vnrs(path)
+    assert load_outcome(reference_load_vnrs, path) == (ParseError, f"{path}:{message}")
+
+
+REPEATS = (
+    "2\n0 0.0 5.0 2 1\n5.0\n# c\n\n5.0\n# c\n0 1 5.0\n"
+    "# c\n1 1.0 6.0 2 1\n  # c 5.0\n5.0\n\n5.0\n# 0 1 5.0\n0 1 5.0\n\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (REPEATS, None),
+        (REPEATS + "x\n", "18: data after the last declared line"),
+        (
+            REPEATS.replace("\n# 0 1 5.0\n0 1 5.0\n", "\n# 0 1 5.0\n"),
+            "17: unexpected end of file, expected virtual link",
+        ),
+        (REPEATS.replace("5.0\n\n5.0\n#", "5.0\n\n5.0x\n#"), "14: malformed cpu demand"),
+        ("1\n0 0.0 5.0 2 0\n5.0\n# c\n", "5: unexpected end of file, expected cpu demand"),
+        ("2\n0 0.0 5.0 1 0\n10.0\n", "4: unexpected end of file, expected request header"),
+        ("1\n0 0.0 5.0 1 0\n10.0\n#\n10.0\n", "5: data after the last declared line"),
+    ],
+)
+def test_load_vnrs_counts_comment_and_blank_lines_between_repeats(tmp_path, text, message):
+    path = tmp_path / "vnrs.txt"
+    path.write_text(text)
+    loaded = load_outcome(load_vnrs, path)
+    assert loaded == load_outcome(reference_load_vnrs, path)
+    if message is None:
+        assert [v.node_demands for v in loaded] == [(5.0, 5.0), (5.0, 5.0)]
+        assert [v.link_demands for v in loaded] == [((0, 1, 5.0),), ((0, 1, 5.0),)]
+    else:
+        assert loaded == (ParseError, f"{path}:{message}")
+
+
+@pytest.mark.parametrize("nodes", [0, -1])
+def test_load_vnrs_reads_no_cpu_demand_for_a_request_without_nodes(tmp_path, nodes):
+    path = tmp_path / "vnrs.txt"
+    path.write_text(f"1\n0 0.0 5.0 {nodes} 1\n0 1 5.0\n")
+    message = f"{path}:2: vnr 0: needs at least one virtual node"
+    with pytest.raises(ValidationError, match=exactly(message)):
+        load_vnrs(path)
+    assert load_outcome(reference_load_vnrs, path) == (ValidationError, message)
 
 
 @pytest.mark.parametrize(
