@@ -19,13 +19,14 @@ from . import metrics
 from .substrate import MultiDomainSubstrate
 
 
-@dataclass
+@dataclass(slots=True)
 class EmbeddingRecord:
     """Outcome of one embedding attempt.
 
     ``t_s`` is the request's arrival time. ``node_map`` assigns each
     virtual node a substrate node id and ``link_paths`` assigns each virtual
-    link an ordered substrate-link path; the two stages fill them in place.
+    link an ordered substrate-link path, a tuple of link ids; the two stages
+    fill them in place.
     ``outstanding`` is True while the record holds resources: from the start
     of the attempt until ``MultiDomainSubstrate.release(record, vnr)``, which
     reads the demands from the request. For rejected requests the maps keep
@@ -36,7 +37,7 @@ class EmbeddingRecord:
     vnr_id: int
     t_s: float = 0.0
     node_map: dict[int, int] = field(default_factory=dict)
-    link_paths: dict[tuple[int, int], list[int]] = field(default_factory=dict)
+    link_paths: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
     revenue: float = 0.0
     cost: float = 0.0
     accepted: bool = False
@@ -176,8 +177,8 @@ def embed_links(
     substrate: MultiDomainSubstrate,
     vnr,
     node_map: dict[int, int],
-    link_paths: dict[tuple[int, int], list[int]],
-) -> dict[tuple[int, int], list[int]] | None:
+    link_paths: dict[tuple[int, int], tuple[int, ...]],
+) -> dict[tuple[int, int], tuple[int, ...]] | None:
     """Minimum-hop link placement into ``link_paths``, one path per virtual link.
 
     Virtual links are processed in descending bandwidth demand, each path
@@ -194,7 +195,7 @@ def embed_links(
         if path is None:
             return None
         substrate.allocate_path(path, demand)
-        link_paths[(a, b)] = path
+        link_paths[(a, b)] = tuple(path)
     return link_paths
 
 
@@ -421,7 +422,24 @@ def write_decision_log(path, records) -> None:
     write_csv(path, DECISION_LOG_HEADER.split(","), rows)
 
 
-def _parse_decision(line: str) -> EmbeddingRecord:
+class _ParsedText(dict):
+    """Text -> the value ``parse(text)`` gave it; a text whose parse raised is not stored."""
+
+    def __init__(self, parse):
+        super().__init__()
+        self.parse = parse
+
+    def __missing__(self, text: str):
+        value = self[text] = self.parse(text)
+        return value
+
+
+def _virtual_link(text: str) -> tuple[int, int]:
+    a, b = (int(x) for x in text.split("-"))
+    return a, b
+
+
+def _parse_decision(line: str, ints: _ParsedText, links: _ParsedText) -> EmbeddingRecord:
     fields = line.split(",")
     if len(fields) != DECISION_LOG_FIELDS:
         raise ValueError(f"expected {DECISION_LOG_FIELDS} fields, found {len(fields)}")
@@ -436,31 +454,41 @@ def _parse_decision(line: str) -> EmbeddingRecord:
             raise ValueError(f"{name} must be finite, got {getattr(record, name)}")
     if fields[5]:
         for pair in fields[5].split("|"):
-            v, node = (int(x) for x in pair.split(":"))
+            v, node = (ints[x] for x in pair.split(":"))
             if v in record.node_map:
                 raise ValueError(f"node_map repeats virtual node {v}")
             record.node_map[v] = node
     if fields[7]:
         for chunk in fields[7].split("|"):
             key, seq = chunk.split(":")
-            a, b = (int(x) for x in key.split("-"))
-            if (a, b) in record.link_paths:
+            a, b = link = links[key]
+            if link in record.link_paths:
                 raise ValueError(f"link_paths repeats virtual link {a}-{b}")
-            record.link_paths[(a, b)] = [int(x) for x in seq.split(">")] if seq else []
+            record.link_paths[link] = tuple(map(ints.__getitem__, seq.split(">"))) if seq else ()
     if fields[6] != _format_paths(record)[0]:
         raise ValueError(f"path_hops {fields[6]} do not match link_paths")
     return record
 
 
 def read_decision_log(path) -> list[EmbeddingRecord]:
+    """Records of a decision log, in file order; a bad line raises ValueError with ``path:line``.
+
+    Two tables, local to the call, map each node-id and link-id token's text
+    to the one ``int`` it parsed to, and each virtual-link key's text to its
+    ``(a, b)``, so equal text in one log yields the same objects. A text is
+    parsed as a plain ``int`` or ``a, b`` unpack would parse it, and stored
+    only when that parse succeeds, so every message is the one an unshared
+    parse gives. Nothing may rely on these objects' identity.
+    """
     with open(path) as fh:
         lines = [(no, line.rstrip("\n")) for no, line in enumerate(fh, 1) if line.strip()]
     if not lines or lines[0][1] != DECISION_LOG_HEADER:
         raise ValueError(f"{path}:{lines[0][0] if lines else 1}: not a decision log")
+    ints, links = _ParsedText(int), _ParsedText(_virtual_link)
     records = []
     for line_no, line in lines[1:]:
         try:
-            records.append(_parse_decision(line))
+            records.append(_parse_decision(line, ints, links))
         except ValueError as exc:
             raise ValueError(f"{path}:{line_no}: {exc}") from exc
     return records

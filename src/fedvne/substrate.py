@@ -133,9 +133,10 @@ class MultiDomainSubstrate:
 
     def _build_indexes(self, ends: list[list[int]]) -> None:
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.num_nodes)]
+        node_ids = list(range(self.num_nodes))  # one int per node, shared by its adjacency entries
         for lid, (a, b) in enumerate(ends):
-            adj[a].append((b, lid))
-            adj[b].append((a, lid))
+            adj[a].append((node_ids[b], lid))
+            adj[b].append((node_ids[a], lid))
         # sorted by neighbor id so that path searches are deterministic
         self.adjacency: list[list[tuple[int, int]]] = [sorted(e) for e in adj]
         # node ids grouped by domain, ascending inside each domain: domain d owns

@@ -26,7 +26,7 @@ class ValidationError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VirtualNetworkRequest:
     """A virtual network plus the window [t_s, t_e] during which it holds resources.
 

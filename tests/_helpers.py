@@ -68,7 +68,7 @@ def applied_record(vnr, node_map, link_paths):
     """An embedding record in the state it has right after allocation."""
     record = EmbeddingRecord(vnr_id=vnr.vnr_id)
     record.node_map = dict(node_map)
-    record.link_paths = {k: list(v) for k, v in link_paths.items()}
+    record.link_paths = {k: tuple(v) for k, v in link_paths.items()}
     record.accepted = True
     record.outstanding = True
     return record

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from _helpers import indicator_acceptance, make_substrate, make_vnr
-from fedvne import engine
+from _helpers import exactly, indicator_acceptance, make_substrate, make_vnr
+from fedvne import cli, engine
 from fedvne.baselines import NodeRankPolicy
 from fedvne.engine import (
     attempt_embedding,
@@ -139,7 +139,7 @@ def test_embed_links_one_hop():
     sub = make_substrate([0] * 2, [50.0] * 2, [(0, 1, 30.0)])
     vnr = make_vnr(node_demands=(10.0, 10.0), link_demands=((0, 1, 20.0),))
     paths = embed_links(sub, vnr, {0: 0, 1: 1}, {})
-    assert paths == {(0, 1): [0]}
+    assert paths == {(0, 1): (0,)}
     assert sub.bw_available[0] == 10.0
 
 
@@ -154,7 +154,7 @@ def test_embed_links_failure_rolls_back_links():
         sub.allocate_node(node_id, 1.0)
     assert embed_links(sub, vnr, record.node_map, record.link_paths) is None
     # the path placed before the failure stays allocated until the caller releases it
-    assert record.link_paths == {(0, 1): [0]}
+    assert record.link_paths == {(0, 1): (0,)}
     assert list(sub.bw_available) == [10.0, 5.0]
     sub.release(record, vnr)
     assert sub.resource_vector().tobytes() == before.tobytes()
@@ -279,6 +279,88 @@ def test_decision_log_round_trip(tmp_path):
         assert got.revenue == want.revenue and got.cost == want.cost
 
 
+
+def test_read_decision_log_gives_back_the_records_compare_wrote(tmp_path, monkeypatch):
+    # 300 nodes and 700 links, so that most ids lie past the ints Python caches
+    flags = ["--num-domains", "2", "--nodes-per-domain", "150", "--num-links", "700",
+             "--vnr-count", "80", "--train-count", "20", "--test-count", "60", "--seed", "3"]
+    assert cli.main(["generate", "--out-dir", str(tmp_path)] + flags) == 0
+    checkpoint = tmp_path / "checkpoint.txt"
+    checkpoint.write_text("0.1 0.2 0.3 0.0\n" * 3)
+    written = {}
+    write = engine.write_decision_log
+
+    def keep(path, records):
+        written[path] = list(records)
+        write(path, records)
+
+    monkeypatch.setattr(engine, "write_decision_log", keep)
+    assert cli.main(
+        ["compare", "--substrate", str(tmp_path / "substrate.txt"), "--vnrs", str(tmp_path / "vnrs.txt"),
+         "--checkpoint", str(checkpoint), "--policies", "hfl,noderank,random",
+         "--out-dir", str(tmp_path / "cmp")] + flags
+    ) == 0
+    assert len(written) == 3
+    for path, records in written.items():
+        assert any(r.accepted for r in records)
+        assert read_decision_log(path) == records
+
+
+SHARED_LOG = (
+    engine.DECISION_LOG_HEADER + "\n"
+    "0,0.0,1,1.0,1.0,0:300|1:301,2,0-1:1000>301\n"
+    "1,1.0,1,1.0,1.0,0:301|1:300,2,0-1:301>1000\n"
+)
+
+
+def test_read_decision_log_shares_equal_tokens_within_one_read(tmp_path):
+    path = tmp_path / "decisions.csv"
+    path.write_text(SHARED_LOG)
+    first, second = read_decision_log(path)
+    assert first.node_map == {0: 300, 1: 301} and first.link_paths == {(0, 1): (1000, 301)}
+    assert first.node_map[0] is second.node_map[1]
+    # one table for node and link ids
+    assert first.node_map[1] is second.link_paths[(0, 1)][0] is first.link_paths[(0, 1)][1]
+    assert first.link_paths[(0, 1)][0] is second.link_paths[(0, 1)][1]
+    assert next(iter(first.link_paths)) is next(iter(second.link_paths))
+    # the table lives for one call: a second read shares nothing with the first
+    again = read_decision_log(path)
+    assert again == [first, second]
+    assert again[0].node_map[0] is not first.node_map[0]
+    assert again[0].link_paths[(0, 1)][0] is not first.link_paths[(0, 1)][0]
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        # a key of three ids, refused by the a, b unpack
+        ("2,2.0,1,1.0,1.0,0:300|1:301,1,0-1-2:1000", "too many values to unpack (expected 2)"),
+        # a bad link id after tokens that hit the table
+        ("2,2.0,1,1.0,1.0,0:300|1:301,3,0-1:1000>301>30l", "invalid literal for int() with base 10: '30l'"),
+        ("2,2.0,1,1.0,1.0,0:300|1:301,2|2,0-1:1000>301|0-1:301>1000", "link_paths repeats virtual link 0-1"),
+    ],
+    ids=["three-id-key", "bad-link-id", "repeated-key"],
+)
+def test_read_decision_log_names_a_bad_line_after_shared_tokens(tmp_path, bad, message):
+    path = tmp_path / "decisions.csv"
+    path.write_text(SHARED_LOG + bad + "\n")
+    for _ in range(2):
+        with pytest.raises(ValueError, match=exactly(f"{path}:4: {message}")):
+            read_decision_log(path)
+
+
+def test_a_failed_parse_leaves_nothing_in_the_tables():
+    ints, links = engine._ParsedText(int), engine._ParsedText(engine._virtual_link)
+    cases = [
+        ("0,0.0,1,1.0,1.0,0:3|1:4,1,0-1-2:7", "too many values to unpack (expected 2)"),
+        ("0,0.0,1,1.0,1.0,0:3|1:4,2,0-1:7>7x", "invalid literal for int() with base 10: '7x'"),
+    ]
+    for line, message in cases * 2:
+        with pytest.raises(ValueError, match=exactly(message)):
+            engine._parse_decision(line, ints, links)
+    assert ints == {"0": 0, "1": 1, "3": 3, "4": 4, "7": 7}
+    assert links == {"0-1": (0, 1)}
+
 def test_replay_validate_clean_run():
     sub = make_substrate([0] * 3, [50.0] * 3, [(0, 1, 30.0), (1, 2, 30.0)])
     initial = sub.copy()
@@ -302,7 +384,7 @@ def test_replay_validate_accepts_exact_fills_and_departures_at_an_arrival():
     ]
     final, _, records = run_simulation(sub, vnrs, lambda s, v: [[0, 1, 2]] * v.num_nodes)
     assert [r.accepted for r in records] == [True, True]
-    assert all(r.link_paths == {(0, 1): [0]} for r in records)
+    assert all(r.link_paths == {(0, 1): (0,)} for r in records)
     assert replay_validate(initial, vnrs, records, final.resource_vector()) == []
 
 
@@ -390,7 +472,7 @@ def test_replay_validate_names_each_violation(change, expected):
     sub = make_substrate([0] * 3, [50.0] * 3, [(0, 1, 30.0), (1, 2, 30.0)])
     vnr = make_vnr(0, node_demands=(10.0, 10.0), link_demands=((0, 1, 5.0),), t_s=0.0, t_e=9.0)
     final, _, records = run_simulation(sub.copy(), [vnr], lambda s, v: [[0, 1, 2]] * v.num_nodes)
-    assert records[0].node_map == {0: 0, 1: 1} and records[0].link_paths == {(0, 1): [0]}
+    assert records[0].node_map == {0: 0, 1: 1} and records[0].link_paths == {(0, 1): (0,)}
     record = copy.deepcopy(records[0])
     record.vnr_id = change.get("vnr_id", 0)
     record.node_map = dict(change.get("node_map", record.node_map))
