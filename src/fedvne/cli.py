@@ -82,9 +82,17 @@ def _build_policy(name: str, config: ExperimentConfig, checkpoint, num_domains: 
     raise ConfigError(f"unknown policy '{name}', expected one of {', '.join(POLICIES)}")
 
 
+def _require_requests(vnrs_path, vnrs, needed: int) -> None:
+    """Refuse a split that overruns the loaded stream."""
+    if len(vnrs) < needed:
+        raise ValueError(f"{vnrs_path}: holds {len(vnrs)} requests; the split needs {needed}")
+
+
 def _test_split(config: ExperimentConfig, vnrs_path, vnrs):
-    """The rebased test split, refused before any policy runs when its metrics
-    series would need too many sampling points."""
+    """The rebased test split, refused before any policy runs when the stream
+    does not hold it or its metrics series would need too many sampling points."""
+    if config.test_count:
+        _require_requests(vnrs_path, vnrs, config.train_count + config.test_count)
     split = workload.rebase_stream(vnrs[config.train_count : config.train_count + config.test_count])
     if split:
         try:
@@ -123,6 +131,7 @@ def cmd_train(args) -> int:
     config = _resolve_config(args)
     substrate = workload.load_substrate(args.substrate)
     vnrs = workload.load_vnrs(args.vnrs)
+    _require_requests(args.vnrs, vnrs, config.train_count)
     train_vnrs = vnrs[: config.train_count]
     trainer = Trainer(
         substrate,

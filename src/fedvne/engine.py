@@ -26,7 +26,9 @@ class EmbeddingRecord:
     ``t_s`` is the request's arrival time. ``node_map`` assigns each
     virtual node a substrate node id and ``link_paths`` assigns each virtual
     link an ordered substrate-link path, a tuple of link ids; the two stages
-    fill them in place.
+    fill them in place. The records of one ``run_simulation`` call share
+    equal ``(a, b)`` keys, and node ids are the substrate's ``node_ids``
+    ints; nothing may rely on that identity.
     ``outstanding`` is True while the record holds resources: from the start
     of the attempt until ``MultiDomainSubstrate.release(record, vnr)``, which
     reads the demands from the request. For rejected requests the maps keep
@@ -159,6 +161,7 @@ def embed_nodes(
     no demand fits (demands are non-negative).
     """
     cpu = substrate.cpu_available.tolist()
+    node_ids = substrate.node_ids
     order = sorted(range(vnr.num_nodes), key=lambda v: (-vnr.node_demands[v], v))
     for v in order:
         demand = vnr.node_demands[v]
@@ -168,7 +171,7 @@ def embed_nodes(
         else:
             return None
         substrate.allocate_node(node_id, demand)
-        node_map[v] = node_id
+        node_map[v] = node_ids[node_id]
         cpu[node_id] = -inf
     return node_map
 
@@ -178,13 +181,15 @@ def embed_links(
     vnr,
     node_map: dict[int, int],
     link_paths: dict[tuple[int, int], tuple[int, ...]],
+    link_keys: dict[tuple[int, int], tuple[int, int]],
 ) -> dict[tuple[int, int], tuple[int, ...]] | None:
     """Minimum-hop link placement into ``link_paths``, one path per virtual link.
 
     Virtual links are processed in descending bandwidth demand, each path
     allocated and kept as it is found. Returns the filled map, or None at the
     first virtual link with no feasible path; the paths placed before it stay
-    allocated, for the caller to release together with the nodes.
+    allocated, for the caller to release together with the nodes. Each path
+    is stored under the one ``(a, b)`` tuple ``link_keys`` holds for its key.
     """
     order = sorted(
         range(vnr.num_links), key=lambda i: (-vnr.link_demands[i][2], i)
@@ -195,18 +200,19 @@ def embed_links(
         if path is None:
             return None
         substrate.allocate_path(path, demand)
-        link_paths[(a, b)] = tuple(path)
+        key = (a, b)
+        link_paths[link_keys.setdefault(key, key)] = tuple(path)
     return link_paths
 
 
 def attempt_embedding(
-    substrate: MultiDomainSubstrate, vnr, ranked_candidates
+    substrate: MultiDomainSubstrate, vnr, ranked_candidates, link_keys: dict
 ) -> EmbeddingRecord:
     """Run both stages; returns a record either fully applied or fully released."""
     record = EmbeddingRecord(vnr_id=vnr.vnr_id, t_s=vnr.t_s, outstanding=True)
     if (
         embed_nodes(substrate, vnr, ranked_candidates, record.node_map) is None
-        or embed_links(substrate, vnr, record.node_map, record.link_paths) is None
+        or embed_links(substrate, vnr, record.node_map, record.link_paths, link_keys) is None
     ):
         substrate.release(record, vnr)
         return record
@@ -226,10 +232,12 @@ def run_simulation(
 
     Departures due at or before an arrival are released first; all remaining
     departures are drained at end of run. Individual embedding failures are
-    recorded, never raised. Returns (substrate, ledger, records).
+    recorded, never raised. Returns (substrate, ledger, records); the
+    records share one ``(a, b)`` tuple per virtual-link key, local to the call.
     """
     ledger = metrics.MetricsLedger()
     records: list[EmbeddingRecord] = ledger.records
+    link_keys: dict[tuple[int, int], tuple[int, int]] = {}
     pending = []  # (t_e, vnr_id, record, vnr); ids are unique, so ties never reach the record
     last_t = None
     for vnr in vnrs:
@@ -239,7 +247,7 @@ def run_simulation(
         while pending and pending[0][0] <= vnr.t_s:
             _, _, done, departed = heapq.heappop(pending)
             substrate.release(done, departed)
-        record = attempt_embedding(substrate, vnr, policy_provider(substrate, vnr))
+        record = attempt_embedding(substrate, vnr, policy_provider(substrate, vnr), link_keys)
         records.append(record)
         if record.accepted:
             heapq.heappush(pending, (vnr.t_e, vnr.vnr_id, record, vnr))
@@ -473,22 +481,25 @@ def _parse_decision(line: str, ints: _ParsedText, links: _ParsedText) -> Embeddi
 def read_decision_log(path) -> list[EmbeddingRecord]:
     """Records of a decision log, in file order; a bad line raises ValueError with ``path:line``.
 
-    Two tables, local to the call, map each node-id and link-id token's text
-    to the one ``int`` it parsed to, and each virtual-link key's text to its
-    ``(a, b)``, so equal text in one log yields the same objects. A text is
-    parsed as a plain ``int`` or ``a, b`` unpack would parse it, and stored
+    The file is parsed line by line as it is read; blank lines are skipped,
+    and the first other line must be the header (an empty log fails at line
+    1). Two tables, local to the call, map each node-id and link-id token's
+    text to the one ``int`` it parsed to, and each virtual-link key's text to
+    its ``(a, b)``, so equal text in one log yields the same objects. A text
+    is parsed as a plain ``int`` or ``a, b`` unpack would parse it, and stored
     only when that parse succeeds, so every message is the one an unshared
     parse gives. Nothing may rely on these objects' identity.
     """
-    with open(path) as fh:
-        lines = [(no, line.rstrip("\n")) for no, line in enumerate(fh, 1) if line.strip()]
-    if not lines or lines[0][1] != DECISION_LOG_HEADER:
-        raise ValueError(f"{path}:{lines[0][0] if lines else 1}: not a decision log")
     ints, links = _ParsedText(int), _ParsedText(_virtual_link)
     records = []
-    for line_no, line in lines[1:]:
-        try:
-            records.append(_parse_decision(line, ints, links))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{line_no}: {exc}") from exc
+    with open(path) as fh:
+        lines = ((no, line.rstrip("\n")) for no, line in enumerate(fh, 1) if line.strip())
+        line_no, header = next(lines, (1, None))
+        if header != DECISION_LOG_HEADER:
+            raise ValueError(f"{path}:{line_no}: not a decision log")
+        for line_no, line in lines:
+            try:
+                records.append(_parse_decision(line, ints, links))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from exc
     return records

@@ -52,6 +52,9 @@ class MultiDomainSubstrate:
     the inter-domain link ids of node i's domain in ascending order, one list
     object per domain, so two nodes lie in one domain exactly when their lists
     are the same object.
+
+    ``node_ids[i]`` is the one ``int`` object for node i, held by the
+    adjacency tuples and by every record's node map; it is static too.
     """
 
     def __init__(
@@ -133,7 +136,7 @@ class MultiDomainSubstrate:
 
     def _build_indexes(self, ends: list[list[int]]) -> None:
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.num_nodes)]
-        node_ids = list(range(self.num_nodes))  # one int per node, shared by its adjacency entries
+        self.node_ids = node_ids = list(range(self.num_nodes))
         for lid, (a, b) in enumerate(ends):
             adj[a].append((node_ids[b], lid))
             adj[b].append((node_ids[a], lid))

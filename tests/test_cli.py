@@ -436,6 +436,33 @@ def test_evaluate_empty_test_set(tmp_path):
     assert (eval_out / "metrics.csv").read_text() == "t,ltar,ltar2c,acc\n"
 
 
+@pytest.mark.parametrize(
+    "command, flags, needed",
+    [
+        # the default counts, train 1000 and test 1000
+        ("evaluate", [], 2000),
+        ("evaluate", ["--train-count", "50", "--test-count", "1000"], 1050),
+        # train needs only its own split
+        ("train", ["--train-count", "100", "--test-count", "0"], 100),
+    ],
+    ids=["evaluate-default-counts", "evaluate-test-overrun", "train-overrun"],
+)
+def test_a_split_that_overruns_the_stream_exits_two(tmp_path, capsys, command, flags, needed):
+    # the README quick start's tiny inputs: 60 requests
+    tiny = "--num-domains 2 --nodes-per-domain 5 --num-links 12 --vnr-count 60 --train-count 30 --test-count 30"
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert cli.main(["generate", "--out-dir", str(data), *tiny.split()]) == 0
+    capsys.readouterr()
+    vnrs_path = data / "vnrs.txt"
+    code = cli.main(
+        [command, "--substrate", str(data / "substrate.txt"), "--vnrs", str(vnrs_path),
+         "--policy", "noderank", "--out-dir", str(out), *flags]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {vnrs_path}: holds 60 requests; the split needs {needed}\n"
+    assert not out.exists()
+
+
 def test_compare_single_policy_matches_evaluate(tmp_path):
     substrate_path, vnrs_path = generate_tiny(tmp_path)
     eval_out, cmp_out = tmp_path / "eval", tmp_path / "cmp"

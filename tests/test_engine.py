@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import math
 
@@ -6,8 +7,9 @@ import numpy as np
 import pytest
 
 from _helpers import exactly, indicator_acceptance, make_substrate, make_vnr
-from fedvne import cli, engine
+from fedvne import cli, engine, workload
 from fedvne.baselines import NodeRankPolicy
+from fedvne.config import ExperimentConfig
 from fedvne.engine import (
     attempt_embedding,
     embed_links,
@@ -138,7 +140,7 @@ def test_embed_nodes_greedy_rule_matches_enumeration():
 def test_embed_links_one_hop():
     sub = make_substrate([0] * 2, [50.0] * 2, [(0, 1, 30.0)])
     vnr = make_vnr(node_demands=(10.0, 10.0), link_demands=((0, 1, 20.0),))
-    paths = embed_links(sub, vnr, {0: 0, 1: 1}, {})
+    paths = embed_links(sub, vnr, {0: 0, 1: 1}, {}, {})
     assert paths == {(0, 1): (0,)}
     assert sub.bw_available[0] == 10.0
 
@@ -152,7 +154,7 @@ def test_embed_links_failure_rolls_back_links():
     record = engine.EmbeddingRecord(vnr_id=0, node_map={0: 0, 1: 1, 2: 2}, outstanding=True)
     for node_id in record.node_map.values():
         sub.allocate_node(node_id, 1.0)
-    assert embed_links(sub, vnr, record.node_map, record.link_paths) is None
+    assert embed_links(sub, vnr, record.node_map, record.link_paths, {}) is None
     # the path placed before the failure stays allocated until the caller releases it
     assert record.link_paths == {(0, 1): (0,)}
     assert list(sub.bw_available) == [10.0, 5.0]
@@ -165,7 +167,7 @@ def test_attempt_embedding_rollback_is_byte_identical():
     before = sub.resource_vector()
     vnr = make_vnr(node_demands=(10.0, 10.0, 10.0), link_demands=((0, 1, 20.0), (1, 2, 20.0)))
     ranked = [[0, 1, 2]] * 3
-    record = attempt_embedding(sub, vnr, ranked)
+    record = attempt_embedding(sub, vnr, ranked, {})
     assert not record.accepted
     assert not record.outstanding
     assert sub.resource_vector().tobytes() == before.tobytes()
@@ -176,10 +178,40 @@ def test_attempt_embedding_node_stage_failure_after_partial_placement():
     sub = make_substrate([0] * 3, [50.0, 40.0, 5.0], [(0, 1, 30.0), (1, 2, 30.0)])
     before = sub.resource_vector()
     vnr = make_vnr(node_demands=(30.0, 20.0, 10.0), link_demands=((0, 1, 5.0),))
-    record = attempt_embedding(sub, vnr, [[0, 1, 2], [0, 1, 2], [0, 1, 2]])
+    record = attempt_embedding(sub, vnr, [[0, 1, 2], [0, 1, 2], [0, 1, 2]], {})
     assert not record.accepted and not record.outstanding
     assert record.node_map == {0: 0, 1: 1} and record.link_paths == {}
     assert sub.resource_vector().tobytes() == before.tobytes()
+
+
+def shared_key_run():
+    """A noderank run over 300 nodes, so that most node ids lie past the ints Python caches."""
+    config = dataclasses.replace(
+        ExperimentConfig(), num_domains=2, nodes_per_domain=150, num_links=700, vnr_count=120
+    )
+    sub = workload.generate_substrate(config, 3)
+    return sub, run_simulation(sub, workload.generate_vnr_stream(config, 4), NodeRankPolicy())[2]
+
+
+def test_one_run_shares_its_link_keys_and_the_substrates_node_ids():
+    sub, records = shared_key_run()
+    first_seen = {}
+    for record in records:
+        for key in record.link_paths:
+            assert first_seen.setdefault(key, key) is key
+        for node_id in record.node_map.values():
+            assert node_id is sub.node_ids[node_id]
+    # some virtual link is placed twice, and some node id is past the cached ints
+    assert len(first_seen) < sum(len(r.link_paths) for r in records)
+    assert max(n for r in records for n in r.node_map.values()) > 256
+
+
+def test_two_runs_share_no_key_object():
+    first = shared_key_run()[1]
+    second = shared_key_run()[1]
+    first_keys = {id(key) for r in first for key in r.link_paths}
+    assert first_keys
+    assert not first_keys & {id(key) for r in second for key in r.link_paths}
 
 
 def test_run_simulation_empty_stream():
@@ -347,6 +379,28 @@ def test_read_decision_log_names_a_bad_line_after_shared_tokens(tmp_path, bad, m
     for _ in range(2):
         with pytest.raises(ValueError, match=exactly(f"{path}:4: {message}")):
             read_decision_log(path)
+
+
+GOOD_LINE = "0,0.0,1,1.0,1.0,0:3|1:4,1,0-1:7"
+
+
+@pytest.mark.parametrize(
+    "text, line_no, message",
+    [
+        ("", 1, "not a decision log"),
+        ("\n  \n\t\n", 1, "not a decision log"),
+        ("\n\nvnr_id,t_s\n" + GOOD_LINE + "\n", 3, "not a decision log"),
+        # blank lines before the header and between records are skipped, and
+        # the last line has no newline
+        ("\n\n" + engine.DECISION_LOG_HEADER + "\n" + GOOD_LINE + "\n\n1,1.0,1", 6, "expected 8 fields, found 3"),
+    ],
+    ids=["empty", "blank-lines-only", "blank-lines-before-the-header", "bad-last-line"],
+)
+def test_read_decision_log_names_the_line_of_a_bad_log(tmp_path, text, line_no, message):
+    path = tmp_path / "decisions.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=exactly(f"{path}:{line_no}: {message}")):
+        read_decision_log(path)
 
 
 def test_a_failed_parse_leaves_nothing_in_the_tables():

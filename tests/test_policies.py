@@ -83,7 +83,7 @@ def test_hfl_policy_walks_each_virtual_node_independently():
     walked = [list(o) for o in hfl(sub, vnr)]
     assert walked[0] == walked[1]
     assert feasible_view(sub, vnr, walked) == reference_hfl_candidates(agents, sub, vnr)
-    record = engine.attempt_embedding(sub, vnr, hfl(sub, vnr))
+    record = engine.attempt_embedding(sub, vnr, hfl(sub, vnr), {})
     assert record.accepted
     assert len(set(record.node_map.values())) == 2
     assert set(record.node_map.values()) <= {0, 1, 2}
@@ -95,7 +95,7 @@ def test_trainer_routes_traces_to_owning_domains():
     vnr = make_vnr(node_demands=(10.0, 12.0), link_demands=((0, 1, 5.0),), t_s=0.0, t_e=4.0)
     trainer = Trainer(sub, [vnr], learning_rate=1.0, batch_size=10, epochs=1, seed=19)
     agents = trainer.agents
-    record = engine.attempt_embedding(sub, vnr, trainer.policy(sub, vnr))
+    record = engine.attempt_embedding(sub, vnr, trainer.policy(sub, vnr), {})
     assert record.accepted
     trainer._on_record(vnr, record)
     placed = 0

@@ -366,7 +366,7 @@ def test_attempt_embedding_gives_back_exactly(sub, data):
     vnr = make_vnr(node_demands=node_demands, link_demands=link_demands)
     ranked = [data.draw(st.permutations(range(sub.num_nodes))) for _ in range(num_nodes)]
     before = sub.resource_vector().tobytes()
-    record = attempt_embedding(sub, vnr, ranked)
+    record = attempt_embedding(sub, vnr, ranked, {})
     assert record.outstanding == record.accepted
     if record.accepted:
         sub.release(record, vnr)
