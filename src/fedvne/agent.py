@@ -197,7 +197,7 @@ def save_checkpoint(path, domain_params: dict[int, PolicyParams], global_params:
 
 
 def load_checkpoint(path) -> tuple[dict[int, PolicyParams], PolicyParams]:
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="backslashreplace") as fh:
         rows = [(no, line.split()) for no, line in enumerate(fh, 1) if line.strip()]
     if len(rows) < 2:
         where = f"{path}:{rows[-1][0] + 1 if rows else 1}"  # where the missing line belongs

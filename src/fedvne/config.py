@@ -78,8 +78,6 @@ class ExperimentConfig:
             # resource amounts stay within 2^43 (int64 at a 2^-20 quantum): no noderank overflow
             if lo != "vn_nodes_min" and not 0 <= getattr(self, lo) <= getattr(self, hi) <= 2**43:
                 raise ConfigError(f"{lo} and {hi} must lie in [0, 2^43]")
-        if self.train_count + self.test_count > self.vnr_count:
-            raise ConfigError("train_count + test_count must not exceed vnr_count")
         if not 0.0 <= self.inter_link_ratio <= 1.0:
             raise ConfigError("inter_link_ratio must lie in [0, 1]")
         if not 0.0 <= self.vlink_prob <= 1.0:
@@ -127,7 +125,7 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8", errors="backslashreplace") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None

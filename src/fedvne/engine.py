@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cache
 from math import inf, isfinite
 
 import numpy as np
@@ -150,19 +151,20 @@ def embed_nodes(
 ) -> dict[int, int] | None:
     """Greedy node placement into ``node_map``.
 
-    Virtual nodes are processed in descending cpu demand; each walks its own
-    order (an iterable, walked once) up to the first candidate not already
-    used by this request that has enough cpu, and is allocated and mapped at
-    once; orders must not share an iterator. Returns the filled map,
-    or None at the first virtual node no candidate can host; the placements
-    made before it stay allocated and mapped, for the caller to release. Cpu
-    is read once, at entry, into a per-call list: during the stage only nodes
-    this request took change, and each is marked taken there with -inf, which
-    no demand fits (demands are non-negative).
+    Virtual nodes are processed in descending cpu demand, equal demands in
+    ascending index order (the sort is stable); each walks its own order (an
+    iterable, walked once) up to the first candidate not already used by
+    this request that has enough cpu, and is allocated and mapped at once;
+    orders must not share an iterator. Returns the filled map, or None at
+    the first virtual node no candidate can host; the placements made before
+    it stay allocated and mapped, for the caller to release. Cpu is read
+    once, at entry, into a per-call list: during the stage only nodes this
+    request took change, and each is marked taken there with -inf, which no
+    demand fits (demands are non-negative).
     """
     cpu = substrate.cpu_available.tolist()
     node_ids = substrate.node_ids
-    order = sorted(range(vnr.num_nodes), key=lambda v: (-vnr.node_demands[v], v))
+    order = sorted(range(vnr.num_nodes), key=vnr.node_demands.__getitem__, reverse=True)
     for v in order:
         demand = vnr.node_demands[v]
         for node_id in ranked_candidates[v]:
@@ -185,15 +187,14 @@ def embed_links(
 ) -> dict[tuple[int, int], tuple[int, ...]] | None:
     """Minimum-hop link placement into ``link_paths``, one path per virtual link.
 
-    Virtual links are processed in descending bandwidth demand, each path
-    allocated and kept as it is found. Returns the filled map, or None at the
-    first virtual link with no feasible path; the paths placed before it stay
+    Virtual links are processed in descending bandwidth demand, equal demands
+    in ascending index order (the sort is stable), each path allocated and
+    kept as it is found. Returns the filled map, or None at the first
+    virtual link with no feasible path; the paths placed before it stay
     allocated, for the caller to release together with the nodes. Each path
     is stored under the one ``(a, b)`` tuple ``link_keys`` holds for its key.
     """
-    order = sorted(
-        range(vnr.num_links), key=lambda i: (-vnr.link_demands[i][2], i)
-    )
+    order = sorted(range(vnr.num_links), key=lambda i: vnr.link_demands[i][2], reverse=True)
     for i in order:
         a, b, demand = vnr.link_demands[i]
         path = min_hop_path(substrate, node_map[a], node_map[b], demand)
@@ -430,24 +431,12 @@ def write_decision_log(path, records) -> None:
     write_csv(path, DECISION_LOG_HEADER.split(","), rows)
 
 
-class _ParsedText(dict):
-    """Text -> the value ``parse(text)`` gave it; a text whose parse raised is not stored."""
-
-    def __init__(self, parse):
-        super().__init__()
-        self.parse = parse
-
-    def __missing__(self, text: str):
-        value = self[text] = self.parse(text)
-        return value
-
-
 def _virtual_link(text: str) -> tuple[int, int]:
     a, b = (int(x) for x in text.split("-"))
     return a, b
 
 
-def _parse_decision(line: str, ints: _ParsedText, links: _ParsedText) -> EmbeddingRecord:
+def _parse_decision(line: str, ints, links) -> EmbeddingRecord:
     fields = line.split(",")
     if len(fields) != DECISION_LOG_FIELDS:
         raise ValueError(f"expected {DECISION_LOG_FIELDS} fields, found {len(fields)}")
@@ -462,17 +451,17 @@ def _parse_decision(line: str, ints: _ParsedText, links: _ParsedText) -> Embeddi
             raise ValueError(f"{name} must be finite, got {getattr(record, name)}")
     if fields[5]:
         for pair in fields[5].split("|"):
-            v, node = (ints[x] for x in pair.split(":"))
+            v, node = (ints(x) for x in pair.split(":"))
             if v in record.node_map:
                 raise ValueError(f"node_map repeats virtual node {v}")
             record.node_map[v] = node
     if fields[7]:
         for chunk in fields[7].split("|"):
             key, seq = chunk.split(":")
-            a, b = link = links[key]
+            a, b = link = links(key)
             if link in record.link_paths:
                 raise ValueError(f"link_paths repeats virtual link {a}-{b}")
-            record.link_paths[link] = tuple(map(ints.__getitem__, seq.split(">"))) if seq else ()
+            record.link_paths[link] = tuple(map(ints, seq.split(">"))) if seq else ()
     if fields[6] != _format_paths(record)[0]:
         raise ValueError(f"path_hops {fields[6]} do not match link_paths")
     return record
@@ -483,16 +472,13 @@ def read_decision_log(path) -> list[EmbeddingRecord]:
 
     The file is parsed line by line as it is read; blank lines are skipped,
     and the first other line must be the header (an empty log fails at line
-    1). Two tables, local to the call, map each node-id and link-id token's
-    text to the one ``int`` it parsed to, and each virtual-link key's text to
-    its ``(a, b)``, so equal text in one log yields the same objects. A text
-    is parsed as a plain ``int`` or ``a, b`` unpack would parse it, and stored
-    only when that parse succeeds, so every message is the one an unshared
-    parse gives. Nothing may rely on these objects' identity.
+    1). Node-id and link-id tokens and virtual-link keys are parsed through
+    ``functools.cache`` wrappers local to the call, so equal text in one log
+    yields the same objects; nothing may rely on their identity.
     """
-    ints, links = _ParsedText(int), _ParsedText(_virtual_link)
+    ints, links = cache(int), cache(_virtual_link)
     records = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="backslashreplace") as fh:
         lines = ((no, line.rstrip("\n")) for no, line in enumerate(fh, 1) if line.strip())
         line_no, header = next(lines, (1, None))
         if header != DECISION_LOG_HEADER:

@@ -323,7 +323,7 @@ def _finite(path: str, line_no: int, text: str) -> float:
 
 def load_substrate(path) -> MultiDomainSubstrate:
     path = str(path)
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="backslashreplace") as fh:
         next_line, _ = _line_reader(path, fh)
         header_line, header = next_line("header")
         if len(header) != 3:
@@ -417,7 +417,7 @@ def load_vnrs(path) -> list[VirtualNetworkRequest]:
     and ``-0.0`` stays apart from ``0.0``; validate_vnr runs on every request.
     """
     path = str(path)
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="backslashreplace") as fh:
         next_line, read_section = _line_reader(path, fh)
         line_no, header = next_line("request count")
         try:

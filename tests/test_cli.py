@@ -108,25 +108,37 @@ def test_config_rejects_unknown_key():
         parse_config_text("not_a_key=1\n")
 
 
-def test_config_rejects_bad_split():
-    with pytest.raises(ConfigError, match=exactly("train_count + test_count must not exceed vnr_count")):
-        checked("vnr_count=10\ntrain_count=8\ntest_count=8\n")
+def test_the_split_is_checked_against_the_loaded_stream_not_vnr_count(tmp_path):
+    """vnr_count sizes only what generate draws: it neither refuses nor changes a split."""
+    drawn = tmp_path / "drawn"
+    # the default split, 1000 + 1000, is more than generate draws
+    assert cli.main(["generate", "--vnr-count", "40", "--out-dir", str(drawn)]) == 0
+    assert (drawn / "vnrs.txt").read_text().startswith("40\n")
+    substrate_path, vnrs_path = generate_tiny(tmp_path)  # 40 requests, split 20 + 20
+    outs = []
+    for vnr_count in ("40", "10"):
+        outs.append(tmp_path / f"eval_{vnr_count}")
+        args = ["evaluate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path), "--policy",
+                "noderank", "--out-dir", str(outs[-1])] + tiny_flags() + ["--vnr-count", vnr_count]
+        assert cli.main(args) == 0
+    for name in ("metrics.csv", "decisions.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_config_file_values_are_checked_after_the_flags(tmp_path, capsys):
     """A file value the flags make valid is accepted; a flag the file cannot mend is refused."""
     path = tmp_path / "run.cfg"
-    path.write_text("train_count=1500\n")  # with the default test_count, 2500 > vnr_count
+    path.write_text("cpu_max=40\n")  # with the default cpu_min of 50, cpu_min > cpu_max
     merged, flags_only = tmp_path / "merged", tmp_path / "flags"
-    assert cli.main(["generate", "--config", str(path), "--test-count", "100", "--out-dir", str(merged)]) == 0
-    assert cli.main(["generate", "--train-count", "1500", "--test-count", "100", "--out-dir", str(flags_only)]) == 0
+    assert cli.main(["generate", "--config", str(path), "--cpu-min", "30", "--out-dir", str(merged)]) == 0
+    assert cli.main(["generate", "--cpu-min", "30", "--cpu-max", "40", "--out-dir", str(flags_only)]) == 0
     for name in ("substrate.txt", "vnrs.txt"):
         assert (merged / name).read_bytes() == (flags_only / name).read_bytes()
     capsys.readouterr()
-    path.write_text("train_count=100\ntest_count=100\n")
-    args = ["generate", "--config", str(path), "--train-count", "1950", "--out-dir", str(tmp_path / "out")]
+    path.write_text("cpu_min=10\ncpu_max=20\n")
+    args = ["generate", "--config", str(path), "--cpu-min", "30", "--out-dir", str(tmp_path / "out")]
     assert cli.main(args) == 1
-    assert capsys.readouterr().err == "config error: train_count + test_count must not exceed vnr_count\n"
+    assert capsys.readouterr().err == "config error: cpu_min must not exceed cpu_max\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -906,6 +918,33 @@ def test_input_faults_name_file_and_line(tmp_path, capsys, fault, message):
     )
     assert code == 2
     assert f"{path}:{line_no}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "which, line_no, expected",
+    [("config", 1, 1), ("substrate", 2, 2), ("vnrs", 2, 2), ("checkpoint", 1, 2), ("decisions", 2, 2)],
+)
+def test_a_byte_that_is_not_utf8_names_file_and_line(tmp_path, capsys, which, line_no, expected):
+    """A 0xff byte at the end of a line fails the field it lands in, and the message is ASCII."""
+    substrate_path, vnrs_path, checkpoint = train_tiny(tmp_path)
+    inputs = ["--substrate", str(substrate_path), "--vnrs", str(vnrs_path)]
+    eval_out = tmp_path / "eval"
+    evaluate = ["evaluate", *inputs, "--checkpoint", str(checkpoint), "--out-dir", str(eval_out)]
+    assert cli.main(evaluate + tiny_flags()) == 0
+    config = tmp_path / "run.cfg"
+    config.write_text("seed=7\n")
+    decisions = eval_out / "decisions.csv"
+    path = {"config": config, "substrate": substrate_path, "vnrs": vnrs_path,
+            "checkpoint": checkpoint, "decisions": decisions}[which]
+    lines = path.read_bytes().split(b"\n")
+    lines[line_no - 1] += b"\xff"
+    path.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    command = ["validate", *inputs, "--decisions", str(decisions)] if which == "decisions" else evaluate
+    assert cli.main(command + ["--config", str(config)] + tiny_flags()) == expected
+    err = capsys.readouterr().err
+    assert f"{path}:{line_no}: " in err
+    assert err.isascii() and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("which", ["substrate", "vnrs"])

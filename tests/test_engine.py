@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -403,8 +404,8 @@ def test_read_decision_log_names_the_line_of_a_bad_log(tmp_path, text, line_no, 
         read_decision_log(path)
 
 
-def test_a_failed_parse_leaves_nothing_in_the_tables():
-    ints, links = engine._ParsedText(int), engine._ParsedText(engine._virtual_link)
+def test_a_failed_parse_leaves_nothing_in_the_caches():
+    ints, links = functools.cache(int), functools.cache(engine._virtual_link)
     cases = [
         ("0,0.0,1,1.0,1.0,0:3|1:4,1,0-1-2:7", "too many values to unpack (expected 2)"),
         ("0,0.0,1,1.0,1.0,0:3|1:4,2,0-1:7>7x", "invalid literal for int() with base 10: '7x'"),
@@ -412,8 +413,9 @@ def test_a_failed_parse_leaves_nothing_in_the_tables():
     for line, message in cases * 2:
         with pytest.raises(ValueError, match=exactly(message)):
             engine._parse_decision(line, ints, links)
-    assert ints == {"0": 0, "1": 1, "3": 3, "4": 4, "7": 7}
-    assert links == {"0-1": (0, 1)}
+    # "0", "1", "3", "4", "7" and "0-1"
+    assert ints.cache_info().currsize == 5
+    assert links.cache_info().currsize == 1
 
 def test_replay_validate_clean_run():
     sub = make_substrate([0] * 3, [50.0] * 3, [(0, 1, 30.0), (1, 2, 30.0)])
