@@ -25,7 +25,6 @@ from .config import (
     ExperimentConfig,
     apply_overrides,
     field_types,
-    load_config,
 )
 from .policies import HflPolicy
 from .training import Trainer
@@ -36,25 +35,24 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="config file; flags override its values")
+    defaults = ExperimentConfig()
     for name, kind in field_types().items():
         parser.add_argument(
             "--" + name.replace("_", "-"),
             dest=name,
             type=kind,
             default=None,
-            help=f"override config key {name}",
+            help=f"config key {name} (default {getattr(defaults, name)})",
         )
 
 
 def _resolve_config(args) -> ExperimentConfig:
-    config = load_config(args.config) if args.config is not None else ExperimentConfig()
     overrides = {
         f.name: getattr(args, f.name)
         for f in dataclasses.fields(ExperimentConfig)
-        if getattr(args, f.name, None) is not None
+        if getattr(args, f.name) is not None
     }
-    return apply_overrides(config, overrides)
+    return apply_overrides(ExperimentConfig(), overrides)
 
 
 def _sha256(path: Path) -> str:
@@ -221,7 +219,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    _resolve_config(args)
     substrate = workload.load_substrate(args.substrate)
     vnrs = workload.load_vnrs(args.vnrs)
     records = engine.read_decision_log(args.decisions)
@@ -273,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--substrate", required=True)
     p.add_argument("--vnrs", required=True)
     p.add_argument("--decisions", required=True)
-    _add_config_flags(p)
     p.set_defaults(func=cmd_validate)
 
     return parser

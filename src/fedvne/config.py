@@ -1,4 +1,4 @@
-"""Experiment configuration: flat key=value files plus CLI overrides."""
+"""Experiment configuration: defaults plus CLI overrides, checked as a whole."""
 
 from __future__ import annotations
 
@@ -88,48 +88,10 @@ class ExperimentConfig:
         if self.policy not in POLICIES:
             raise ConfigError(f"policy must be one of {', '.join(POLICIES)}")
 
-    def to_text(self) -> str:
-        lines = []
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            text = repr(value) if isinstance(value, float) else str(value)
-            lines.append(f"{f.name}={text}")
-        return "\n".join(lines) + "\n"
-
 
 def field_types() -> dict[str, type]:
     types = {"int": int, "float": float, "str": str}
     return {f.name: types[f.type] for f in dataclasses.fields(ExperimentConfig)}
-
-
-def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
-    types = field_types()
-    values: dict[str, object] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{source}:{line_no}: expected key=value")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in types:
-            raise ConfigError(f"{source}:{line_no}: unknown key '{key}'")
-        try:
-            values[key] = types[key](value)
-        except ValueError:
-            raise ConfigError(f"{source}:{line_no}: bad value for '{key}'") from None
-    return ExperimentConfig(**values)
-
-
-def load_config(path) -> ExperimentConfig:
-    try:
-        with open(path, encoding="utf-8", errors="backslashreplace") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    return parse_config_text(text, source=str(path))
 
 
 def apply_overrides(config: ExperimentConfig, overrides: dict[str, object]) -> ExperimentConfig:

@@ -114,7 +114,7 @@ def test_c1_constraint_soundness(tmp_path_factory, capsys):
         ) == 0
         code = cli.main(
             ["validate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
-             "--decisions", str(out_dir / "decisions.csv"), "--seed", str(seed)] + flags
+             "--decisions", str(out_dir / "decisions.csv")]
         )
         elapsed = time.perf_counter() - started
         output = capsys.readouterr().out

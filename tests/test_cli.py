@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import importlib
@@ -17,13 +18,7 @@ from hypothesis import strategies as st
 import fedvne
 from _helpers import exactly
 from fedvne import cli
-from fedvne.config import (
-    ConfigError,
-    ExperimentConfig,
-    apply_overrides,
-    load_config,
-    parse_config_text,
-)
+from fedvne.config import ConfigError, ExperimentConfig, apply_overrides
 
 TINY = dict(
     num_domains=2,
@@ -60,52 +55,48 @@ def test_default_config_is_valid():
     ExperimentConfig().validate()
 
 
-def test_config_round_trip():
-    config = dataclasses.replace(ExperimentConfig(), seed=9, learning_rate=0.125)
-    parsed = parse_config_text(config.to_text())
-    assert parsed == config
-    assert parsed.to_text() == config.to_text()
-
-
-def checked(text):
-    """The config a file holding ``text`` resolves to with no flags: parsed, then checked once."""
-    return apply_overrides(parse_config_text(text), {})
-
-
-@pytest.mark.parametrize("text", ["cpu_min=80\ncpu_max=20\n", "cpu_min=50.0\n"])
-def test_config_rejects_bad_range(text):
-    with pytest.raises(ConfigError):
-        checked(text)
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"cpu_min": 80, "cpu_max": 20}, "cpu_min must not exceed cpu_max"),
+        # one bound alone can empty a range: the default vnode_cpu_max is 50
+        ({"vnode_cpu_min": 60}, "vnode_cpu_min must not exceed vnode_cpu_max"),
+    ],
+)
+def test_config_rejects_bad_range(overrides, message):
+    with pytest.raises(ConfigError, match=exactly(message)):
+        apply_overrides(ExperimentConfig(), overrides)
 
 
 @pytest.mark.parametrize(
-    "text, message",
+    "overrides, message",
     [
-        ("epochs=0\n", "epochs must be at least 1"),
-        ("test_count=-1\n", "test_count must not be negative"),
-        ("inter_link_ratio=1.5\n", "inter_link_ratio must lie in [0, 1]"),
-        ("vlink_prob=-0.1\n", "vlink_prob must lie in [0, 1]"),
-        ("learning_rate=0\n", "learning_rate must be positive"),
+        ({"epochs": 0}, "epochs must be at least 1"),
+        ({"test_count": -1}, "test_count must not be negative"),
+        ({"inter_link_ratio": 1.5}, "inter_link_ratio must lie in [0, 1]"),
+        ({"vlink_prob": -0.1}, "vlink_prob must lie in [0, 1]"),
+        ({"learning_rate": 0.0}, "learning_rate must be positive"),
         # every float key must be finite: nan passes each comparison, inf passes "positive"
-        ("inter_link_ratio=nan\n", "inter_link_ratio must be finite"),
-        ("vlink_prob=nan\n", "vlink_prob must be finite"),
-        ("arrival_rate=nan\n", "arrival_rate must be finite"),
-        ("mean_lifetime=inf\n", "mean_lifetime must be finite"),
-        ("learning_rate=nan\n", "learning_rate must be finite"),
-        ("reject_reward=inf\n", "reject_reward must be finite"),
-        ("metrics_interval=-inf\n", "metrics_interval must be finite"),
-        ("policy=greedy\n", "policy must be one of hfl, noderank, random"),
-        ("seed=1\nno equals sign\n", "<config>:2: expected key=value"),
+        ({"inter_link_ratio": math.nan}, "inter_link_ratio must be finite"),
+        ({"vlink_prob": math.nan}, "vlink_prob must be finite"),
+        ({"arrival_rate": math.nan}, "arrival_rate must be finite"),
+        ({"mean_lifetime": math.inf}, "mean_lifetime must be finite"),
+        ({"learning_rate": math.nan}, "learning_rate must be finite"),
+        ({"reject_reward": math.inf}, "reject_reward must be finite"),
+        ({"metrics_interval": -math.inf}, "metrics_interval must be finite"),
+        ({"policy": "greedy"}, "policy must be one of hfl, noderank, random"),
     ],
 )
-def test_config_rejects_each_bad_value(text, message):
+def test_config_rejects_each_bad_value(overrides, message):
     with pytest.raises(ConfigError, match=exactly(message)):
-        checked(text)
+        apply_overrides(ExperimentConfig(), overrides)
 
 
-def test_config_rejects_unknown_key():
-    with pytest.raises(ConfigError):
-        parse_config_text("not_a_key=1\n")
+def test_config_rejects_unknown_key(tmp_path, capsys):
+    args = ["generate", "--not-a-key", "1", "--out-dir", str(tmp_path / "out")]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == "config error: unrecognized arguments: --not-a-key 1\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_the_split_is_checked_against_the_loaded_stream_not_vnr_count(tmp_path):
@@ -125,47 +116,77 @@ def test_the_split_is_checked_against_the_loaded_stream_not_vnr_count(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
-def test_config_file_values_are_checked_after_the_flags(tmp_path, capsys):
-    """A file value the flags make valid is accepted; a flag the file cannot mend is refused."""
-    path = tmp_path / "run.cfg"
-    path.write_text("cpu_max=40\n")  # with the default cpu_min of 50, cpu_min > cpu_max
-    merged, flags_only = tmp_path / "merged", tmp_path / "flags"
-    assert cli.main(["generate", "--config", str(path), "--cpu-min", "30", "--out-dir", str(merged)]) == 0
-    assert cli.main(["generate", "--cpu-min", "30", "--cpu-max", "40", "--out-dir", str(flags_only)]) == 0
-    for name in ("substrate.txt", "vnrs.txt"):
-        assert (merged / name).read_bytes() == (flags_only / name).read_bytes()
+def test_config_flags_are_checked_together(tmp_path, capsys):
+    """A flag the other flags make valid is accepted; one they cannot mend is refused."""
+    assert cli.main(["generate", "--cpu-max", "40", "--cpu-min", "30", "--out-dir", str(tmp_path / "ok")]) == 0
     capsys.readouterr()
-    path.write_text("cpu_min=10\ncpu_max=20\n")
-    args = ["generate", "--config", str(path), "--cpu-min", "30", "--out-dir", str(tmp_path / "out")]
-    assert cli.main(args) == 1
+    assert cli.main(["generate", "--cpu-max", "40", "--out-dir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == "config error: cpu_min must not exceed cpu_max\n"
     assert not (tmp_path / "out").exists()
 
 
-def test_config_file_and_overrides(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text("seed=3\nepochs=2\n# comment\n")
-    config = load_config(path)
-    assert config.seed == 3 and config.epochs == 2
-    overridden = apply_overrides(config, {"seed": 11})
-    assert overridden.seed == 11
+def test_settings_come_only_from_flags_and_validate_takes_none(tmp_path, capsys):
+    """The flags are the one source of a run's settings: a config file is an
+    unknown argument, and validate, whose replay no setting changes, takes none."""
+    substrate_path, vnrs_path = generate_tiny(tmp_path)
+    log = tmp_path / "eval" / "decisions.csv"
+    assert cli.main(["evaluate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
+                     "--policy", "noderank", "--out-dir", str(log.parent)] + tiny_flags()) == 0
+    validate = ["validate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path), "--decisions", str(log)]
+    assert cli.main(validate) == 0
+    capsys.readouterr()
+    assert cli.main(validate + ["--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "config error: unrecognized arguments: --seed 1\n"
+
+    config_flags = {"--" + f.name.replace("_", "-") for f in dataclasses.fields(ExperimentConfig)}
+    own_flags = {
+        "generate": {"--out-dir"},
+        "train": {"--substrate", "--vnrs", "--out-dir"},
+        "evaluate": {"--substrate", "--vnrs", "--checkpoint", "--out-dir"},
+        "compare": {"--substrate", "--vnrs", "--checkpoint", "--policies", "--out-dir"},
+        "validate": {"--substrate", "--vnrs", "--decisions"},
+    }
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == set(own_flags)
+    for command, sub in commands.items():
+        options = {option for action in sub._actions for option in action.option_strings}
+        expected = {"-h", "--help"} | own_flags[command] | (set() if command == "validate" else config_flags)
+        assert options == expected, command
 
 
-@pytest.mark.parametrize("name", ["missing.cfg", "."])  # no such file; a directory
-def test_unreadable_config_file_exits_one(tmp_path, capsys, name):
-    path = tmp_path / name
-    args = ["generate", "--out-dir", str(tmp_path / "out"), "--config", str(path)]
-    assert cli.main(args) == 1
-    assert capsys.readouterr().err.startswith(f"config error: cannot read config file {path}: ")
+@pytest.mark.parametrize(
+    "command, inputs",
+    [
+        ("generate", []),
+        ("train", ["--substrate", "s.txt", "--vnrs", "v.txt"]),
+        ("evaluate", ["--substrate", "s.txt", "--vnrs", "v.txt"]),
+        ("compare", ["--substrate", "s.txt", "--vnrs", "v.txt"]),
+        ("validate", ["--substrate", "s.txt", "--vnrs", "v.txt", "--decisions", "d.csv"]),
+    ],
+)
+def test_each_command_refuses_a_config_file(tmp_path, capsys, command, inputs):
+    config = tmp_path / "run.cfg"
+    config.write_text("seed=3\n")
+    out = [] if command == "validate" else ["--out-dir", str(tmp_path / "out")]
+    assert cli.main([command, *inputs, *out, "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: unrecognized arguments: --config {config}\n"
     assert not (tmp_path / "out").exists()
 
 
-def test_empty_config_path_exits_one(tmp_path, capsys):
-    # an empty path names no file; it is refused, not read as "no config file"
-    args = ["generate", "--out-dir", str(tmp_path / "out"), "--config", ""]
-    assert cli.main(args) == 1
-    assert capsys.readouterr().err.startswith("config error: cannot read config file : ")
-    assert not (tmp_path / "out").exists()
+def test_help_names_the_default_of_each_config_flag(capsys):
+    """With no config file to read them from, the defaults are stated in each command's help."""
+    defaults = ExperimentConfig()
+    for command in ("generate", "train", "evaluate", "compare"):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, "--help"])
+        assert exit_info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for f in dataclasses.fields(ExperimentConfig):
+            assert f"config key {f.name} (default {getattr(defaults, f.name)})" in text, (command, f.name)
 
 
 # -- subcommands --------------------------------------------------------------
@@ -203,6 +224,7 @@ def test_generate_zero_vnrs(tmp_path):
         ["--vnode-cpu-min", "0.5", "--vnode-cpu-max", "0.7"],
         ["--bw-min", "1", "--bw-max", str(2**43 + 1)],
         ["--vlink-bw-min", "-1"],
+        ["--cpu-min", "50.0"],
     ],
 )
 def test_generate_invalid_range_exits_one(tmp_path, capsys, flags):
@@ -580,7 +602,7 @@ def test_validate_clean_log(tmp_path, capsys):
     capsys.readouterr()
     code = cli.main(
         ["validate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
-         "--decisions", str(eval_out / "decisions.csv")] + tiny_flags()
+         "--decisions", str(eval_out / "decisions.csv")]
     )
     assert code == 0
     assert "0 violations" in capsys.readouterr().out
@@ -608,7 +630,7 @@ def test_validate_flags_tampered_log(tmp_path, capsys):
     capsys.readouterr()
     code = cli.main(
         ["validate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
-         "--decisions", str(decisions)] + tiny_flags()
+         "--decisions", str(decisions)]
     )
     assert code == 2
 
@@ -654,7 +676,7 @@ def test_validate_names_the_request_of_a_hand_edited_log(tmp_path, capsys, fault
     capsys.readouterr()
     code = cli.main(
         ["validate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
-         "--decisions", str(decisions)] + tiny_flags()
+         "--decisions", str(decisions)]
     )
     assert code == 2
     assert f"vnr {fields[0]}: {message}" in capsys.readouterr().out
@@ -689,7 +711,7 @@ def test_validate_malformed_log_names_file_and_line(tmp_path, capsys, field, val
     capsys.readouterr()
     code = cli.main(
         ["validate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
-         "--decisions", str(decisions)] + tiny_flags()
+         "--decisions", str(decisions)]
     )
     assert code == 2
     assert f"{decisions}:3: {message}" in capsys.readouterr().err
@@ -703,7 +725,7 @@ def test_validate_non_log_names_file_and_line(tmp_path, capsys, text, line_no):
     capsys.readouterr()
     code = cli.main(
         ["validate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
-         "--decisions", str(decisions)] + tiny_flags()
+         "--decisions", str(decisions)]
     )
     assert code == 2
     assert f"{decisions}:{line_no}: not a decision log" in capsys.readouterr().err
@@ -819,8 +841,8 @@ def test_duplicate_request_id_names_file_and_line(tmp_path, capsys, command):
     if command == "validate":
         argv += ["--decisions", str(tmp_path / "decisions.csv")]
     else:
-        argv += ["--policy", "noderank", "--out-dir", str(tmp_path / "out")]
-    code = cli.main(argv + tiny_flags())
+        argv += ["--policy", "noderank", "--out-dir", str(tmp_path / "out")] + tiny_flags()
+    code = cli.main(argv)
     assert code == 2
     err = capsys.readouterr().err
     assert f"{vnrs_path}:{headers[1] + 1}: duplicate request id 0" in err
@@ -920,28 +942,22 @@ def test_input_faults_name_file_and_line(tmp_path, capsys, fault, message):
     assert f"{path}:{line_no}: {message}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "which, line_no, expected",
-    [("config", 1, 1), ("substrate", 2, 2), ("vnrs", 2, 2), ("checkpoint", 1, 2), ("decisions", 2, 2)],
-)
-def test_a_byte_that_is_not_utf8_names_file_and_line(tmp_path, capsys, which, line_no, expected):
+@pytest.mark.parametrize("which, line_no", [("substrate", 2), ("vnrs", 2), ("checkpoint", 1), ("decisions", 2)])
+def test_a_byte_that_is_not_utf8_names_file_and_line(tmp_path, capsys, which, line_no):
     """A 0xff byte at the end of a line fails the field it lands in, and the message is ASCII."""
     substrate_path, vnrs_path, checkpoint = train_tiny(tmp_path)
     inputs = ["--substrate", str(substrate_path), "--vnrs", str(vnrs_path)]
     eval_out = tmp_path / "eval"
-    evaluate = ["evaluate", *inputs, "--checkpoint", str(checkpoint), "--out-dir", str(eval_out)]
-    assert cli.main(evaluate + tiny_flags()) == 0
-    config = tmp_path / "run.cfg"
-    config.write_text("seed=7\n")
+    evaluate = ["evaluate", *inputs, "--checkpoint", str(checkpoint), "--out-dir", str(eval_out)] + tiny_flags()
+    assert cli.main(evaluate) == 0
     decisions = eval_out / "decisions.csv"
-    path = {"config": config, "substrate": substrate_path, "vnrs": vnrs_path,
-            "checkpoint": checkpoint, "decisions": decisions}[which]
+    path = {"substrate": substrate_path, "vnrs": vnrs_path, "checkpoint": checkpoint, "decisions": decisions}[which]
     lines = path.read_bytes().split(b"\n")
     lines[line_no - 1] += b"\xff"
     path.write_bytes(b"\n".join(lines))
     capsys.readouterr()
     command = ["validate", *inputs, "--decisions", str(decisions)] if which == "decisions" else evaluate
-    assert cli.main(command + ["--config", str(config)] + tiny_flags()) == expected
+    assert cli.main(command) == 2
     err = capsys.readouterr().err
     assert f"{path}:{line_no}: " in err
     assert err.isascii() and err.count("\n") == 1
@@ -1016,7 +1032,7 @@ def run_pipeline(root: Path, flags: list[str]) -> dict[str, bytes]:
         for log in sorted(compared.glob("decisions_*.csv")):
             report = io.StringIO()
             with contextlib.redirect_stdout(report):
-                assert cli.main(["validate", *inputs, "--decisions", str(log)] + flags) == 0
+                assert cli.main(["validate", *inputs, "--decisions", str(log)]) == 0
             assert report.getvalue().endswith(f"0 violations in {log}\n")
     return {
         str(path.relative_to(root)): path.read_bytes()
