@@ -37,10 +37,19 @@ def noderank_scores(substrate: MultiDomainSubstrate) -> np.ndarray:
     return score
 
 
-def random_ranking(substrate: MultiDomainSubstrate, seed: int) -> list[float]:
-    """One uniform score per node, drawn in node id order."""
-    rng = random.Random(seed)
-    return [rng.random() for _ in range(substrate.num_nodes)]
+def random_ranking(substrate: MultiDomainSubstrate, seed: int) -> np.ndarray:
+    """One uniform score per node, drawn in node id order.
+
+    The scores are the values ``random.Random(seed).random()`` gives in turn,
+    drawn in one block: ``getrandbits(64 * n)`` holds the generator's next
+    ``2 * n`` 32-bit outputs as little-endian words, in draw order, and each
+    pair ``(a, b)`` gives CPython's ``random()`` value ``((a >> 5) * 2**26 +
+    (b >> 6)) / 2**53``. Every step is exact in float64, so every score keeps
+    its bits.
+    """
+    n = substrate.num_nodes
+    words = np.frombuffer(random.Random(seed).getrandbits(64 * n).to_bytes(8 * n, "little"), "<u4")
+    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
 
 
 class NodeRankPolicy:
@@ -66,5 +75,5 @@ class RandomPolicy:
         self._rng = random.Random(seed)
 
     def __call__(self, substrate: MultiDomainSubstrate, vnr):
-        score = np.array(random_ranking(substrate, self._rng.randrange(2**32)))
+        score = random_ranking(substrate, self._rng.randrange(2**32))
         return [ranked_by_score(score)] * vnr.num_nodes

@@ -29,7 +29,24 @@ from .config import (
 from .policies import HflPolicy
 from .training import Trainer
 
+class _StoreOnce(argparse.Action):
+    """Stores a flag's value, and refuses the flag when it is given again."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("given_flags", set())
+        if self.dest in given:
+            raise argparse.ArgumentError(self, "given more than once")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 class _Parser(argparse.ArgumentParser):
+    """Takes every flag by its full name only, and at most once; subparsers are of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+        self.register("action", None, _StoreOnce)
+
     def error(self, message):  # bad flags are configuration errors
         raise ConfigError(message)
 

@@ -71,6 +71,16 @@ def min_hop_path(
     only on the subgraph of feasible links. Distances live in two per-call
     lists indexed by node id: 1 + the distance from that side, 0 if unreached.
 
+    The last level stops growing once the frontier node that found the first
+    meeting node has been scanned: the rest of the frontier only collects the
+    other meeting nodes, marking them and nothing else. This is exact for two
+    reasons. Every meeting node lies in the other side's current frontier: had
+    a node of this frontier a feasible link to an earlier level of the other
+    side, an earlier level would already have met. And nothing after the
+    growth reads a non-meeting node of the last level: the walk back from the
+    meeting set looks for ``src`` distances below the meeting nodes', and the
+    walk on towards ``dst`` for ``dst`` distances below the meeting node's own.
+
     Between two domains the search first reads the domains' border links
     (``substrate.node_borders``) and returns None when every border link of
     either domain has less bandwidth than the demand. This is exact: every
@@ -102,7 +112,8 @@ def min_hop_path(
             frontier, reached, other = dst_frontier, from_dst, from_src
         tag = reached[frontier[0]] + 1
         grown = []
-        for here in frontier:
+        nodes = iter(frontier)
+        for here in nodes:
             for neighbor, link_id in adjacency[here]:
                 if reached[neighbor] or bw[link_id] < bw_demand:
                     continue
@@ -110,12 +121,20 @@ def min_hop_path(
                 grown.append(neighbor)
                 if other[neighbor]:
                     meeting.add(neighbor)
+            if meeting:
+                break
         if not grown:
             return None
         if frontier is src_frontier:
             src_frontier = grown
         else:
             dst_frontier = grown
+    # the rest of the last level only collects the other meeting nodes
+    for here in nodes:
+        for neighbor, link_id in adjacency[here]:
+            if other[neighbor] and not reached[neighbor] and not bw[link_id] < bw_demand:
+                reached[neighbor] = tag
+                meeting.add(neighbor)
 
     # on-path nodes at each distance from src, from the meeting set back to src
     meet_tag = from_src[next(iter(meeting))]

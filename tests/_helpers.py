@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 import re
 
 import numpy as np
@@ -210,6 +211,12 @@ def reference_hfl_candidates(agents, substrate, vnr):
         blocks.sort(key=lambda b: (b[0], b[1]))
         candidates.append([node_id for _, _, ids in blocks for node_id in ids])
     return candidates
+
+
+def reference_random_ranking(substrate, seed: int) -> list[float]:
+    """The random scores as one ``random()`` call per node, in node id order."""
+    rng = random.Random(seed)
+    return [rng.random() for _ in range(substrate.num_nodes)]
 
 
 def reference_noderank_scores(substrate) -> np.ndarray:

@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from _helpers import make_substrate, make_vnr
+from _helpers import make_substrate, make_vnr, reference_random_ranking
 from fedvne.baselines import NodeRankPolicy, RandomPolicy, noderank_scores, random_ranking
 from fedvne.engine import embed_nodes
 
@@ -68,11 +69,19 @@ def test_random_ranking_determinism():
     sub = make_substrate([0, 0], [30.0, 30.0], [(0, 1, 20.0)])
     first = random_ranking(sub, 99)
     second = random_ranking(sub, 99)
-    assert first == second
+    assert first.tobytes() == second.tobytes()
     different = random_ranking(sub, 100)
-    assert different != first
+    assert different.tobytes() != first.tobytes()
     single = random_ranking(make_substrate([0], [30.0], []), 5)
     assert len(single) == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 100, 1000, 2500])
+def test_random_ranking_gives_the_per_value_draws_bits(n):
+    sub = make_substrate([0] * n, [30.0] * n, [(i, i + 1, 20.0) for i in range(n - 1)])
+    for seed in (0, 1, 99, 2**32 - 1):
+        score = random_ranking(sub, seed)
+        assert score.tobytes() == np.array(reference_random_ranking(sub, seed)).tobytes()
 
 
 def test_policies_respect_provider_contract():

@@ -35,9 +35,10 @@ TINY = dict(
 )
 
 
-def tiny_flags():
+def tiny_flags(**overrides):
+    """TINY as flags, each key once; ``overrides`` replace or add values."""
     flags = []
-    for key, value in TINY.items():
+    for key, value in {**TINY, **overrides}.items():
         flags += [f"--{key.replace('_', '-')}", str(value)]
     return flags
 
@@ -99,6 +100,29 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("generate", ["--num-dom", "2"], "unrecognized arguments: --num-dom 2"),
+        ("train", ["--policy", "noderank", "--polic", "random"], "unrecognized arguments: --polic random"),
+        ("train", ["--policy", "noderank", "--policy", "random"], "argument --policy: given more than once"),
+        ("generate", ["--seed", "3", "--seed", "3"], "argument --seed: given more than once"),
+        ("evaluate", ["--vnrs", "other.txt"], "argument --vnrs: given more than once"),
+    ],
+    ids=["abbreviated", "abbreviated-after-full", "repeated", "repeated-same-value", "repeated-input"],
+)
+def test_every_flag_is_taken_by_its_full_name_once(tmp_path, capsys, command, flags, message):
+    inputs = []
+    if command != "generate":
+        substrate_path, vnrs_path = generate_tiny(tmp_path)
+        capsys.readouterr()
+        inputs = ["--substrate", str(substrate_path), "--vnrs", str(vnrs_path)]
+    assert cli.main([command, *inputs, "--out-dir", str(tmp_path / "out"), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_the_split_is_checked_against_the_loaded_stream_not_vnr_count(tmp_path):
     """vnr_count sizes only what generate draws: it neither refuses nor changes a split."""
     drawn = tmp_path / "drawn"
@@ -110,7 +134,7 @@ def test_the_split_is_checked_against_the_loaded_stream_not_vnr_count(tmp_path):
     for vnr_count in ("40", "10"):
         outs.append(tmp_path / f"eval_{vnr_count}")
         args = ["evaluate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path), "--policy",
-                "noderank", "--out-dir", str(outs[-1])] + tiny_flags() + ["--vnr-count", vnr_count]
+                "noderank", "--out-dir", str(outs[-1])] + tiny_flags(vnr_count=vnr_count)
         assert cli.main(args) == 0
     for name in ("metrics.csv", "decisions.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
@@ -464,8 +488,7 @@ def test_evaluate_empty_test_set(tmp_path):
     substrate_path, vnrs_path = generate_tiny(tmp_path)
     eval_out = tmp_path / "eval"
     args = ["evaluate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
-            "--policy", "random", "--out-dir", str(eval_out)] + tiny_flags()
-    args += ["--test-count", "0"]
+            "--policy", "random", "--out-dir", str(eval_out)] + tiny_flags(test_count=0)
     assert cli.main(args) == 0
     assert (eval_out / "metrics.csv").read_text() == "t,ltar,ltar2c,acc\n"
 

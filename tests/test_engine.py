@@ -76,6 +76,25 @@ def test_min_hop_lexicographic_tie_break():
     assert min_hop_path(sub, 0, 3, 5.0) == [0, 2]
 
 
+@pytest.mark.parametrize(
+    "links, expected",
+    [
+        # dst 6's side grows the last level from [4, 5]: 4 meets 2 first, then 5 meets 1,
+        # and 0-1-5-6 is smaller than 0-2-4-6
+        ([(0, 1), (0, 2), (0, 3), (1, 5), (2, 4), (4, 6), (5, 6)], [0, 3, 6]),
+        # dst 9's side grows the last level from [7, 8]: 7 meets 5 first, then 6, and
+        # 0-1-6-7-9 is smaller than 0-2-5-7-9
+        ([(0, 1), (0, 2), (1, 3), (1, 4), (1, 6), (2, 5), (5, 7), (6, 7), (7, 9), (8, 9)], [0, 4, 7, 8]),
+    ],
+    ids=["meeting-from-a-later-frontier-node", "meeting-later-in-one-adjacency"],
+)
+def test_min_hop_takes_a_meeting_node_found_after_the_first(links, expected):
+    n = 1 + max(max(link) for link in links)
+    sub = make_substrate([0] * n, [10.0] * n, [(a, b, 10.0) for a, b in links])
+    assert min_hop_path(sub, 0, n - 1, 5.0) == expected
+    assert len(expected) == min(len(p) for p in all_simple_paths(sub, 0, n - 1, 5.0))
+
+
 def two_domains(border_bw):
     # domain 0 is the path 0-1-2 and domain 1 the path 3-4; link 2 (2-3) is the only border link
     return make_substrate(
