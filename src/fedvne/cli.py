@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 configuration error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import sys
 import time
@@ -51,13 +50,25 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+# the config keys each command takes as flags: the ones it reads, but generate and
+# compare take every key until the benchmark passes each command only the keys it reads
+CONFIG_KEYS = {
+    "generate": tuple(field_types()),
+    "train": ("train_count", "learning_rate", "batch_size", "epochs", "reject_reward", "seed"),
+    "evaluate": ("train_count", "test_count", "metrics_interval", "seed", "policy"),
+    "compare": tuple(field_types()),
+    "validate": (),
+}
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, keys) -> None:
     defaults = ExperimentConfig()
-    for name, kind in field_types().items():
+    types = field_types()
+    for name in keys:
         parser.add_argument(
             "--" + name.replace("_", "-"),
             dest=name,
-            type=kind,
+            type=types[name],
             default=None,
             help=f"config key {name} (default {getattr(defaults, name)})",
         )
@@ -65,9 +76,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 def _resolve_config(args) -> ExperimentConfig:
     overrides = {
-        f.name: getattr(args, f.name)
-        for f in dataclasses.fields(ExperimentConfig)
-        if getattr(args, f.name) is not None
+        name: getattr(args, name)
+        for name in CONFIG_KEYS[args.command]
+        if getattr(args, name) is not None
     }
     return apply_overrides(ExperimentConfig(), overrides)
 
@@ -186,6 +197,8 @@ def _run_policies(args, config: ExperimentConfig, names):
     """Run each named policy over the test split, one at a time, yielding its
     (ledger, records, elapsed seconds). Every policy is built before the output
     directory is created, so a config error leaves nothing behind."""
+    if args.checkpoint is not None and "hfl" not in names:
+        raise ConfigError("--checkpoint is read only by the hfl policy, which is not run")
     substrate = workload.load_substrate(args.substrate)
     vnrs = workload.load_vnrs(args.vnrs)
     test_vnrs = _test_split(config, args.vnrs, vnrs)
@@ -256,14 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write substrate and request-stream files")
     p.add_argument("--out-dir", default=".")
-    _add_config_flags(p)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("train", help="train the federated policy on the first split")
     p.add_argument("--substrate", required=True)
     p.add_argument("--vnrs", required=True)
     p.add_argument("--out-dir", default=".")
-    _add_config_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="frozen-policy run over the held-out split")
@@ -271,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vnrs", required=True)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--out-dir", default=".")
-    _add_config_flags(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("compare", help="run several policies on the same workload")
@@ -280,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--policies", default="hfl,noderank,random")
     p.add_argument("--out-dir", default=".")
-    _add_config_flags(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("validate", help="re-check every constraint over a decision log")
@@ -289,6 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decisions", required=True)
     p.set_defaults(func=cmd_validate)
 
+    for command, p in sub.choices.items():
+        _add_config_flags(p, CONFIG_KEYS[command])
     return parser
 
 

@@ -8,7 +8,7 @@ import re
 
 import numpy as np
 
-from fedvne import training
+from fedvne import cli, training
 from fedvne.agent import NUM_FEATURES, PolicyParams, scores
 from fedvne.engine import EmbeddingRecord
 from fedvne.substrate import MultiDomainSubstrate
@@ -18,6 +18,12 @@ from fedvne.workload import ParseError, ValidationError, VirtualNetworkRequest
 def exactly(message: str) -> str:
     """A ``pytest.raises(match=...)`` pattern that accepts ``message`` and nothing else."""
     return "^" + re.escape(message) + "$"
+
+
+def config_flags(command: str, config: dict) -> list[str]:
+    """The flags of the keys of ``config`` that ``command`` takes, in ``config``'s order."""
+    keys = cli.CONFIG_KEYS[command]
+    return [arg for key, value in config.items() if key in keys for arg in (f"--{key.replace('_', '-')}", str(value))]
 
 
 def make_substrate(node_domains, cpu, links, num_domains=None, coords=None):

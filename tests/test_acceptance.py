@@ -98,7 +98,7 @@ def evaluations(instances, trained):
 
 def test_c1_constraint_soundness(tmp_path_factory, capsys):
     cfg = reference_config()
-    flags = ["--train-count", "0", "--test-count", str(cfg.vnr_count), "--epochs", str(EPOCHS)]
+    flags = ["--train-count", "0", "--test-count", str(cfg.vnr_count)]
     worst = 0.0
     for seed in SEEDS:
         out_dir = tmp_path_factory.mktemp(f"c1_{seed}")

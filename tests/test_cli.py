@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedvne
-from _helpers import exactly
+from _helpers import config_flags, exactly
 from fedvne import cli
 from fedvne.config import ConfigError, ExperimentConfig, apply_overrides
 
@@ -35,17 +35,14 @@ TINY = dict(
 )
 
 
-def tiny_flags(**overrides):
-    """TINY as flags, each key once; ``overrides`` replace or add values."""
-    flags = []
-    for key, value in {**TINY, **overrides}.items():
-        flags += [f"--{key.replace('_', '-')}", str(value)]
-    return flags
+def tiny_flags(command, **overrides):
+    """TINY as ``command``'s flags, each key once; ``overrides`` replace or add values."""
+    return config_flags(command, {**TINY, **overrides})
 
 
 def generate_tiny(tmp_path):
     out = tmp_path / "data"
-    assert cli.main(["generate", "--out-dir", str(out)] + tiny_flags()) == 0
+    assert cli.main(["generate", "--out-dir", str(out)] + tiny_flags("generate")) == 0
     return out / "substrate.txt", out / "vnrs.txt"
 
 
@@ -104,8 +101,8 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     "command, flags, message",
     [
         ("generate", ["--num-dom", "2"], "unrecognized arguments: --num-dom 2"),
-        ("train", ["--policy", "noderank", "--polic", "random"], "unrecognized arguments: --polic random"),
-        ("train", ["--policy", "noderank", "--policy", "random"], "argument --policy: given more than once"),
+        ("train", ["--epochs", "1", "--epoch", "2"], "unrecognized arguments: --epoch 2"),
+        ("train", ["--epochs", "1", "--epochs", "2"], "argument --epochs: given more than once"),
         ("generate", ["--seed", "3", "--seed", "3"], "argument --seed: given more than once"),
         ("evaluate", ["--vnrs", "other.txt"], "argument --vnrs: given more than once"),
     ],
@@ -123,21 +120,21 @@ def test_every_flag_is_taken_by_its_full_name_once(tmp_path, capsys, command, fl
     assert not (tmp_path / "out").exists()
 
 
-def test_the_split_is_checked_against_the_loaded_stream_not_vnr_count(tmp_path):
-    """vnr_count sizes only what generate draws: it neither refuses nor changes a split."""
+def test_the_split_is_checked_against_the_loaded_stream_not_vnr_count(tmp_path, capsys):
+    """vnr_count sizes only what generate draws: evaluate splits the loaded stream and does not take it."""
     drawn = tmp_path / "drawn"
     # the default split, 1000 + 1000, is more than generate draws
     assert cli.main(["generate", "--vnr-count", "40", "--out-dir", str(drawn)]) == 0
     assert (drawn / "vnrs.txt").read_text().startswith("40\n")
     substrate_path, vnrs_path = generate_tiny(tmp_path)  # 40 requests, split 20 + 20
-    outs = []
-    for vnr_count in ("40", "10"):
-        outs.append(tmp_path / f"eval_{vnr_count}")
-        args = ["evaluate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path), "--policy",
-                "noderank", "--out-dir", str(outs[-1])] + tiny_flags(vnr_count=vnr_count)
-        assert cli.main(args) == 0
-    for name in ("metrics.csv", "decisions.csv"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    args = ["evaluate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path), "--policy",
+            "noderank"] + tiny_flags("evaluate")
+    # the default vnr_count, 2000, does not refuse the 40-request file
+    assert cli.main(args + ["--out-dir", str(tmp_path / "eval")]) == 0
+    capsys.readouterr()
+    assert cli.main(args + ["--out-dir", str(tmp_path / "refused"), "--vnr-count", "40"]) == 1
+    assert capsys.readouterr().err == "config error: unrecognized arguments: --vnr-count 40\n"
+    assert not (tmp_path / "refused").exists()
 
 
 def test_config_flags_are_checked_together(tmp_path, capsys):
@@ -149,13 +146,32 @@ def test_config_flags_are_checked_together(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+ALL_KEYS = {
+    "num_domains", "nodes_per_domain", "num_links", "cpu_min", "cpu_max", "bw_min", "bw_max",
+    "inter_link_ratio", "vnr_count", "train_count", "test_count", "vn_nodes_min", "vn_nodes_max",
+    "vnode_cpu_min", "vnode_cpu_max", "vlink_bw_min", "vlink_bw_max", "vlink_prob", "arrival_rate",
+    "mean_lifetime", "learning_rate", "batch_size", "epochs", "reject_reward", "metrics_interval",
+    "seed", "policy",
+}
+# the config keys each command takes: train and evaluate the ones they read, generate
+# and compare every key, validate none
+TAKEN_KEYS = {
+    "generate": ALL_KEYS,
+    "train": {"train_count", "learning_rate", "batch_size", "epochs", "reject_reward", "seed"},
+    "evaluate": {"train_count", "test_count", "metrics_interval", "policy", "seed"},
+    "compare": ALL_KEYS,
+    "validate": set(),
+}
+
+
 def test_settings_come_only_from_flags_and_validate_takes_none(tmp_path, capsys):
     """The flags are the one source of a run's settings: a config file is an
-    unknown argument, and validate, whose replay no setting changes, takes none."""
+    unknown argument, each command takes the config keys of TAKEN_KEYS, and
+    validate, whose replay no setting changes, takes none."""
     substrate_path, vnrs_path = generate_tiny(tmp_path)
     log = tmp_path / "eval" / "decisions.csv"
     assert cli.main(["evaluate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
-                     "--policy", "noderank", "--out-dir", str(log.parent)] + tiny_flags()) == 0
+                     "--policy", "noderank", "--out-dir", str(log.parent)] + tiny_flags("evaluate")) == 0
     validate = ["validate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path), "--decisions", str(log)]
     assert cli.main(validate) == 0
     capsys.readouterr()
@@ -163,7 +179,7 @@ def test_settings_come_only_from_flags_and_validate_takes_none(tmp_path, capsys)
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "config error: unrecognized arguments: --seed 1\n"
 
-    config_flags = {"--" + f.name.replace("_", "-") for f in dataclasses.fields(ExperimentConfig)}
+    assert ALL_KEYS == {f.name for f in dataclasses.fields(ExperimentConfig)}
     own_flags = {
         "generate": {"--out-dir"},
         "train": {"--substrate", "--vnrs", "--out-dir"},
@@ -176,8 +192,24 @@ def test_settings_come_only_from_flags_and_validate_takes_none(tmp_path, capsys)
     assert set(commands) == set(own_flags)
     for command, sub in commands.items():
         options = {option for action in sub._actions for option in action.option_strings}
-        expected = {"-h", "--help"} | own_flags[command] | (set() if command == "validate" else config_flags)
-        assert options == expected, command
+        config = {"--" + key.replace("_", "-") for key in TAKEN_KEYS[command]}
+        assert options == {"-h", "--help"} | own_flags[command] | config, command
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_train_and_evaluate_refuse_every_key_they_do_not_read(tmp_path, capsys, command):
+    substrate_path, vnrs_path = generate_tiny(tmp_path)
+    defaults = ExperimentConfig()
+    out = tmp_path / "out"
+    argv = [command, "--substrate", str(substrate_path), "--vnrs", str(vnrs_path), "--out-dir", str(out)]
+    for key in sorted(ALL_KEYS - TAKEN_KEYS[command]):
+        # even the default value
+        flag = ["--" + key.replace("_", "-"), str(getattr(defaults, key))]
+        capsys.readouterr()
+        assert cli.main(argv + flag) == 1, key
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"config error: unrecognized arguments: {' '.join(flag)}\n"
+        assert not out.exists(), key
 
 
 @pytest.mark.parametrize(
@@ -204,13 +236,14 @@ def test_each_command_refuses_a_config_file(tmp_path, capsys, command, inputs):
 def test_help_names_the_default_of_each_config_flag(capsys):
     """With no config file to read them from, the defaults are stated in each command's help."""
     defaults = ExperimentConfig()
-    for command in ("generate", "train", "evaluate", "compare"):
+    for command, keys in TAKEN_KEYS.items():
         with pytest.raises(SystemExit) as exit_info:
             cli.main([command, "--help"])
         assert exit_info.value.code == 0
         text = " ".join(capsys.readouterr().out.split())
-        for f in dataclasses.fields(ExperimentConfig):
-            assert f"config key {f.name} (default {getattr(defaults, f.name)})" in text, (command, f.name)
+        for key in ALL_KEYS:
+            listed = f"config key {key} (default {getattr(defaults, key)})" in text
+            assert listed == (key in keys), (command, key)
 
 
 # -- subcommands --------------------------------------------------------------
@@ -285,7 +318,7 @@ def test_evaluate_too_fine_metrics_interval_exits_two(tmp_path, capsys):
     code = cli.main(
         ["evaluate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
          "--policy", "noderank", "--metrics-interval", "1e-9", "--out-dir", str(tmp_path / "out")]
-        + tiny_flags()
+        + tiny_flags("evaluate")
     )
     assert code == 2
     assert "above the limit of 1000000" in capsys.readouterr().err
@@ -298,7 +331,7 @@ def test_evaluate_nan_metrics_interval_exits_one(tmp_path, capsys):
     code = cli.main(
         ["evaluate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
          "--policy", "noderank", "--metrics-interval", "nan", "--out-dir", str(tmp_path / "out")]
-        + tiny_flags()
+        + tiny_flags("evaluate")
     )
     assert code == 1
     assert capsys.readouterr().err == "config error: metrics_interval must be finite\n"
@@ -322,7 +355,7 @@ def test_too_long_horizon_is_refused_before_any_policy_runs(tmp_path, capsys, mo
     monkeypatch.setattr(cli.engine, "run_simulation", no_run)
     out = tmp_path / "out"
     code = cli.main(command[:1] + ["--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
-                                   "--out-dir", str(out)] + command[1:] + tiny_flags())
+                                   "--out-dir", str(out)] + command[1:] + tiny_flags(command[0]))
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -378,7 +411,7 @@ def test_train_emits_checkpoint_and_round_log(tmp_path, capsys):
     out = tmp_path / "train"
     code = cli.main(
         ["train", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
-         "--out-dir", str(out)] + tiny_flags()
+         "--out-dir", str(out)] + tiny_flags("train")
     )
     assert code == 0
     checkpoint = (out / "checkpoint.txt").read_text().splitlines()
@@ -395,7 +428,7 @@ def test_train_deterministic(tmp_path):
         out = tmp_path / name
         assert cli.main(
             ["train", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
-             "--out-dir", str(out)] + tiny_flags()
+             "--out-dir", str(out)] + tiny_flags("train")
         ) == 0
         outs.append(out)
     assert (outs[0] / "round_log.csv").read_bytes() == (outs[1] / "round_log.csv").read_bytes()
@@ -411,7 +444,7 @@ def test_train_bad_input_leaves_no_output_dir(tmp_path, capsys):
     out = tmp_path / "train"
     code = cli.main(
         ["train", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
-         "--out-dir", str(out)] + tiny_flags()
+         "--out-dir", str(out)] + tiny_flags("train")
     )
     assert code == 2
     assert f"{substrate_path}:2: malformed node line" in capsys.readouterr().err
@@ -436,7 +469,7 @@ def test_train_overflow_exits_two_and_leaves_no_output_dir(tmp_path, capsys, fla
         warnings.simplefilter("error")
         code = cli.main(
             ["train", "--substrate", str(data / "substrate.txt"), "--vnrs", str(data / "vnrs.txt"),
-             "--out-dir", str(out), "--epochs", "3", *tiny.split(), *flags.split()]
+             "--out-dir", str(out), "--epochs", "3", "--train-count", "30", *flags.split()]
         )
     assert code == 2
     assert capsys.readouterr().err == f"error: training diverged in epoch 2, round 2, {message}\n"
@@ -448,14 +481,14 @@ def test_evaluate_full_cycle(tmp_path, capsys):
     train_out = tmp_path / "train"
     cli.main(
         ["train", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
-         "--out-dir", str(train_out)] + tiny_flags()
+         "--out-dir", str(train_out)] + tiny_flags("train")
     )
     capsys.readouterr()
     eval_out = tmp_path / "eval"
     code = cli.main(
         ["evaluate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
          "--checkpoint", str(train_out / "checkpoint.txt"), "--out-dir", str(eval_out)]
-        + tiny_flags()
+        + tiny_flags("evaluate")
     )
     assert code == 0
     out = capsys.readouterr().out
@@ -470,7 +503,7 @@ def test_evaluate_full_cycle(tmp_path, capsys):
     cli.main(
         ["evaluate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
          "--checkpoint", str(train_out / "checkpoint.txt"), "--out-dir", str(second)]
-        + tiny_flags()
+        + tiny_flags("evaluate")
     )
     assert (eval_out / "metrics.csv").read_bytes() == (second / "metrics.csv").read_bytes()
 
@@ -479,7 +512,7 @@ def test_evaluate_hfl_requires_checkpoint(tmp_path):
     substrate_path, vnrs_path = generate_tiny(tmp_path)
     code = cli.main(
         ["evaluate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
-         "--out-dir", str(tmp_path / "eval")] + tiny_flags()
+         "--out-dir", str(tmp_path / "eval")] + tiny_flags("evaluate")
     )
     assert code == 1
 
@@ -488,7 +521,7 @@ def test_evaluate_empty_test_set(tmp_path):
     substrate_path, vnrs_path = generate_tiny(tmp_path)
     eval_out = tmp_path / "eval"
     args = ["evaluate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
-            "--policy", "random", "--out-dir", str(eval_out)] + tiny_flags(test_count=0)
+            "--policy", "random", "--out-dir", str(eval_out)] + tiny_flags("evaluate", test_count=0)
     assert cli.main(args) == 0
     assert (eval_out / "metrics.csv").read_text() == "t,ltar,ltar2c,acc\n"
 
@@ -497,10 +530,10 @@ def test_evaluate_empty_test_set(tmp_path):
     "command, flags, needed",
     [
         # the default counts, train 1000 and test 1000
-        ("evaluate", [], 2000),
-        ("evaluate", ["--train-count", "50", "--test-count", "1000"], 1050),
+        ("evaluate", ["--policy", "noderank"], 2000),
+        ("evaluate", ["--policy", "noderank", "--train-count", "50", "--test-count", "1000"], 1050),
         # train needs only its own split
-        ("train", ["--train-count", "100", "--test-count", "0"], 100),
+        ("train", ["--train-count", "100"], 100),
     ],
     ids=["evaluate-default-counts", "evaluate-test-overrun", "train-overrun"],
 )
@@ -513,7 +546,7 @@ def test_a_split_that_overruns_the_stream_exits_two(tmp_path, capsys, command, f
     vnrs_path = data / "vnrs.txt"
     code = cli.main(
         [command, "--substrate", str(data / "substrate.txt"), "--vnrs", str(vnrs_path),
-         "--policy", "noderank", "--out-dir", str(out), *flags]
+         "--out-dir", str(out), *flags]
     )
     assert code == 2
     assert capsys.readouterr().err == f"error: {vnrs_path}: holds 60 requests; the split needs {needed}\n"
@@ -525,11 +558,11 @@ def test_compare_single_policy_matches_evaluate(tmp_path):
     eval_out, cmp_out = tmp_path / "eval", tmp_path / "cmp"
     cli.main(
         ["evaluate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
-         "--policy", "random", "--out-dir", str(eval_out)] + tiny_flags()
+         "--policy", "random", "--out-dir", str(eval_out)] + tiny_flags("evaluate")
     )
     assert cli.main(
         ["compare", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
-         "--policies", "random", "--out-dir", str(cmp_out)] + tiny_flags()
+         "--policies", "random", "--out-dir", str(cmp_out)] + tiny_flags("compare")
     ) == 0
     eval_rows = (eval_out / "metrics.csv").read_text().splitlines()[1:]
     acc_rows = (cmp_out / "compare_acc.csv").read_text().splitlines()[1:]
@@ -543,13 +576,13 @@ def test_compare_all_policies_with_checkpoint(tmp_path):
     train_out = tmp_path / "train"
     cli.main(
         ["train", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
-         "--out-dir", str(train_out)] + tiny_flags()
+         "--out-dir", str(train_out)] + tiny_flags("train")
     )
     cmp_out = tmp_path / "cmp"
     assert cli.main(
         ["compare", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
          "--checkpoint", str(train_out / "checkpoint.txt"),
-         "--policies", "hfl,noderank,random", "--out-dir", str(cmp_out)] + tiny_flags()
+         "--policies", "hfl,noderank,random", "--out-dir", str(cmp_out)] + tiny_flags("compare")
     ) == 0
     for metric in ("ltar", "ltar2c", "acc"):
         header = (cmp_out / f"compare_{metric}.csv").read_text().splitlines()[0]
@@ -564,7 +597,7 @@ def test_compare_timing_rows_are_a_column_and_a_finite_float(tmp_path):
     cmp_out = tmp_path / "cmp"
     assert cli.main(
         ["compare", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
-         "--policies", "noderank,random,noderank", "--out-dir", str(cmp_out)] + tiny_flags()
+         "--policies", "noderank,random,noderank", "--out-dir", str(cmp_out)] + tiny_flags("compare")
     ) == 0
     text = (cmp_out / "compare_timing.csv").read_text()
     header, *rows = text.removesuffix("\n").split("\n")
@@ -580,7 +613,7 @@ def test_compare_duplicate_policy_gives_identical_columns(tmp_path):
     cmp_out = tmp_path / "cmp"
     assert cli.main(
         ["compare", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
-         "--policies", "noderank,noderank", "--out-dir", str(cmp_out)] + tiny_flags()
+         "--policies", "noderank,noderank", "--out-dir", str(cmp_out)] + tiny_flags("compare")
     ) == 0
     for metric in ("ltar", "ltar2c", "acc"):
         rows = (cmp_out / f"compare_{metric}.csv").read_text().splitlines()
@@ -608,10 +641,26 @@ def test_compare_config_errors_write_nothing(tmp_path, capsys, policies, checkpo
         argv += ["--checkpoint", str(checkpoint)]
     out = tmp_path / "out"
     capsys.readouterr()
-    assert cli.main(argv + ["--out-dir", str(out)] + tiny_flags()) == 1
+    assert cli.main(argv + ["--out-dir", str(out)] + tiny_flags("compare")) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("config error: ") and captured.err.endswith(f"{message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["evaluate", "--policy", "noderank"],
+                                     ["compare", "--policies", "noderank,random"]])
+def test_a_checkpoint_without_the_hfl_policy_is_refused(tmp_path, capsys, command):
+    """Only the hfl policy reads a checkpoint: one given to a run without it is a config error."""
+    substrate_path, vnrs_path = generate_tiny(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = command[:1] + ["--substrate", str(substrate_path), "--vnrs", str(vnrs_path), *command[1:],
+                          "--checkpoint", str(tmp_path / "missing" / "checkpoint.txt"), "--out-dir", str(out)]
+    assert cli.main(argv + tiny_flags(command[0])) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: --checkpoint is read only by the hfl policy, which is not run\n"
     assert not out.exists()
 
 
@@ -620,7 +669,7 @@ def test_validate_clean_log(tmp_path, capsys):
     eval_out = tmp_path / "eval"
     cli.main(
         ["evaluate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
-         "--policy", "noderank", "--out-dir", str(eval_out)] + tiny_flags()
+         "--policy", "noderank", "--out-dir", str(eval_out)] + tiny_flags("evaluate")
     )
     capsys.readouterr()
     code = cli.main(
@@ -636,7 +685,7 @@ def test_validate_flags_tampered_log(tmp_path, capsys):
     eval_out = tmp_path / "eval"
     cli.main(
         ["evaluate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
-         "--policy", "noderank", "--out-dir", str(eval_out)] + tiny_flags()
+         "--policy", "noderank", "--out-dir", str(eval_out)] + tiny_flags("evaluate")
     )
     decisions = eval_out / "decisions.csv"
     lines = decisions.read_text().splitlines()
@@ -676,7 +725,7 @@ def test_validate_names_the_request_of_a_hand_edited_log(tmp_path, capsys, fault
     eval_out = tmp_path / "eval"
     cli.main(
         ["evaluate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
-         "--policy", "noderank", "--out-dir", str(eval_out)] + tiny_flags()
+         "--policy", "noderank", "--out-dir", str(eval_out)] + tiny_flags("evaluate")
     )
     decisions = eval_out / "decisions.csv"
     lines = decisions.read_text().splitlines()
@@ -723,7 +772,7 @@ def test_validate_malformed_log_names_file_and_line(tmp_path, capsys, field, val
     eval_out = tmp_path / "eval"
     cli.main(
         ["evaluate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
-         "--policy", "noderank", "--out-dir", str(eval_out)] + tiny_flags()
+         "--policy", "noderank", "--out-dir", str(eval_out)] + tiny_flags("evaluate")
     )
     decisions = eval_out / "decisions.csv"
     lines = decisions.read_text().splitlines()
@@ -759,7 +808,7 @@ def train_tiny(tmp_path):
     train_out = tmp_path / "train"
     assert cli.main(
         ["train", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
-         "--out-dir", str(train_out)] + tiny_flags()
+         "--out-dir", str(train_out)] + tiny_flags("train")
     ) == 0
     return substrate_path, vnrs_path, train_out / "checkpoint.txt"
 
@@ -777,7 +826,7 @@ def test_checkpoint_domain_count_must_match_substrate(tmp_path, capsys, command,
     capsys.readouterr()
     code = cli.main(
         [command, "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
-         "--checkpoint", str(mismatched), "--out-dir", str(tmp_path / "out")] + tiny_flags()
+         "--checkpoint", str(mismatched), "--out-dir", str(tmp_path / "out")] + tiny_flags(command)
     )
     assert code == 1
     err = capsys.readouterr().err
@@ -808,7 +857,7 @@ def test_bad_checkpoint_line_names_file_and_line(tmp_path, capsys, command, bad_
     capsys.readouterr()
     code = cli.main(
         [command, "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
-         "--checkpoint", str(checkpoint), "--out-dir", str(tmp_path / "out")] + tiny_flags()
+         "--checkpoint", str(checkpoint), "--out-dir", str(tmp_path / "out")] + tiny_flags(command)
     )
     assert code == 2
     err = capsys.readouterr().err
@@ -830,7 +879,7 @@ def test_checkpoint_at_the_magnitude_bound_runs_without_overflow(tmp_path, capsy
         warnings.simplefilter("error")
         code = cli.main(
             [command, "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
-             "--checkpoint", str(checkpoint), "--out-dir", str(tmp_path / "out")] + tiny_flags()
+             "--checkpoint", str(checkpoint), "--out-dir", str(tmp_path / "out")] + tiny_flags(command)
         )
     assert code == 0
 
@@ -843,7 +892,7 @@ def test_short_checkpoint_names_file_and_line(tmp_path, capsys, text, line_no):
     capsys.readouterr()
     code = cli.main(
         ["evaluate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
-         "--checkpoint", str(checkpoint), "--out-dir", str(tmp_path / "out")] + tiny_flags()
+         "--checkpoint", str(checkpoint), "--out-dir", str(tmp_path / "out")] + tiny_flags("evaluate")
     )
     assert code == 2
     message = "checkpoint needs at least one domain and a global line"
@@ -864,7 +913,7 @@ def test_duplicate_request_id_names_file_and_line(tmp_path, capsys, command):
     if command == "validate":
         argv += ["--decisions", str(tmp_path / "decisions.csv")]
     else:
-        argv += ["--policy", "noderank", "--out-dir", str(tmp_path / "out")] + tiny_flags()
+        argv += ["--out-dir", str(tmp_path / "out")] + tiny_flags(command, policy="noderank")
     code = cli.main(argv)
     assert code == 2
     err = capsys.readouterr().err
@@ -882,7 +931,7 @@ def test_domain_without_nodes_names_file_and_line(tmp_path, capsys, command):
     argv = [command, "--substrate", str(substrate_path), "--vnrs", str(vnrs_path)]
     if command == "compare":
         argv += ["--policies", "noderank"]
-    code = cli.main(argv + ["--out-dir", str(tmp_path / "out")] + tiny_flags())
+    code = cli.main(argv + ["--out-dir", str(tmp_path / "out")] + tiny_flags(command))
     assert code == 2
     assert f"{substrate_path}:1: domain {domains} has no nodes" in capsys.readouterr().err
 
@@ -900,7 +949,7 @@ def test_non_finite_input_names_file_and_line(tmp_path, capsys, which):
     capsys.readouterr()
     code = cli.main(
         ["evaluate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
-         "--policy", "noderank", "--out-dir", str(tmp_path / "out")] + tiny_flags()
+         "--policy", "noderank", "--out-dir", str(tmp_path / "out")] + tiny_flags("evaluate")
     )
     assert code == 2
     assert f"{path}:{len(lines)}: number must be finite" in capsys.readouterr().err
@@ -959,7 +1008,7 @@ def test_input_faults_name_file_and_line(tmp_path, capsys, fault, message):
     capsys.readouterr()
     code = cli.main(
         ["evaluate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
-         "--policy", "noderank", "--out-dir", str(tmp_path / "out")] + tiny_flags()
+         "--policy", "noderank", "--out-dir", str(tmp_path / "out")] + tiny_flags("evaluate")
     )
     assert code == 2
     assert f"{path}:{line_no}: {message}" in capsys.readouterr().err
@@ -971,7 +1020,8 @@ def test_a_byte_that_is_not_utf8_names_file_and_line(tmp_path, capsys, which, li
     substrate_path, vnrs_path, checkpoint = train_tiny(tmp_path)
     inputs = ["--substrate", str(substrate_path), "--vnrs", str(vnrs_path)]
     eval_out = tmp_path / "eval"
-    evaluate = ["evaluate", *inputs, "--checkpoint", str(checkpoint), "--out-dir", str(eval_out)] + tiny_flags()
+    evaluate = ["evaluate", *inputs, "--checkpoint", str(checkpoint), "--out-dir", str(eval_out)]
+    evaluate += tiny_flags("evaluate")
     assert cli.main(evaluate) == 0
     decisions = eval_out / "decisions.csv"
     path = {"substrate": substrate_path, "vnrs": vnrs_path, "checkpoint": checkpoint, "decisions": decisions}[which]
@@ -995,7 +1045,7 @@ def test_data_after_the_last_line_names_file_and_line(tmp_path, capsys, which):
     capsys.readouterr()
     code = cli.main(
         ["evaluate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
-         "--policy", "noderank", "--out-dir", str(tmp_path / "out")] + tiny_flags()
+         "--policy", "noderank", "--out-dir", str(tmp_path / "out")] + tiny_flags("evaluate")
     )
     assert code == 2
     assert f"{path}:{len(lines) + 1}: data after the last declared line" in capsys.readouterr().err
@@ -1008,8 +1058,8 @@ RANGE_VALUES = (0, 1, 50, 2**43)
 
 
 @st.composite
-def pipeline_flags(draw):
-    """Config flags of a small run: 1-3 domains of 1-6 nodes, a link budget
+def pipeline_configs(draw):
+    """Config keys of a small run: 1-3 domains of 1-6 nodes, a link budget
     between a spanning tree and the complete graph, boundary range keys, and a
     split that may leave training empty or smaller than one batch."""
     domains = draw(st.integers(1, 3))
@@ -1033,24 +1083,22 @@ def pipeline_flags(draw):
     config["train_count"] = draw(st.integers(0, config["vnr_count"]))
     config["test_count"] = draw(st.integers(0, config["vnr_count"] - config["train_count"]))
     config["batch_size"] = draw(st.sampled_from((1, config["train_count"] + 1)))
-    flags = []
-    for key, value in config.items():
-        flags += [f"--{key.replace('_', '-')}", repr(value)]
-    return flags
+    return config
 
 
-def run_pipeline(root: Path, flags: list[str]) -> dict[str, bytes]:
-    """generate, train, compare and validate under ``root``; returns every
-    deterministic output by its path relative to ``root``."""
+def run_pipeline(root: Path, config: dict) -> dict[str, bytes]:
+    """generate, train, compare and validate under ``root``, each with the keys of
+    ``config`` it takes; returns every deterministic output by its path relative to ``root``."""
     data, trained, compared = root / "data", root / "trained", root / "compared"
-    code = cli.main(["generate", "--out-dir", str(data)] + flags)
+    code = cli.main(["generate", "--out-dir", str(data)] + config_flags("generate", config))
     assert code in (0, 1)
     if code == 0:
         inputs = ["--substrate", str(data / "substrate.txt"), "--vnrs", str(data / "vnrs.txt")]
-        assert cli.main(["train", *inputs, "--epochs", "1", "--out-dir", str(trained)] + flags) == 0
+        train = ["train", *inputs, "--epochs", "1", "--out-dir", str(trained)]
+        assert cli.main(train + config_flags("train", config)) == 0
         assert cli.main(
             ["compare", *inputs, "--checkpoint", str(trained / "checkpoint.txt"),
-             "--out-dir", str(compared)] + flags
+             "--out-dir", str(compared)] + config_flags("compare", config)
         ) == 0
         for log in sorted(compared.glob("decisions_*.csv")):
             report = io.StringIO()
@@ -1065,11 +1113,11 @@ def run_pipeline(root: Path, flags: list[str]) -> dict[str, bytes]:
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(flags=pipeline_flags())
-def test_pipeline_runs_cleanly_and_reproducibly(flags):
+@given(config=pipeline_configs())
+def test_pipeline_runs_cleanly_and_reproducibly(config):
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("error")
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            first = run_pipeline(Path(tmp) / "first", flags)
-            second = run_pipeline(Path(tmp) / "second", flags)
+            first = run_pipeline(Path(tmp) / "first", config)
+            second = run_pipeline(Path(tmp) / "second", config)
     assert first == second

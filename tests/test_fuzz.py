@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import reference_load_substrate, reference_load_vnrs, reference_validate_vnr
+from _helpers import config_flags, reference_load_substrate, reference_load_vnrs, reference_validate_vnr
 from fedvne import cli, workload
 from fedvne.workload import VirtualNetworkRequest
 
@@ -43,7 +43,6 @@ FLAGS = dict(
     epochs=1,
     seed=3,
 )
-CONFIG = [arg for key, value in FLAGS.items() for arg in (f"--{key.replace('_', '-')}", str(value))]
 
 HOSTILE = ["nan", "-1", "1e309", "x", "0", "99999999999999999999"]
 TOKEN = re.compile(r"[^\s,|:>]+")  # decision-log fields split on , | : > as well
@@ -58,10 +57,10 @@ READERS = {
 
 
 def run(argv):
-    """``cli.main`` on ``argv``, with the config flags for every command but validate."""
+    """``cli.main`` on ``argv``, with the flags of the keys of FLAGS the command takes."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv + (CONFIG if argv[0] != "validate" else []))
+        code = cli.main(argv + config_flags(argv[0], FLAGS))
     return code, out.getvalue(), err.getvalue()
 
 

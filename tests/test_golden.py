@@ -8,6 +8,7 @@ times and is the one output left out.
 
 import hashlib
 
+from _helpers import config_flags
 from fedvne import cli
 
 CONFIG = dict(
@@ -40,17 +41,9 @@ GOLDEN = {
 }
 
 
-def config_flags():
-    flags = []
-    for key, value in CONFIG.items():
-        flags += [f"--{key.replace('_', '-')}", str(value)]
-    return flags
-
-
 def run_pipeline(root):
     """generate -> train -> evaluate -> compare; returns {relative path: sha256}."""
     data, trained, evaluated, compared = (root / d for d in ("data", "train", "eval", "compare"))
-    flags = config_flags()
     inputs = ["--substrate", str(data / "substrate.txt"), "--vnrs", str(data / "vnrs.txt")]
     checkpoint = ["--checkpoint", str(trained / "checkpoint.txt")]
     steps = (
@@ -61,7 +54,7 @@ def run_pipeline(root):
          "--out-dir", str(compared)],
     )
     for argv in steps:
-        assert cli.main(argv + flags) == 0, argv[0]
+        assert cli.main(argv + config_flags(argv[0], CONFIG)) == 0, argv[0]
     return {
         str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(root.rglob("*"))

@@ -154,7 +154,28 @@ def bipartite_substrates(draw):
     return build([0] * (left + right), edges, draw, bw_values=(1.0, 1.0, 2.0, 0.0))
 
 
-any_substrate = st.one_of(random_substrates(), grid_substrates(), bipartite_substrates())
+@st.composite
+def layered_substrates(draw):
+    """A root above 4-7 layers of 3-5 relabeled nodes; each node is linked to one or
+    two nodes of the layer above (so all reach the root) and to at least one of the
+    layer below, and every link carries every drawn demand. Many searches end with
+    dst's side growing a level of several nodes whose meeting nodes hang under
+    different ones of them."""
+    widths = [1] + draw(st.lists(st.integers(3, 5), min_size=4, max_size=7))
+    starts = [sum(widths[:i]) for i in range(len(widths) + 1)]
+    layers = [range(starts[i], starts[i + 1]) for i in range(len(widths))]
+    edges = set()
+    for upper, lower in zip(layers, layers[1:]):
+        for b in lower:
+            edges.update((a, b) for a in draw(st.lists(st.sampled_from(upper), min_size=1, max_size=2, unique=True)))
+        edges.update((a, draw(st.sampled_from(lower))) for a in upper)
+    n = starts[-1]
+    perm = draw(st.permutations(range(n)))
+    relabeled = sorted((perm[a], perm[b]) for a, b in edges)
+    return build([0] * n, relabeled, draw, bw_values=(6.0,))
+
+
+any_substrate = st.one_of(random_substrates(), grid_substrates(), bipartite_substrates(), layered_substrates())
 
 
 # -- min-hop search ------------------------------------------------------------
