@@ -18,13 +18,7 @@ from pathlib import Path
 from . import engine, metrics, workload
 from .agent import DomainAgent, load_checkpoint, save_checkpoint
 from .baselines import NodeRankPolicy, RandomPolicy
-from .config import (
-    POLICIES,
-    ConfigError,
-    ExperimentConfig,
-    apply_overrides,
-    field_types,
-)
+from .config import ConfigError, ExperimentConfig, apply_overrides, field_types
 from .policies import HflPolicy
 from .training import Trainer
 
@@ -55,7 +49,7 @@ class _Parser(argparse.ArgumentParser):
 CONFIG_KEYS = {
     "generate": tuple(field_types()),
     "train": ("train_count", "learning_rate", "batch_size", "epochs", "reject_reward", "seed"),
-    "evaluate": ("train_count", "test_count", "metrics_interval", "seed", "policy"),
+    "evaluate": ("train_count", "test_count", "metrics_interval", "seed"),
     "compare": tuple(field_types()),
     "validate": (),
 }
@@ -89,23 +83,36 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+POLICIES = ("hfl", "noderank", "random")
+
+
+def _check_policies(names: list[str], checkpoint) -> None:
+    """Refuse a run's policy names, and a checkpoint they do not match, before any input is read."""
+    if not names:
+        raise ConfigError("--policies needs at least one policy name")
+    for position, name in enumerate(names):
+        if name not in POLICIES:
+            raise ConfigError(f"unknown policy '{name}', expected one of {', '.join(POLICIES)}")
+        if name in names[:position]:
+            raise ConfigError(f"policy '{name}' is given more than once")
+    if "hfl" in names and checkpoint is None:
+        raise ConfigError("the hfl policy needs --checkpoint")
+    if "hfl" not in names and checkpoint is not None:
+        raise ConfigError("--checkpoint is read only by the hfl policy, which is not run")
+
+
 def _build_policy(name: str, config: ExperimentConfig, checkpoint, num_domains: int):
-    if name == "hfl":
-        if checkpoint is None:
-            raise ConfigError("the hfl policy needs --checkpoint")
-        domain_params, _ = load_checkpoint(checkpoint)
-        if len(domain_params) != num_domains:
-            raise ConfigError(
-                f"{checkpoint}: checkpoint has {len(domain_params)} domain lines, "
-                f"the substrate has {num_domains} domains"
-            )
-        agents = {d: DomainAgent(d, p) for d, p in domain_params.items()}
-        return HflPolicy(agents)
     if name == "noderank":
         return NodeRankPolicy()
     if name == "random":
         return RandomPolicy(config.seed)
-    raise ConfigError(f"unknown policy '{name}', expected one of {', '.join(POLICIES)}")
+    domain_params, _ = load_checkpoint(checkpoint)
+    if len(domain_params) != num_domains:
+        raise ConfigError(
+            f"{checkpoint}: checkpoint has {len(domain_params)} domain lines, "
+            f"the substrate has {num_domains} domains"
+        )
+    return HflPolicy({d: DomainAgent(d, p) for d, p in domain_params.items()})
 
 
 def _require_requests(vnrs_path, vnrs, needed: int) -> None:
@@ -194,11 +201,9 @@ def cmd_train(args) -> int:
 
 
 def _run_policies(args, config: ExperimentConfig, names):
-    """Run each named policy over the test split, one at a time, yielding its
-    (ledger, records, elapsed seconds). Every policy is built before the output
-    directory is created, so a config error leaves nothing behind."""
-    if args.checkpoint is not None and "hfl" not in names:
-        raise ConfigError("--checkpoint is read only by the hfl policy, which is not run")
+    """Run each policy _check_policies accepted over the test split, one at a
+    time, yielding its (ledger, records, elapsed seconds). Every policy is built
+    before the output directory is created, so a config error leaves nothing behind."""
     substrate = workload.load_substrate(args.substrate)
     vnrs = workload.load_vnrs(args.vnrs)
     test_vnrs = _test_split(config, args.vnrs, vnrs)
@@ -212,32 +217,30 @@ def _run_policies(args, config: ExperimentConfig, names):
 
 def cmd_evaluate(args) -> int:
     config = _resolve_config(args)
+    _check_policies([args.policy], args.checkpoint)
     out_dir = Path(args.out_dir)
-    for ledger, records, _ in _run_policies(args, config, [config.policy]):
+    for ledger, records, _ in _run_policies(args, config, [args.policy]):
         series = ledger.series(config.metrics_interval)
         engine.write_csv(out_dir / "metrics.csv", ["t", "ltar", "ltar2c", "acc"], series)
         engine.write_decision_log(out_dir / "decisions.csv", records)
-        print(_summary_line(config.policy, ledger))
+        print(_summary_line(args.policy, ledger))
     return 0
 
 
 def cmd_compare(args) -> int:
     config = _resolve_config(args)
     names = [p.strip() for p in args.policies.split(",") if p.strip()]
-    if not names:
-        raise ConfigError("--policies needs at least one policy name")
+    _check_policies(names, args.checkpoint)
     out_dir = Path(args.out_dir)
     series_by_policy = {}
     timing = []
-    runs = _run_policies(args, config, names)
-    for position, (name, (ledger, records, elapsed)) in enumerate(zip(names, runs)):
-        column = f"{name}#{position}" if names.count(name) > 1 else name
-        series_by_policy[column] = ledger.series(config.metrics_interval)
-        engine.write_decision_log(out_dir / f"decisions_{column.replace('#', '_')}.csv", records)
+    for name, (ledger, records, elapsed) in zip(names, _run_policies(args, config, names)):
+        series_by_policy[name] = ledger.series(config.metrics_interval)
+        engine.write_decision_log(out_dir / f"decisions_{name}.csv", records)
         # one record per test request
         windows = max(1, -(-len(records) // config.batch_size))
-        timing.append((column, elapsed / windows))
-        print(_summary_line(column, ledger))
+        timing.append((name, elapsed / windows))
+        print(_summary_line(name, ledger))
 
     # every policy sees the same test stream, one record per request, so the
     # series share one time grid
@@ -281,6 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--substrate", required=True)
     p.add_argument("--vnrs", required=True)
     p.add_argument("--checkpoint", default=None)
+    p.add_argument("--policy", default="hfl", help=f"one of {', '.join(POLICIES)} (default hfl)")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_evaluate)
 

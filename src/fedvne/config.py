@@ -6,8 +6,6 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-POLICIES = ("hfl", "noderank", "random")
-
 
 class ConfigError(Exception):
     pass
@@ -45,7 +43,6 @@ class ExperimentConfig:
     # evaluation / run
     metrics_interval: float = 100.0
     seed: int = 42
-    policy: str = "hfl"
 
     def validate(self) -> None:
         for f in dataclasses.fields(self):
@@ -75,7 +72,8 @@ class ExperimentConfig:
         for lo, hi in ranges:
             if getattr(self, lo) > getattr(self, hi):
                 raise ConfigError(f"{lo} must not exceed {hi}")
-            # resource amounts stay within 2^43 (int64 at a 2^-20 quantum): no noderank overflow
+            # generated amounts are integers of at most 2^43, so every availability value the
+            # engine forms from them is exact in float64; ROADMAP item 1 sets this bound with its grid
             if lo != "vn_nodes_min" and not 0 <= getattr(self, lo) <= getattr(self, hi) <= 2**43:
                 raise ConfigError(f"{lo} and {hi} must lie in [0, 2^43]")
         if not 0.0 <= self.inter_link_ratio <= 1.0:
@@ -85,12 +83,10 @@ class ExperimentConfig:
         for name in ("arrival_rate", "mean_lifetime", "learning_rate", "metrics_interval"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        if self.policy not in POLICIES:
-            raise ConfigError(f"policy must be one of {', '.join(POLICIES)}")
 
 
 def field_types() -> dict[str, type]:
-    types = {"int": int, "float": float, "str": str}
+    types = {"int": int, "float": float}
     return {f.name: types[f.type] for f in dataclasses.fields(ExperimentConfig)}
 
 

@@ -82,7 +82,6 @@ def test_config_rejects_bad_range(overrides, message):
         ({"learning_rate": math.nan}, "learning_rate must be finite"),
         ({"reject_reward": math.inf}, "reject_reward must be finite"),
         ({"metrics_interval": -math.inf}, "metrics_interval must be finite"),
-        ({"policy": "greedy"}, "policy must be one of hfl, noderank, random"),
     ],
 )
 def test_config_rejects_each_bad_value(overrides, message):
@@ -151,14 +150,14 @@ ALL_KEYS = {
     "inter_link_ratio", "vnr_count", "train_count", "test_count", "vn_nodes_min", "vn_nodes_max",
     "vnode_cpu_min", "vnode_cpu_max", "vlink_bw_min", "vlink_bw_max", "vlink_prob", "arrival_rate",
     "mean_lifetime", "learning_rate", "batch_size", "epochs", "reject_reward", "metrics_interval",
-    "seed", "policy",
+    "seed",
 }
 # the config keys each command takes: train and evaluate the ones they read, generate
 # and compare every key, validate none
 TAKEN_KEYS = {
     "generate": ALL_KEYS,
     "train": {"train_count", "learning_rate", "batch_size", "epochs", "reject_reward", "seed"},
-    "evaluate": {"train_count", "test_count", "metrics_interval", "policy", "seed"},
+    "evaluate": {"train_count", "test_count", "metrics_interval", "seed"},
     "compare": ALL_KEYS,
     "validate": set(),
 }
@@ -183,7 +182,7 @@ def test_settings_come_only_from_flags_and_validate_takes_none(tmp_path, capsys)
     own_flags = {
         "generate": {"--out-dir"},
         "train": {"--substrate", "--vnrs", "--out-dir"},
-        "evaluate": {"--substrate", "--vnrs", "--checkpoint", "--out-dir"},
+        "evaluate": {"--substrate", "--vnrs", "--checkpoint", "--policy", "--out-dir"},
         "compare": {"--substrate", "--vnrs", "--checkpoint", "--policies", "--out-dir"},
         "validate": {"--substrate", "--vnrs", "--decisions"},
     }
@@ -244,6 +243,9 @@ def test_help_names_the_default_of_each_config_flag(capsys):
         for key in ALL_KEYS:
             listed = f"config key {key} (default {getattr(defaults, key)})" in text
             assert listed == (key in keys), (command, key)
+        # the policy is a run flag, not a config key, and its help names the choices
+        listed = "--policy POLICY one of hfl, noderank, random (default hfl)" in text
+        assert listed == (command == "evaluate"), command
 
 
 # -- subcommands --------------------------------------------------------------
@@ -597,30 +599,29 @@ def test_compare_timing_rows_are_a_column_and_a_finite_float(tmp_path):
     cmp_out = tmp_path / "cmp"
     assert cli.main(
         ["compare", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
-         "--policies", "noderank,random,noderank", "--out-dir", str(cmp_out)] + tiny_flags("compare")
+         "--policies", "random,noderank", "--out-dir", str(cmp_out)] + tiny_flags("compare")
     ) == 0
     text = (cmp_out / "compare_timing.csv").read_text()
     header, *rows = text.removesuffix("\n").split("\n")
     assert text.endswith("\n") and header == "policy,seconds_per_round"
-    assert [row.split(",")[0] for row in rows] == ["noderank#0", "random", "noderank#2"]
+    assert [row.split(",")[0] for row in rows] == ["random", "noderank"]
     for row in rows:
         _, seconds = row.split(",")
         assert math.isfinite(float(seconds)) and repr(float(seconds)) == seconds
 
 
-def test_compare_duplicate_policy_gives_identical_columns(tmp_path):
+def test_compare_refuses_a_repeated_policy(tmp_path, capsys):
+    """Every policy is deterministic for given inputs and seed, so a repeat could only copy a column."""
     substrate_path, vnrs_path = generate_tiny(tmp_path)
+    capsys.readouterr()
     cmp_out = tmp_path / "cmp"
     assert cli.main(
         ["compare", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
-         "--policies", "noderank,noderank", "--out-dir", str(cmp_out)] + tiny_flags("compare")
-    ) == 0
-    for metric in ("ltar", "ltar2c", "acc"):
-        rows = (cmp_out / f"compare_{metric}.csv").read_text().splitlines()
-        assert rows[0] == "t,noderank#0,noderank#1"
-        for row in rows[1:]:
-            _, first, second = row.split(",")
-            assert first == second
+         "--policies", "noderank,random,noderank", "--out-dir", str(cmp_out)] + tiny_flags("compare")
+    ) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "config error: policy 'noderank' is given more than once\n"
+    assert not cmp_out.exists()
 
 
 @pytest.mark.parametrize(
@@ -661,6 +662,51 @@ def test_a_checkpoint_without_the_hfl_policy_is_refused(tmp_path, capsys, comman
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "config error: --checkpoint is read only by the hfl policy, which is not run\n"
+    assert not out.exists()
+
+
+UNKNOWN_POLICY = "unknown policy 'greedy', expected one of hfl, noderank, random"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["evaluate"], "the hfl policy needs --checkpoint"),
+        (["evaluate", "--policy", "greedy"], UNKNOWN_POLICY),
+        (["evaluate", "--policy", "noderank", "--checkpoint", "/nonexistent/c.txt"],
+         "--checkpoint is read only by the hfl policy, which is not run"),
+        (["compare", "--policies", "noderank,greedy"], UNKNOWN_POLICY),
+        (["compare", "--policies", "hfl"], "the hfl policy needs --checkpoint"),
+        (["compare", "--policies", "noderank,noderank"], "policy 'noderank' is given more than once"),
+        (["compare", "--policies", " , "], "--policies needs at least one policy name"),
+    ],
+    ids=["evaluate-no-checkpoint", "evaluate-unknown", "evaluate-unread-checkpoint", "compare-unknown",
+         "compare-no-checkpoint", "compare-repeated", "compare-empty"],
+)
+def test_the_policy_choice_is_refused_before_any_input_is_read(tmp_path, capsys, argv, message):
+    """No input file exists, so a refusal that came after a read would exit 2 instead."""
+    out = tmp_path / "out"
+    missing = ["--substrate", "/nonexistent/s.txt", "--vnrs", "/nonexistent/v.txt"]
+    assert cli.main(argv[:1] + missing + argv[1:] + ["--out-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, unknown",
+    [
+        (["generate", "--policy", "hfl"], "--policy hfl"),
+        (["compare", "--substrate", "s.txt", "--vnrs", "v.txt", "--policies", "noderank", "--policy", "random"],
+         "--policy random"),
+    ],
+    ids=["generate", "compare"],
+)
+def test_only_evaluate_takes_a_policy_flag(tmp_path, capsys, argv, unknown):
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"config error: unrecognized arguments: {unknown}\n"
     assert not out.exists()
 
 
@@ -913,7 +959,9 @@ def test_duplicate_request_id_names_file_and_line(tmp_path, capsys, command):
     if command == "validate":
         argv += ["--decisions", str(tmp_path / "decisions.csv")]
     else:
-        argv += ["--out-dir", str(tmp_path / "out")] + tiny_flags(command, policy="noderank")
+        argv += ["--out-dir", str(tmp_path / "out")] + tiny_flags(command)
+    if command == "evaluate":
+        argv += ["--policy", "noderank"]
     code = cli.main(argv)
     assert code == 2
     err = capsys.readouterr().err
