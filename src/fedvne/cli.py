@@ -292,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--substrate", required=True)
     p.add_argument("--vnrs", required=True)
     p.add_argument("--checkpoint", default=None)
-    p.add_argument("--policies", default="hfl,noderank,random")
+    policies_help = f"comma-separated, each one of {', '.join(POLICIES)} (default %(default)s)"
+    p.add_argument("--policies", default="hfl,noderank,random", help=policies_help)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_compare)
 

@@ -71,15 +71,30 @@ def min_hop_path(
     only on the subgraph of feasible links. Distances live in two per-call
     lists indexed by node id: 1 + the distance from that side, 0 if unreached.
 
+    A link is feasible when its available bandwidth is at least the demand.
+    Every link test reads one per-call mask, ``fits``, the bytes of
+    ``bw_available >= bw_demand``: indexing it yields a cached small int, where
+    a float read would build a new float per adjacency entry. It equals ``not
+    bw < bw_demand`` for every finite value, and the loaders admit no other.
+
     The last level stops growing once the frontier node that found the first
-    meeting node has been scanned: the rest of the frontier only collects the
-    other meeting nodes, marking them and nothing else. This is exact for two
-    reasons. Every meeting node lies in the other side's current frontier: had
-    a node of this frontier a feasible link to an earlier level of the other
-    side, an earlier level would already have met. And nothing after the
-    growth reads a non-meeting node of the last level: the walk back from the
-    meeting set looks for ``src`` distances below the meeting nodes', and the
-    walk on towards ``dst`` for ``dst`` distances below the meeting node's own.
+    meeting node has been scanned. This is exact for two reasons. Every
+    meeting node lies in the other side's current frontier: had a node of this
+    frontier a feasible link to an earlier level of the other side, an earlier
+    level would already have met. And nothing after the growth reads a
+    non-meeting node of the last level: the walk back from the meeting set
+    looks for ``src`` distances below the meeting nodes', and the walk on
+    towards ``dst`` for ``dst`` distances below the meeting node's own.
+    When ``dst``'s side grew the last level, the rest of its frontier is then
+    scanned only to collect the other meeting nodes, any of which may be the
+    answer's. When ``src``'s side grew it, no scan is needed: ``src``'s
+    frontier is always in the lexicographic order of each node's smallest
+    path from ``src``, since every level is grown in frontier order, each
+    adjacency is read in ascending neighbor id and a node keeps its first
+    discovery. So the first frontier node that meets carries the answer's
+    prefix, and its meeting neighbors, all collected, hold the answer's
+    meeting node. This makes the growth order load-bearing: sorting a level,
+    or reading an adjacency in another order, changes the paths returned.
 
     Between two domains the search first reads the domains' border links
     (``substrate.node_borders``) and returns None when every border link of
@@ -90,12 +105,12 @@ def min_hop_path(
     if src == dst:
         return []
     adjacency = substrate.adjacency
-    bw = memoryview(substrate.bw_available)
+    fits = (substrate.bw_available >= bw_demand).tobytes()
     src_borders, dst_borders = substrate.node_borders[src], substrate.node_borders[dst]
     if src_borders is not dst_borders:
         for borders in (src_borders, dst_borders):
             for link_id in borders:
-                if not bw[link_id] < bw_demand:
+                if fits[link_id]:
                     break
             else:
                 return None
@@ -115,7 +130,7 @@ def min_hop_path(
         nodes = iter(frontier)
         for here in nodes:
             for neighbor, link_id in adjacency[here]:
-                if reached[neighbor] or bw[link_id] < bw_demand:
+                if reached[neighbor] or not fits[link_id]:
                     continue
                 reached[neighbor] = tag
                 grown.append(neighbor)
@@ -129,12 +144,13 @@ def min_hop_path(
             src_frontier = grown
         else:
             dst_frontier = grown
-    # the rest of the last level only collects the other meeting nodes
-    for here in nodes:
-        for neighbor, link_id in adjacency[here]:
-            if other[neighbor] and not reached[neighbor] and not bw[link_id] < bw_demand:
-                reached[neighbor] = tag
-                meeting.add(neighbor)
+    if reached is from_dst:
+        # the rest of the last level only collects the other meeting nodes
+        for here in nodes:
+            for neighbor, link_id in adjacency[here]:
+                if other[neighbor] and not reached[neighbor] and fits[link_id]:
+                    reached[neighbor] = tag
+                    meeting.add(neighbor)
 
     # on-path nodes at each distance from src, from the meeting set back to src
     meet_tag = from_src[next(iter(meeting))]
@@ -143,7 +159,7 @@ def min_hop_path(
         layer: set[int] = set()
         for here in on_path[-1]:
             for neighbor, link_id in adjacency[here]:
-                if from_src[neighbor] == tag and not bw[link_id] < bw_demand:
+                if from_src[neighbor] == tag and fits[link_id]:
                     layer.add(neighbor)
         on_path.append(layer)
     on_path.reverse()
@@ -152,13 +168,13 @@ def min_hop_path(
     here = src
     for layer in on_path:
         for neighbor, link_id in adjacency[here]:
-            if neighbor in layer and not bw[link_id] < bw_demand:
+            if neighbor in layer and fits[link_id]:
                 path.append(link_id)
                 here = neighbor
                 break
     for tag in range(from_dst[here] - 1, 0, -1):
         for neighbor, link_id in adjacency[here]:
-            if from_dst[neighbor] == tag and not bw[link_id] < bw_demand:
+            if from_dst[neighbor] == tag and fits[link_id]:
                 path.append(link_id)
                 here = neighbor
                 break

@@ -43,9 +43,10 @@ class MultiDomainSubstrate:
     allocate and release methods.
 
     The numpy arrays are the one store; no list mirror is kept beside them.
-    The loops of ``allocate_path``, ``release`` and ``engine.min_hop_path``
-    index them through a ``memoryview`` taken once per call, whose items are
-    plain Python floats (an array index builds a numpy scalar). No view is
+    The loops of ``allocate_path`` and ``release`` index them through a
+    ``memoryview`` taken once per call, whose items are plain Python floats
+    (an array index builds a numpy scalar); ``engine.min_hop_path`` reads a
+    per-call bytes mask of the links that fit its demand instead. No view is
     kept on the instance: a ``copy()`` shares all but the availability arrays.
 
     The border index is static like ``adjacency``: ``node_borders[i]`` lists

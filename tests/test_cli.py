@@ -246,6 +246,11 @@ def test_help_names_the_default_of_each_config_flag(capsys):
         # the policy is a run flag, not a config key, and its help names the choices
         listed = "--policy POLICY one of hfl, noderank, random (default hfl)" in text
         assert listed == (command == "evaluate"), command
+        listed = (
+            "--policies POLICIES comma-separated, each one of hfl, noderank, random"
+            " (default hfl,noderank,random)"
+        ) in text
+        assert listed == (command == "compare"), command
 
 
 # -- subcommands --------------------------------------------------------------

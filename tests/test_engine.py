@@ -85,10 +85,21 @@ def test_min_hop_lexicographic_tie_break():
         # dst 9's side grows the last level from [7, 8]: 7 meets 5 first, then 6, and
         # 0-1-6-7-9 is smaller than 0-2-5-7-9
         ([(0, 1), (0, 2), (1, 3), (1, 4), (1, 6), (2, 5), (5, 7), (6, 7), (7, 9), (8, 9)], [0, 4, 7, 8]),
+        # src 0's side grows the last level from [4, 3], in discovery order: 4 meets 5
+        # first, and 0-1-4-5-7 is smaller than 0-2-3-6-7; a frontier sorted by id
+        # would meet through 3 first
+        ([(0, 1), (0, 2), (1, 4), (2, 3), (4, 5), (3, 6), (5, 7), (6, 7)], [0, 2, 4, 6]),
+        # the same growth, but 4 meets both 5 and 6; the path takes the smaller
+        ([(0, 1), (0, 2), (1, 4), (2, 3), (4, 6), (4, 5), (3, 6), (5, 7), (6, 7)], [0, 2, 5, 7]),
     ],
-    ids=["meeting-from-a-later-frontier-node", "meeting-later-in-one-adjacency"],
+    ids=[
+        "meeting-from-a-later-frontier-node",
+        "meeting-later-in-one-adjacency",
+        "src-frontier-in-discovery-order",
+        "src-meets-two-neighbors",
+    ],
 )
-def test_min_hop_takes_a_meeting_node_found_after_the_first(links, expected):
+def test_min_hop_picks_the_smallest_path_through_the_last_level(links, expected):
     n = 1 + max(max(link) for link in links)
     sub = make_substrate([0] * n, [10.0] * n, [(a, b, 10.0) for a, b in links])
     assert min_hop_path(sub, 0, n - 1, 5.0) == expected
