@@ -347,16 +347,17 @@ def replay_validate(
 
     Maintains its own availability arrays (independent of the substrate's
     allocation methods), applies each accepted record at its arrival and
-    returns it at departure. Returns a list of violation messages; empty
-    means the log is sound. Each record reports at most one violation, the
-    first one found in a fixed order: unknown or repeated request id, then
-    the structural checks of ``_first_violation`` (node map, cpu, paths, in
-    that order), then joint bandwidth per substrate link; a record that
-    fails one of them is not applied. When ``final_vector`` is
-    given it is compared against the replayed end-of-run resource vector,
-    which must match exactly. Demands must be non-negative, as validate_vnr
-    requires of every loaded or generated request: then an applied record
-    leaves no availability below zero, so that is not checked.
+    returns it at departure, so the log must be in arrival order. Returns a
+    list of violation messages; empty means the log is sound. Each record
+    reports at most one violation, the first one found in a fixed order:
+    unknown or repeated request id, an arrival out of order, the structural
+    checks of ``_first_violation`` (node map, cpu, paths, in that order),
+    then joint bandwidth per substrate link; a record that fails one of them
+    is not applied. When ``final_vector`` is given it is compared against
+    the replayed end-of-run resource vector, which must match exactly.
+    Demands must be non-negative, as validate_vnr requires of every loaded
+    or generated request: then an applied record leaves no availability
+    below zero, so that is not checked.
     """
     violations: list[str] = []
     cpu = np.array(initial.cpu_capacity, dtype=np.float64)
@@ -368,6 +369,7 @@ def replay_validate(
     # (departure time, vnr id, record, demand per virtual link)
     departures: list[tuple[float, int, EmbeddingRecord, dict]] = []
     logged: set[int] = set()
+    latest_arrival = -inf
 
     def release(record: EmbeddingRecord, demand_of: dict) -> None:
         node_demands = by_id[record.vnr_id].node_demands
@@ -378,12 +380,16 @@ def replay_validate(
                 bw[link_id] += demand_of[key]
 
     def replay(record: EmbeddingRecord) -> str | None:
+        nonlocal latest_arrival
         vnr = by_id.get(record.vnr_id)
         if vnr is None:
             return "not present in the request stream"
         if record.vnr_id in logged:
             return "logged more than once"
         logged.add(record.vnr_id)
+        if vnr.t_s < latest_arrival:
+            return "logged out of arrival order"
+        latest_arrival = vnr.t_s
         while departures and departures[0][0] <= vnr.t_s:
             _, _, done, demand_of = heapq.heappop(departures)
             release(done, demand_of)
@@ -430,7 +436,7 @@ def replay_validate(
 
 # -- decision log -----------------------------------------------------------
 
-DECISION_LOG_HEADER = "vnr_id,t_s,accepted,revenue,cost,node_map,path_hops,link_paths"
+DECISION_LOG_HEADER = "vnr_id,t_s,accepted,revenue,cost,node_map,link_paths"
 DECISION_LOG_FIELDS = DECISION_LOG_HEADER.count(",") + 1
 
 
@@ -438,13 +444,8 @@ def _format_node_map(record: EmbeddingRecord) -> str:
     return "|".join(f"{v}:{record.node_map[v]}" for v in sorted(record.node_map))
 
 
-def _format_paths(record: EmbeddingRecord) -> tuple[str, str]:
-    keys = sorted(record.link_paths)
-    hops = "|".join(str(len(record.link_paths[k])) for k in keys)
-    paths = "|".join(
-        f"{a}-{b}:" + ">".join(str(l) for l in record.link_paths[(a, b)]) for a, b in keys
-    )
-    return hops, paths
+def _format_paths(record: EmbeddingRecord) -> str:
+    return "|".join(f"{a}-{b}:" + ">".join(map(str, path)) for (a, b), path in sorted(record.link_paths.items()))
 
 
 def csv_cell(value) -> str:
@@ -460,7 +461,7 @@ def write_csv(path, header, rows) -> None:
 
 def write_decision_log(path, records) -> None:
     rows = (
-        (r.vnr_id, r.t_s, int(r.accepted), r.revenue, r.cost, _format_node_map(r), *_format_paths(r))
+        (r.vnr_id, r.t_s, int(r.accepted), r.revenue, r.cost, _format_node_map(r), _format_paths(r))
         for r in records
     )
     write_csv(path, DECISION_LOG_HEADER.split(","), rows)
@@ -490,15 +491,13 @@ def _parse_decision(line: str, ints, links) -> EmbeddingRecord:
             if v in record.node_map:
                 raise ValueError(f"node_map repeats virtual node {v}")
             record.node_map[v] = node
-    if fields[7]:
-        for chunk in fields[7].split("|"):
+    if fields[6]:
+        for chunk in fields[6].split("|"):
             key, seq = chunk.split(":")
             a, b = link = links(key)
             if link in record.link_paths:
                 raise ValueError(f"link_paths repeats virtual link {a}-{b}")
             record.link_paths[link] = tuple(map(ints, seq.split(">"))) if seq else ()
-    if fields[6] != _format_paths(record)[0]:
-        raise ValueError(f"path_hops {fields[6]} do not match link_paths")
     return record
 
 

@@ -33,25 +33,27 @@ class FederationRound:
     reward_means: dict[int, float]
 
 
-def aggregate(uploads) -> PolicyParams:
-    """Sample-count-weighted mean of the uploaded parameters."""
+def weighted_mean(uploads, value):
+    """Sample-count-weighted mean of ``value(upload)``, a float or an array, added left to right;
+    where the weighted sum is not finite, the mean is taken over each upload's sample share instead."""
     total = sum(u.sample_count for u in uploads)
     if total <= 0:
         raise ValueError("uploads carry no samples")
-    kernel = np.zeros_like(uploads[0].params.kernel)
-    bias = 0.0
-    for u in uploads:
-        kernel = kernel + u.sample_count * u.params.kernel
-        bias += u.sample_count * u.params.bias
-    return PolicyParams(kernel=kernel / total, bias=bias / total)
+    mean = left_sum(u.sample_count * value(u) for u in uploads) / total
+    if not np.isfinite(mean).all():
+        mean = left_sum(u.sample_count / total * value(u) for u in uploads)
+    return mean
+
+
+def aggregate(uploads) -> PolicyParams:
+    """Sample-count-weighted mean of the uploaded parameters."""
+    kernel = weighted_mean(uploads, lambda u: u.params.kernel)
+    return PolicyParams(kernel=kernel, bias=weighted_mean(uploads, lambda u: u.params.bias))
 
 
 def global_loss(uploads) -> float:
     """Sample-count-weighted mean of the uploaded local losses."""
-    total = sum(u.sample_count for u in uploads)
-    if total <= 0:
-        raise ValueError("uploads carry no samples")
-    return left_sum(u.sample_count * u.local_loss for u in uploads) / total
+    return weighted_mean(uploads, lambda u: u.local_loss)
 
 
 class Coordinator:

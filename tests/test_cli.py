@@ -4,10 +4,12 @@ import dataclasses
 import importlib
 import inspect
 import io
+import itertools
 import math
 import pkgutil
 import re
 import tempfile
+import types
 import warnings
 from pathlib import Path
 
@@ -461,9 +463,16 @@ def test_train_bad_input_leaves_no_output_dir(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flags, message",
     [
-        ("--learning-rate 1e308", "global parameters: checkpoint values must be finite"),
+        (
+            "--learning-rate 1e308 --batch-size 5",
+            "epoch 2, round 10, domain 0: "
+            "the magnitudes of checkpoint values must sum to at most 4.4942328371557893e+307",
+        ),
         # the parameters stay finite, but the rewards overflow the losses and their means
-        ("--learning-rate 1 --reject-reward 1e300", "round log: losses and mean rewards must be finite"),
+        (
+            "--learning-rate 1 --reject-reward 1e300",
+            "epoch 2, round 2, round log: losses and mean rewards must be finite",
+        ),
     ],
 )
 def test_train_overflow_exits_two_and_leaves_no_output_dir(tmp_path, capsys, flags, message):
@@ -479,7 +488,7 @@ def test_train_overflow_exits_two_and_leaves_no_output_dir(tmp_path, capsys, fla
              "--out-dir", str(out), "--epochs", "3", "--train-count", "30", *flags.split()]
         )
     assert code == 2
-    assert capsys.readouterr().err == f"error: training diverged in epoch 2, round 2, {message}\n"
+    assert capsys.readouterr().err == f"error: training diverged in {message}\n"
     assert not out.exists()
 
 
@@ -595,7 +604,7 @@ def test_compare_all_policies_with_checkpoint(tmp_path):
         header = (cmp_out / f"compare_{metric}.csv").read_text().splitlines()[0]
         assert header == "t,hfl,noderank,random"
     timing = (cmp_out / "compare_timing.csv").read_text().splitlines()
-    assert timing[0] == "policy,seconds_per_round"
+    assert timing[0] == "policy,seconds_per_arrival"
     assert len(timing) == 4
 
 
@@ -608,11 +617,26 @@ def test_compare_timing_rows_are_a_column_and_a_finite_float(tmp_path):
     ) == 0
     text = (cmp_out / "compare_timing.csv").read_text()
     header, *rows = text.removesuffix("\n").split("\n")
-    assert text.endswith("\n") and header == "policy,seconds_per_round"
+    assert text.endswith("\n") and header == "policy,seconds_per_arrival"
     assert [row.split(",")[0] for row in rows] == ["random", "noderank"]
     for row in rows:
         _, seconds = row.split(",")
         assert math.isfinite(float(seconds)) and repr(float(seconds)) == seconds
+
+
+def test_compare_timing_is_seconds_per_arrival(tmp_path, monkeypatch):
+    substrate_path, vnrs_path = generate_tiny(tmp_path)
+    # a clock on which each policy's run takes one second
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=itertools.count(0.0).__next__))
+    cmp_out = tmp_path / "cmp"
+    assert cli.main(
+        ["compare", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
+         "--policies", "random,noderank", "--out-dir", str(cmp_out)] + tiny_flags("compare")
+    ) == 0
+    per_arrival = repr(1 / TINY["test_count"])
+    assert (cmp_out / "compare_timing.csv").read_text().splitlines() == [
+        "policy,seconds_per_arrival", f"random,{per_arrival}", f"noderank,{per_arrival}"
+    ]
 
 
 def test_compare_refuses_a_repeated_policy(tmp_path, capsys):
@@ -731,6 +755,30 @@ def test_validate_clean_log(tmp_path, capsys):
     assert "0 violations" in capsys.readouterr().out
 
 
+def test_validate_refuses_a_log_out_of_arrival_order(tmp_path, capsys):
+    substrate_path, vnrs_path = generate_tiny(tmp_path)
+    eval_out = tmp_path / "eval"
+    cli.main(
+        ["evaluate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
+         "--policy", "noderank", "--out-dir", str(eval_out)] + tiny_flags("evaluate")
+    )
+    decisions = eval_out / "decisions.csv"
+    header, *lines = decisions.read_text().splitlines()
+    decisions.write_text("\n".join([header, *reversed(lines)]) + "\n")
+    capsys.readouterr()
+    code = cli.main(
+        ["validate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
+         "--decisions", str(decisions)]
+    )
+    assert code == 2
+    # the last arrival is replayed first, and each request after it arrived earlier
+    late = [line.split(",")[0] for line in reversed(lines[:-1])]
+    assert capsys.readouterr().out.splitlines() == [
+        *(f"vnr {vnr_id}: logged out of arrival order" for vnr_id in late),
+        f"{len(late)} violations in {decisions}",
+    ]
+
+
 def test_validate_flags_tampered_log(tmp_path, capsys):
     substrate_path, vnrs_path = generate_tiny(tmp_path)
     eval_out = tmp_path / "eval"
@@ -781,19 +829,18 @@ def test_validate_names_the_request_of_a_hand_edited_log(tmp_path, capsys, fault
     decisions = eval_out / "decisions.csv"
     lines = decisions.read_text().splitlines()
     # an accepted record that has a path
-    i, fields = next((i, f) for i, f in enumerate(line.split(",") for line in lines) if f[2] == "1" and f[7])
+    i, fields = next((i, f) for i, f in enumerate(line.split(",") for line in lines) if f[2] == "1" and f[6])
     if fault == "logged_twice":
         fields[3] = "123.5"  # the same decision with another revenue
         lines.append(",".join(fields))
     elif fault == "foreign_path":
-        fields[6] = f"{fields[6]}|1"
-        fields[7] = f"{fields[7]}|5-6:8"
+        fields[6] = f"{fields[6]}|5-6:8"
         lines[i] = ",".join(fields)
     elif fault == "node_at_count":
         fields[5] = re.sub(r":\d+", f":{NODES}", fields[5], count=1)  # virtual node 0's host
         lines[i] = ",".join(fields)
     else:
-        fields[7] = re.sub(r":\d+", f":{LINKS}", fields[7], count=1)  # the first link of a path
+        fields[6] = re.sub(r":\d+", f":{LINKS}", fields[6], count=1)  # the first link of a path
         lines[i] = ",".join(fields)
     decisions.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
@@ -810,12 +857,11 @@ def test_validate_names_the_request_of_a_hand_edited_log(tmp_path, capsys, fault
     [
         (3, "abc", "could not convert string to float: 'abc'"),
         (2, "5", "accepted must be 0 or 1, got 5"),
-        (6, "7", "path_hops 7 do not match link_paths"),
         (1, "nan", "t_s must be finite, got nan"),
         (4, "inf", "cost must be finite, got inf"),
         # a repeated entry would otherwise keep only its last value
         (5, "0:999|0:1", "node_map repeats virtual node 0"),
-        (7, "0-1:3|0-1:3", "link_paths repeats virtual link 0-1"),
+        (6, "0-1:3|0-1:3", "link_paths repeats virtual link 0-1"),
     ],
 )
 def test_validate_malformed_log_names_file_and_line(tmp_path, capsys, field, value, message):

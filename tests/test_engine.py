@@ -371,8 +371,8 @@ def test_read_decision_log_gives_back_the_records_compare_wrote(tmp_path, monkey
 
 SHARED_LOG = (
     engine.DECISION_LOG_HEADER + "\n"
-    "0,0.0,1,1.0,1.0,0:300|1:301,2,0-1:1000>301\n"
-    "1,1.0,1,1.0,1.0,0:301|1:300,2,0-1:301>1000\n"
+    "0,0.0,1,1.0,1.0,0:300|1:301,0-1:1000>301\n"
+    "1,1.0,1,1.0,1.0,0:301|1:300,0-1:301>1000\n"
 )
 
 
@@ -397,10 +397,10 @@ def test_read_decision_log_shares_equal_tokens_within_one_read(tmp_path):
     "bad, message",
     [
         # a key of three ids, refused by the a, b unpack
-        ("2,2.0,1,1.0,1.0,0:300|1:301,1,0-1-2:1000", "too many values to unpack (expected 2)"),
+        ("2,2.0,1,1.0,1.0,0:300|1:301,0-1-2:1000", "too many values to unpack (expected 2)"),
         # a bad link id after tokens that hit the table
-        ("2,2.0,1,1.0,1.0,0:300|1:301,3,0-1:1000>301>30l", "invalid literal for int() with base 10: '30l'"),
-        ("2,2.0,1,1.0,1.0,0:300|1:301,2|2,0-1:1000>301|0-1:301>1000", "link_paths repeats virtual link 0-1"),
+        ("2,2.0,1,1.0,1.0,0:300|1:301,0-1:1000>301>30l", "invalid literal for int() with base 10: '30l'"),
+        ("2,2.0,1,1.0,1.0,0:300|1:301,0-1:1000>301|0-1:301>1000", "link_paths repeats virtual link 0-1"),
     ],
     ids=["three-id-key", "bad-link-id", "repeated-key"],
 )
@@ -412,7 +412,7 @@ def test_read_decision_log_names_a_bad_line_after_shared_tokens(tmp_path, bad, m
             read_decision_log(path)
 
 
-GOOD_LINE = "0,0.0,1,1.0,1.0,0:3|1:4,1,0-1:7"
+GOOD_LINE = "0,0.0,1,1.0,1.0,0:3|1:4,0-1:7"
 
 
 @pytest.mark.parametrize(
@@ -421,11 +421,17 @@ GOOD_LINE = "0,0.0,1,1.0,1.0,0:3|1:4,1,0-1:7"
         ("", 1, "not a decision log"),
         ("\n  \n\t\n", 1, "not a decision log"),
         ("\n\nvnr_id,t_s\n" + GOOD_LINE + "\n", 3, "not a decision log"),
+        # the format with a hop count per path before the paths
+        (
+            "vnr_id,t_s,accepted,revenue,cost,node_map,path_hops,link_paths\n0,0.0,1,1.0,1.0,0:3|1:4,1,0-1:7\n",
+            1,
+            "not a decision log",
+        ),
         # blank lines before the header and between records are skipped, and
         # the last line has no newline
-        ("\n\n" + engine.DECISION_LOG_HEADER + "\n" + GOOD_LINE + "\n\n1,1.0,1", 6, "expected 8 fields, found 3"),
+        ("\n\n" + engine.DECISION_LOG_HEADER + "\n" + GOOD_LINE + "\n\n1,1.0,1", 6, "expected 7 fields, found 3"),
     ],
-    ids=["empty", "blank-lines-only", "blank-lines-before-the-header", "bad-last-line"],
+    ids=["empty", "blank-lines-only", "blank-lines-before-the-header", "hop-count-column", "bad-last-line"],
 )
 def test_read_decision_log_names_the_line_of_a_bad_log(tmp_path, text, line_no, message):
     path = tmp_path / "decisions.csv"
@@ -437,8 +443,8 @@ def test_read_decision_log_names_the_line_of_a_bad_log(tmp_path, text, line_no, 
 def test_a_failed_parse_leaves_nothing_in_the_caches():
     ints, links = functools.cache(int), functools.cache(engine._virtual_link)
     cases = [
-        ("0,0.0,1,1.0,1.0,0:3|1:4,1,0-1-2:7", "too many values to unpack (expected 2)"),
-        ("0,0.0,1,1.0,1.0,0:3|1:4,2,0-1:7>7x", "invalid literal for int() with base 10: '7x'"),
+        ("0,0.0,1,1.0,1.0,0:3|1:4,0-1-2:7", "too many values to unpack (expected 2)"),
+        ("0,0.0,1,1.0,1.0,0:3|1:4,0-1:7>7x", "invalid literal for int() with base 10: '7x'"),
     ]
     for line, message in cases * 2:
         with pytest.raises(ValueError, match=exactly(message)):
@@ -538,6 +544,13 @@ def test_replay_validate_flags_tampering():
             {"final": np.zeros(5)},
             ["replayed resource vector differs from the run's final state"],
         ),
+        # logged as C, D, A: C holds 20 of link 0's 30 while A arrives, and
+        # replaying A after D's arrival would find C's bandwidth given back
+        (
+            {"earlier": ((1, 0.0, 5.0, 20.0), (2, 6.0, 7.0, 1.0)), "t": (1.0, 100.0), "bw": 20.0, "final": None},
+            ["vnr 0: logged out of arrival order"],
+        ),
+        ({"earlier": ((1, 0.0, 5.0, 1.0),), "final": None}, []),
     ],
     ids=[
         "unmapped",
@@ -552,6 +565,8 @@ def test_replay_validate_flags_tampering():
         "unknown-id",
         "release-rounding",
         "final-vector",
+        "out-of-arrival-order",
+        "equal-arrivals",
     ],
 )
 def test_replay_validate_names_each_violation(change, expected):
@@ -564,12 +579,19 @@ def test_replay_validate_names_each_violation(change, expected):
     record.node_map = dict(change.get("node_map", record.node_map))
     if "path" in change:
         record.link_paths[(0, 1)] = list(change["path"])
+    t_s, t_e = change.get("t", (0.0, 9.0))
     edited = make_vnr(
         0,
         node_demands=change.get("cpu", (10.0, 10.0)),
         link_demands=((0, 1, change.get("bw", 5.0)),),
-        t_s=0.0,
-        t_e=9.0,
+        t_s=t_s,
+        t_e=t_e,
     )
+    # requests logged before vnr 0, each placed as vnr 0 was
+    earlier = [
+        make_vnr(vnr_id, node_demands=(10.0, 10.0), link_demands=((0, 1, bw),), t_s=arrival, t_e=departure)
+        for vnr_id, arrival, departure, bw in change.get("earlier", ())
+    ]
+    logged = [dataclasses.replace(records[0], vnr_id=v.vnr_id) for v in earlier]
     end = change.get("final", final.resource_vector())
-    assert replay_validate(sub, [edited], [record], end) == expected
+    assert replay_validate(sub, [*earlier, edited], [*logged, record], end) == expected

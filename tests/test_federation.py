@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from _helpers import exactly
-from fedvne.agent import DecisionTrace, DomainAgent, PolicyParams
+from fedvne.agent import DecisionTrace, DomainAgent, PolicyParams, check_params
 from fedvne.federation import (
     Coordinator,
     ParamUpload,
@@ -43,6 +43,24 @@ def test_aggregate_symmetry_cancels():
 def test_aggregate_weighted_mean():
     uploads = [upload(0, [0, 0, 0], 1.0, 25), upload(1, [0, 0, 0], 2.0, 75)]
     assert aggregate(uploads).bias == pytest.approx(1.75, abs=1e-12)
+
+
+def test_weighted_mean_of_finite_uploads_is_finite_where_the_weighted_sum_overflows():
+    # magnitude sums 9.8e306 (84 samples) and 5.1e306 (53), as in a training run at learning rate 1e308
+    uploads = [
+        upload(0, [-3e306, -3e306, 1e305], -3.7e306, 84, loss=1.7e308),
+        upload(1, [-1.5e306, -1.5e306, 1e305], -2e306, 53, loss=1.7e308),
+    ]
+    for u in uploads:
+        check_params(u.params, "upload")
+    with np.errstate(over="ignore", invalid="ignore"):  # as training runs it
+        merged, loss = aggregate(uploads), global_loss(uploads)
+    check_params(merged, "global parameters")
+    shares = (84 / 137, 53 / 137)
+    kernel = shares[0] * uploads[0].params.kernel + shares[1] * uploads[1].params.kernel
+    assert merged.kernel.tolist() == kernel.tolist()
+    assert merged.bias == shares[0] * -3.7e306 + shares[1] * -2e306
+    assert loss == shares[0] * 1.7e308 + shares[1] * 1.7e308
 
 
 def test_aggregate_requires_uploads():
