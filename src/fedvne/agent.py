@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import left_sum
 from .substrate import MultiDomainSubstrate
 
 NUM_FEATURES = 3
@@ -54,7 +55,7 @@ def check_params(params: PolicyParams, where: str) -> None:
     values = [*params.kernel.tolist(), float(params.bias)]
     if not np.isfinite(values).all():
         raise ValueError(f"{where}: checkpoint values must be finite")
-    if sum(abs(v) for v in values) > MAX_PARAM_MAGNITUDE:
+    if left_sum(abs(v) for v in values) > MAX_PARAM_MAGNITUDE:
         limit = f"{MAX_PARAM_MAGNITUDE!r}"
         raise ValueError(f"{where}: the magnitudes of checkpoint values must sum to at most {limit}")
 
@@ -73,14 +74,18 @@ def extract_state(substrate: MultiDomainSubstrate) -> list[np.ndarray]:
     normalized per column (constant columns map to 0.5). Incident sums
     include inter-domain links. The distance column weights each incident
     link's Euclidean length by 1/(1 + hops); incident links are one hop away,
-    so each contributes half its length. The states are row slices of one
-    matrix in ``substrate.domain_order``.
+    so each contributes half its length, summed once per topology into
+    ``substrate.incident_distance``. The states are row slices of one matrix
+    in ``substrate.domain_order``; every column is normalized in one pass.
     """
-    raw = np.column_stack([substrate.cpu_available, substrate.available_bw_sums()])
+    raw = np.column_stack([substrate.cpu_available, substrate.available_bw_sums(), substrate.incident_distance])
     raw = raw.take(substrate.domain_order, axis=0)  # rows in domain order
-    features = np.empty((substrate.num_nodes, NUM_FEATURES))
-    substrate.normalize_by_domain(raw, features[:, :2])
-    features[:, 2] = substrate.distance_feature  # static: normalized once per topology
+    starts, rows = substrate.domain_starts[:-1], substrate.domain_rows
+    lo = np.minimum.reduceat(raw, starts)
+    # take, not [rows]: a fancy index of a 2-D array costs several times more
+    span = (np.maximum.reduceat(raw, starts) - lo).take(rows, axis=0)
+    features = np.full_like(raw, 0.5)
+    np.divide(raw - lo.take(rows, axis=0), span, out=features, where=span > 0)
     return [features[a:b] for a, b in substrate.domain_bounds]
 
 

@@ -350,21 +350,20 @@ def replay_validate(
     returns it at departure, so the log must be in arrival order. Returns a
     list of violation messages; empty means the log is sound. Each record
     reports at most one violation, the first one found in a fixed order:
-    unknown or repeated request id, an arrival out of order, the structural
-    checks of ``_first_violation`` (node map, cpu, paths, in that order),
-    then joint bandwidth per substrate link; a record that fails one of them
-    is not applied. When ``final_vector`` is given it is compared against
-    the replayed end-of-run resource vector, which must match exactly.
-    Demands must be non-negative, as validate_vnr requires of every loaded
-    or generated request: then an applied record leaves no availability
-    below zero, so that is not checked.
+    unknown or repeated request id, an arrival out of order; then for a
+    rejected record nonzero revenue or cost and every element placed, and
+    for an accepted one the structural checks of ``_first_violation`` (node
+    map, cpu, paths, in that order) and joint bandwidth per substrate link.
+    A record that fails one of them is not applied. When ``final_vector`` is
+    given it is compared against the replayed end-of-run resource vector,
+    which must match exactly. Demands must be non-negative, as validate_vnr
+    requires of every loaded or generated request: then an applied record
+    leaves no availability below zero, so that is not checked.
     """
     violations: list[str] = []
     cpu = np.array(initial.cpu_capacity, dtype=np.float64)
     bw = np.array(initial.bw_capacity, dtype=np.float64)
     by_id = {v.vnr_id: v for v in vnrs}
-    if len(records) > len(by_id):
-        violations.append("decision log has more entries than the request stream")
 
     # (departure time, vnr id, record, demand per virtual link)
     departures: list[tuple[float, int, EmbeddingRecord, dict]] = []
@@ -394,6 +393,11 @@ def replay_validate(
             _, _, done, demand_of = heapq.heappop(departures)
             release(done, demand_of)
         if not record.accepted:
+            if record.revenue or record.cost:
+                return "logged as rejected, with revenue or cost"
+            placed = all(v in record.node_map for v in range(vnr.num_nodes))
+            if placed and all(record.link_paths.get((a, b)) for a, b, _ in vnr.link_demands):
+                return "logged as rejected, with every virtual node and link placed"
             return None
         fault = _first_violation(vnr, record, cpu, bw, initial.link_ends)
         if fault is not None:

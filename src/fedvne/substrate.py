@@ -165,24 +165,10 @@ class MultiDomainSubstrate:
         # per node, half the Euclidean length of every incident link (one hop away)
         delta = self.coords[self.link_ends[:, 0]] - self.coords[self.link_ends[:, 1]]
         self.incident_distance = self._incident_sums(np.hypot(delta[:, 0], delta[:, 1]) / 2.0)
-        # the static parts of the hfl state and ranking: the state's distance
-        # column in domain order, and each domain-order position's flat cell in
-        # a (num_domains, widest_domain) layout padded past each domain's end
-        self.distance_feature = np.empty(self.num_nodes)
-        self.normalize_by_domain(self.incident_distance[self.domain_order], self.distance_feature)
+        # the static part of the hfl ranking: each domain-order position's flat
+        # cell in a (num_domains, widest_domain) layout padded past each domain's end
         self.widest_domain = max(b - a for a, b in self.domain_bounds)
         self.padded_cells = self.domain_rows * self.widest_domain + self.row_in_domain[self.domain_order]
-
-    def normalize_by_domain(self, raw: np.ndarray, out: np.ndarray) -> None:
-        """Writes ``raw`` (rows in ``domain_order``) into ``out`` min-max normalized per
-        domain and column; a column constant over a domain maps to 0.5 there."""
-        starts, rows = self.domain_starts[:-1], self.domain_rows
-        lo = np.minimum.reduceat(raw, starts)
-        # take, not [rows]: a fancy index of a 2-D array costs several times more
-        span = (np.maximum.reduceat(raw, starts) - lo).take(rows, axis=0)
-        shifted = raw - lo.take(rows, axis=0)
-        out[...] = 0.5
-        np.divide(shifted, span, out=out, where=span > 0)
 
     def _incident_sums(self, per_link: np.ndarray) -> np.ndarray:
         """Per node, the sum of ``per_link`` over its incident links. Float64 for

@@ -141,12 +141,8 @@ def generate_substrate(config, seed: int) -> MultiDomainSubstrate:
     for d in range(num_domains):
         if quota[d] == 0:
             continue
-        candidates = sorted(
-            (a, b)
-            for i, a in enumerate(domain_ids[d])
-            for b in domain_ids[d][i + 1 :]
-            if (a, b) not in edges
-        )
+        ids = domain_ids[d]
+        candidates = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :] if (a, b) not in edges]
         for a, b in rng.sample(candidates, quota[d]):
             add_edge(a, b)
 
@@ -155,14 +151,10 @@ def generate_substrate(config, seed: int) -> MultiDomainSubstrate:
         add_edge(rng.choice(domain_ids[other]), rng.choice(domain_ids[d]))
     remaining = inter_target - domain_tree
     if remaining > 0:
-        candidates = sorted(
-            (min(a, b), max(a, b))
-            for da in range(num_domains)
-            for db in range(da + 1, num_domains)
-            for a in domain_ids[da]
-            for b in domain_ids[db]
-            if (min(a, b), max(a, b)) not in edges
-        )
+        # domains are contiguous id blocks: a's later domains hold the ids past its own block
+        candidates = [
+            (a, b) for a in range(n) for b in range((node_domains[a] + 1) * per_domain, n) if (a, b) not in edges
+        ]
         for a, b in rng.sample(candidates, remaining):
             add_edge(a, b)
 

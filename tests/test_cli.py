@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import fedvne
 from _helpers import config_flags, exactly
 from fedvne import cli
+from fedvne.agent import MAX_PARAM_MAGNITUDE
 from fedvne.config import ConfigError, ExperimentConfig, apply_overrides
 
 TINY = dict(
@@ -817,6 +818,8 @@ NODES, LINKS = TINY["num_domains"] * TINY["nodes_per_domain"], TINY["num_links"]
         # the first id past the end: an off-by-one bound would index past the arrays
         ("node_at_count", f"mapped to missing node {NODES}"),
         ("link_at_count", f"path uses missing link {LINKS}"),
+        ("flip_accepted", "logged as rejected, with every virtual node and link placed"),
+        ("paid_rejection", "logged as rejected, with revenue or cost"),
     ],
 )
 def test_validate_names_the_request_of_a_hand_edited_log(tmp_path, capsys, fault, message):
@@ -828,13 +831,20 @@ def test_validate_names_the_request_of_a_hand_edited_log(tmp_path, capsys, fault
     )
     decisions = eval_out / "decisions.csv"
     lines = decisions.read_text().splitlines()
-    # an accepted record that has a path
-    i, fields = next((i, f) for i, f in enumerate(line.split(",") for line in lines) if f[2] == "1" and f[6])
+    # an accepted record that has a path; paid_rejection edits a rejected record
+    picked = (lambda f: f[2] == "0") if fault == "paid_rejection" else (lambda f: f[2] == "1" and f[6])
+    i, fields = next((i, f) for i, f in enumerate(line.split(",") for line in lines) if picked(f))
     if fault == "logged_twice":
         fields[3] = "123.5"  # the same decision with another revenue
         lines.append(",".join(fields))
     elif fault == "foreign_path":
         fields[6] = f"{fields[6]}|5-6:8"
+        lines[i] = ",".join(fields)
+    elif fault == "flip_accepted":
+        fields[2:5] = ["0", "0.0", "0.0"]  # the maps are kept
+        lines[i] = ",".join(fields)
+    elif fault == "paid_rejection":
+        fields[3:5] = ["123.0", "45.0"]
         lines[i] = ",".join(fields)
     elif fault == "node_at_count":
         fields[5] = re.sub(r":\d+", f":{NODES}", fields[5], count=1)  # virtual node 0's host
@@ -961,16 +971,28 @@ def test_bad_checkpoint_line_names_file_and_line(tmp_path, capsys, command, bad_
     assert f"{checkpoint}:2: {message}" in err
 
 
+# its magnitudes sum to the bound left to right, and past it compensated
+ROUNDED_TO_THE_BOUND = "4.4942328371557893e+307 1.2474001934592e+291 1.2474001934592e+291 1.2474001934592e+291"
+
+
 @pytest.mark.parametrize("command", ["evaluate", "compare"])
-def test_checkpoint_at_the_magnitude_bound_runs_without_overflow(tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "last_line",
+    ["0.0 0.0 -2.2471164185778946e+307 2.2471164185778946e+307", ROUNDED_TO_THE_BOUND],
+    ids=["exact", "rounded"],
+)
+def test_checkpoint_at_the_magnitude_bound_runs_without_overflow(tmp_path, capsys, command, last_line):
     substrate_path, vnrs_path = generate_tiny(tmp_path)
     checkpoint = tmp_path / "checkpoint.txt"
-    # each line's magnitudes sum to sys.float_info.max / 4 exactly
+    # each line's magnitudes sum to sys.float_info.max / 4 exactly, added left to right
     checkpoint.write_text(
         "4.4942328371557893e+307 0.0 0.0 0.0\n"
         "-2.2471164185778946e+307 2.2471164185778946e+307 0.0 0.0\n"
-        "0.0 0.0 -2.2471164185778946e+307 2.2471164185778946e+307\n"
+        f"{last_line}\n"
     )
+    if last_line == ROUNDED_TO_THE_BOUND:
+        # the builtin sum compensates from Python 3.12 on and would refuse this line
+        assert math.fsum(abs(float(x)) for x in last_line.split()) > MAX_PARAM_MAGNITUDE
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")

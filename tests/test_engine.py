@@ -498,10 +498,7 @@ def test_replay_validate_flags_tampering():
     end = final.resource_vector()
     twice = copy.deepcopy(records[0])
     twice.revenue += 1.0
-    assert replay_validate(initial, vnrs, records + [twice], end) == [
-        "decision log has more entries than the request stream",
-        "vnr 0: logged more than once",
-    ]
+    assert replay_validate(initial, vnrs, records + [twice], end) == ["vnr 0: logged more than once"]
     records[0].link_paths[(5, 6)] = [0]
     assert replay_validate(initial, vnrs, records, end) == [
         "vnr 0: path for a link the request does not have: (5, 6)"
@@ -551,6 +548,10 @@ def test_replay_validate_flags_tampering():
             ["vnr 0: logged out of arrival order"],
         ),
         ({"earlier": ((1, 0.0, 5.0, 1.0),), "final": None}, []),
+        # a rejected record holds nothing, so it earns nothing and leaves an element unplaced
+        ({"rejected": (0.0, 0.0)}, ["vnr 0: logged as rejected, with every virtual node and link placed"]),
+        ({"rejected": (123.0, 45.0), "node_map": {0: 0}}, ["vnr 0: logged as rejected, with revenue or cost"]),
+        ({"rejected": (0.0, 0.0), "node_map": {0: 0}}, []),
     ],
     ids=[
         "unmapped",
@@ -567,6 +568,9 @@ def test_replay_validate_flags_tampering():
         "final-vector",
         "out-of-arrival-order",
         "equal-arrivals",
+        "rejected-placed",
+        "rejected-paid",
+        "rejected-partial",
     ],
 )
 def test_replay_validate_names_each_violation(change, expected):
@@ -579,6 +583,9 @@ def test_replay_validate_names_each_violation(change, expected):
     record.node_map = dict(change.get("node_map", record.node_map))
     if "path" in change:
         record.link_paths[(0, 1)] = list(change["path"])
+    if "rejected" in change:
+        record.accepted = False
+        record.revenue, record.cost = change["rejected"]
     t_s, t_e = change.get("t", (0.0, 9.0))
     edited = make_vnr(
         0,

@@ -275,20 +275,21 @@ def test_copy_shares_the_static_rank_pieces():
     assert sub.padded_cells.tolist() == [0, 1, 3, 4, 5]
     # half lengths: 2.5 + 2.5 and 2.5 in domain 0; 2.5 + 0.5, 0.5 + 1 and 1 in domain 1
     assert sub.incident_distance.tolist() == [3.0, 5.0, 1.5, 1.0, 2.5]
-    assert sub.distance_feature.tolist() == [1.0, 0.0, 1.0, 0.25, 0.0]
-    static = sub.distance_feature.tobytes(), sub.padded_cells.tobytes()
+    static = sub.incident_distance.tobytes(), sub.padded_cells.tobytes()
+    # the states' distance column in domain order: nodes 1, 4, then 0, 2, 3
+    distance = [1.0, 0.0, 1.0, 0.25, 0.0]
+    assert [x for state in extract_state(sub) for x in state[:, 2].tolist()] == distance
     clone = sub.copy()
-    assert clone.distance_feature is sub.distance_feature
+    assert clone.incident_distance is sub.incident_distance
     assert clone.padded_cells is sub.padded_cells
     vnr = make_vnr(node_demands=(10.0, 5.0), link_demands=[(0, 1, 2.0)])
     for target in (clone, sub):
         target.allocate_node(1, 10.0)
         target.allocate_node(2, 5.0)
         target.allocate_path([3, 1], 2.0)
-        for state, (a, b) in zip(extract_state(target), target.domain_bounds):
-            assert state[:, 2].tobytes() == sub.distance_feature[a:b].tobytes()
+        assert [x for state in extract_state(target) for x in state[:, 2].tolist()] == distance
         target.release(applied_record(vnr, {0: 1, 1: 2}, {(0, 1): [3, 1]}), vnr)
-        assert (sub.distance_feature.tobytes(), sub.padded_cells.tobytes()) == static
+        assert (sub.incident_distance.tobytes(), sub.padded_cells.tobytes()) == static
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import pytest
@@ -63,6 +64,39 @@ def test_generate_substrate_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     save_substrate(b, generate_substrate(cfg, 4))
     assert a.read_bytes() != b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "shape, digest",
+    [
+        # both candidate lists at the compare-10x scale
+        (
+            dict(num_domains=4, nodes_per_domain=250, num_links=6000),
+            "6835cfe72554fccfff42d1ce949f15677c11b691df079654eb1c2346462a7a6b",
+        ),
+        # intra-domain candidates only
+        (
+            dict(num_domains=1, nodes_per_domain=20, num_links=60),
+            "7913129788cee085ef5be5dd58ead26fa5c02da02e1606c2955a2e6523db9eda",
+        ),
+        # full domains: the intra links they cannot hold spill over to inter-domain links
+        (
+            dict(num_domains=6, nodes_per_domain=3, num_links=30),
+            "a3f43db0fd6820b8e61cd3165cb6b694692da24fe157941e26ef1477b597ba55",
+        ),
+        # inter-domain candidates only
+        (
+            dict(num_domains=4, nodes_per_domain=10, num_links=80, inter_link_ratio=0.9),
+            "de260c51ea8e97aad8b9a8c245f08e9b12993a7b0325ecb06f4a79d45ae1a4d7",
+        ),
+    ],
+    ids=["4x250", "one-domain", "6x3", "inter-0.9"],
+)
+def test_generated_substrate_keeps_its_bytes(tmp_path, shape, digest):
+    # shapes the golden run lacks; the candidate lists are drawn from in a fixed order
+    path = tmp_path / "substrate.txt"
+    save_substrate(path, generate_substrate(dataclasses.replace(ExperimentConfig(), **shape), 5))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_generate_substrate_infeasible():
