@@ -1,8 +1,11 @@
 """Experiment harness: generate, train, evaluate, compare, validate.
 
-Every subcommand is reproducible: the (config, seed) pair fully determines
-the emitted metric and log files. Wall-clock timings from ``compare`` are
-the one exception and go to their own file.
+Every subcommand is reproducible on one host: the config, the seed and the
+files a command loads determine the emitted metric and log files. The
+generated inputs and the noderank and random logs are the same on every
+host; the hfl outputs also depend on the CPU path numpy and OpenBLAS take.
+Wall-clock timings from ``compare`` are the one exception and go to their
+own file.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime error.
 """
@@ -254,12 +257,23 @@ def cmd_validate(args) -> int:
     vnrs = workload.load_vnrs(args.vnrs)
     records = engine.read_decision_log(args.decisions)
     logged_ids = {r.vnr_id for r in records}
-    # replay is invariant under the uniform clock shift evaluation applies,
-    # so the original stream entries are the right reference
-    stream = [v for v in vnrs if v.vnr_id in logged_ids]
+    # the clock of evaluate and compare, which starts at the first logged arrival; the
+    # logged fields are checked here, since replay_validate also takes unrebased streams
+    stream = workload.rebase_stream([v for v in vnrs if v.vnr_id in logged_ids])
     violations = engine.replay_validate(substrate, stream, records)
+    by_id = {v.vnr_id: v for v in stream}
+    for record in records:
+        vnr = by_id.get(record.vnr_id)
+        if vnr is None:
+            continue
+        if record.t_s != vnr.t_s:
+            violations.append(f"vnr {vnr.vnr_id}: logged arrival differs from the request's")
+        elif (record.accepted and all((a, b) in record.link_paths for a, b, _ in vnr.link_demands)
+              and (record.revenue, record.cost) != (metrics.vnr_revenue(vnr), metrics.vnr_cost(vnr, record))):
+            violations.append(f"vnr {vnr.vnr_id}: logged revenue or cost differs from the request's")
     for message in violations:
         print(message)
+    print(_summary_line(args.decisions, metrics.MetricsLedger(records)))
     print(f"{len(violations)} violations in {args.decisions}")
     return 0 if not violations else 2
 

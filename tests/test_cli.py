@@ -22,6 +22,8 @@ from _helpers import config_flags, exactly
 from fedvne import cli
 from fedvne.agent import MAX_PARAM_MAGNITUDE
 from fedvne.config import ConfigError, ExperimentConfig, apply_overrides
+from fedvne.engine import read_decision_log
+from fedvne.metrics import MetricsLedger
 
 TINY = dict(
     num_domains=2,
@@ -742,18 +744,25 @@ def test_only_evaluate_takes_a_policy_flag(tmp_path, capsys, argv, unknown):
 
 def test_validate_clean_log(tmp_path, capsys):
     substrate_path, vnrs_path = generate_tiny(tmp_path)
+    capsys.readouterr()
     eval_out = tmp_path / "eval"
     cli.main(
         ["evaluate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
          "--policy", "noderank", "--out-dir", str(eval_out)] + tiny_flags("evaluate")
     )
-    capsys.readouterr()
+    evaluated = capsys.readouterr().out
+    assert evaluated.startswith("noderank: ltar=")
+    decisions = eval_out / "decisions.csv"
     code = cli.main(
         ["validate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
-         "--decisions", str(eval_out / "decisions.csv")]
+         "--decisions", str(decisions)]
     )
     assert code == 0
-    assert "0 violations" in capsys.readouterr().out
+    # the indicators recomputed from the log are the ones evaluate printed
+    assert capsys.readouterr().out.splitlines() == [
+        f"{decisions}: {evaluated.removeprefix('noderank: ').rstrip()}",
+        f"0 violations in {decisions}",
+    ]
 
 
 def test_validate_refuses_a_log_out_of_arrival_order(tmp_path, capsys):
@@ -774,8 +783,10 @@ def test_validate_refuses_a_log_out_of_arrival_order(tmp_path, capsys):
     assert code == 2
     # the last arrival is replayed first, and each request after it arrived earlier
     late = [line.split(",")[0] for line in reversed(lines[:-1])]
+    summary = cli._summary_line(str(decisions), MetricsLedger(read_decision_log(decisions)))
     assert capsys.readouterr().out.splitlines() == [
         *(f"vnr {vnr_id}: logged out of arrival order" for vnr_id in late),
+        summary,
         f"{len(late)} violations in {decisions}",
     ]
 
@@ -820,6 +831,10 @@ NODES, LINKS = TINY["num_domains"] * TINY["nodes_per_domain"], TINY["num_links"]
         ("link_at_count", f"path uses missing link {LINKS}"),
         ("flip_accepted", "logged as rejected, with every virtual node and link placed"),
         ("paid_rejection", "logged as rejected, with revenue or cost"),
+        ("paid_accepted", "logged revenue or cost differs from the request's"),
+        ("moved_arrival", "logged arrival differs from the request's"),
+        # an accepted record without every path has no cost to check, only its own verdict
+        ("dropped_path", "virtual link ("),
     ],
 )
 def test_validate_names_the_request_of_a_hand_edited_log(tmp_path, capsys, fault, message):
@@ -845,6 +860,15 @@ def test_validate_names_the_request_of_a_hand_edited_log(tmp_path, capsys, fault
         lines[i] = ",".join(fields)
     elif fault == "paid_rejection":
         fields[3:5] = ["123.0", "45.0"]
+        lines[i] = ",".join(fields)
+    elif fault == "paid_accepted":
+        fields[3:5] = [str(float(fields[3]) * 10), "1.0"]
+        lines[i] = ",".join(fields)
+    elif fault == "moved_arrival":
+        fields[1] = str(float(fields[1]) + 1)
+        lines[i] = ",".join(fields)
+    elif fault == "dropped_path":
+        fields[6] = "|".join(fields[6].split("|")[1:])
         lines[i] = ",".join(fields)
     elif fault == "node_at_count":
         fields[5] = re.sub(r":\d+", f":{NODES}", fields[5], count=1)  # virtual node 0's host

@@ -3,7 +3,11 @@
 The digests below were recorded once and must not move unless an output
 format changes on purpose; a change that alters any of them changes what
 the simulator decides or writes. ``compare_timing.csv`` holds wall-clock
-times and is the one output left out.
+times and is the one output left out. They hold on one numeric path:
+numpy's AVX-512 loops and OpenBLAS's SkylakeX kernel. The inputs and the
+noderank and random logs hold on every path; the hfl outputs, the
+checkpoint and round log, and the compare tables built from them move with
+numpy's SIMD loops and OpenBLAS's core type.
 """
 
 import hashlib
