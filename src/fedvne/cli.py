@@ -256,15 +256,13 @@ def cmd_validate(args) -> int:
     substrate = workload.load_substrate(args.substrate)
     vnrs = workload.load_vnrs(args.vnrs)
     records = engine.read_decision_log(args.decisions)
-    logged_ids = {r.vnr_id for r in records}
-    # the clock of evaluate and compare, which starts at the first logged arrival; the
-    # logged fields are checked here, since replay_validate also takes unrebased streams
-    stream = workload.rebase_stream([v for v in vnrs if v.vnr_id in logged_ids])
+    # one request per record from the first logged one on, on evaluate's and compare's clock;
+    # replay_validate also takes unrebased streams, so the logged fields are checked here
+    start = next((i for i, v in enumerate(vnrs) if records and v.vnr_id == records[0].vnr_id), 0)
+    stream = workload.rebase_stream(vnrs[start : start + len(records)])
     violations = engine.replay_validate(substrate, stream, records)
-    by_id = {v.vnr_id: v for v in stream}
-    for record in records:
-        vnr = by_id.get(record.vnr_id)
-        if vnr is None:
+    for vnr, record in zip(stream, records):
+        if record.vnr_id != vnr.vnr_id:
             continue
         if record.t_s != vnr.t_s:
             violations.append(f"vnr {vnr.vnr_id}: logged arrival differs from the request's")

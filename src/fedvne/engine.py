@@ -345,53 +345,45 @@ def replay_validate(
 ) -> list[str]:
     """Re-check every embedding constraint by replaying the decision log.
 
-    Maintains its own availability arrays (independent of the substrate's
-    allocation methods), applies each accepted record at its arrival and
-    returns it at departure, so the log must be in arrival order. Returns a
-    list of violation messages; empty means the log is sound. Each record
-    reports at most one violation, the first one found in a fixed order:
-    unknown or repeated request id, an arrival out of order; then for a
-    rejected record nonzero revenue or cost and every element placed, and
-    for an accepted one the structural checks of ``_first_violation`` (node
-    map, cpu, paths, in that order) and joint bandwidth per substrate link.
-    A record that fails one of them is not applied. When ``final_vector`` is
-    given it is compared against the replayed end-of-run resource vector,
-    which must match exactly. Demands must be non-negative, as validate_vnr
-    requires of every loaded or generated request: then an applied record
-    leaves no availability below zero, so that is not checked.
+    Record i belongs to request i of ``vnrs``, the stream the log was made
+    from, so the log holds one record per request in stream order; requests
+    after the last record are not checked. The replay keeps its own
+    availability arrays (independent of the substrate's allocation methods),
+    applies each accepted record at its request's arrival and returns it at
+    departure. Returns a list of violation messages; empty means the log is
+    sound. Each record reports at most one violation, the first one found in
+    a fixed order: a record past the stream's end or at another request's
+    place; then for a rejected record nonzero revenue or cost and every
+    element placed, and for an accepted one the structural checks of
+    ``_first_violation`` (node map, cpu, paths, in that order) and joint
+    bandwidth per substrate link. A record that fails one of them is not
+    applied. When ``final_vector`` is given it is compared against the
+    replayed end-of-run resource vector, which must match exactly. Demands
+    must be non-negative, as validate_vnr requires of every loaded or
+    generated request: then an applied record leaves no availability below
+    zero, so that is not checked.
     """
     violations: list[str] = []
     cpu = np.array(initial.cpu_capacity, dtype=np.float64)
     bw = np.array(initial.bw_capacity, dtype=np.float64)
-    by_id = {v.vnr_id: v for v in vnrs}
 
-    # (departure time, vnr id, record, demand per virtual link)
-    departures: list[tuple[float, int, EmbeddingRecord, dict]] = []
-    logged: set[int] = set()
-    latest_arrival = -inf
+    # (departure time, vnr id, record, request, demand per virtual link)
+    departures: list[tuple[float, int, EmbeddingRecord, object, dict]] = []
 
-    def release(record: EmbeddingRecord, demand_of: dict) -> None:
-        node_demands = by_id[record.vnr_id].node_demands
+    def release(record: EmbeddingRecord, vnr, demand_of: dict) -> None:
         for v, node_id in record.node_map.items():
-            cpu[node_id] += node_demands[v]
+            cpu[node_id] += vnr.node_demands[v]
         for key, path in record.link_paths.items():
             for link_id in path:
                 bw[link_id] += demand_of[key]
 
-    def replay(record: EmbeddingRecord) -> str | None:
-        nonlocal latest_arrival
-        vnr = by_id.get(record.vnr_id)
+    def replay(vnr, record: EmbeddingRecord) -> str | None:
         if vnr is None:
-            return "not present in the request stream"
-        if record.vnr_id in logged:
-            return "logged more than once"
-        logged.add(record.vnr_id)
-        if vnr.t_s < latest_arrival:
-            return "logged out of arrival order"
-        latest_arrival = vnr.t_s
+            return "logged after the last request"
+        if record.vnr_id != vnr.vnr_id:
+            return f"logged where request {vnr.vnr_id} arrives"
         while departures and departures[0][0] <= vnr.t_s:
-            _, _, done, demand_of = heapq.heappop(departures)
-            release(done, demand_of)
+            release(*heapq.heappop(departures)[2:])
         if not record.accepted:
             if record.revenue or record.cost:
                 return "logged as rejected, with revenue or cost"
@@ -417,17 +409,17 @@ def replay_validate(
             cpu[node_id] -= vnr.node_demands[v]
         for link_id, total in demand_on_link.items():
             bw[link_id] -= total
-        heapq.heappush(departures, (vnr.t_e, vnr.vnr_id, record, demand_of))
+        heapq.heappush(departures, (vnr.t_e, vnr.vnr_id, record, vnr, demand_of))
         return None
 
+    requests = iter(vnrs)
     for record in records:
-        fault = replay(record)
+        fault = replay(next(requests, None), record)
         if fault is not None:
             violations.append(f"vnr {record.vnr_id}: {fault}")
 
     while departures:
-        _, _, done, demand_of = heapq.heappop(departures)
-        release(done, demand_of)
+        release(*heapq.heappop(departures)[2:])
 
     if np.any(cpu > initial.cpu_capacity) or np.any(bw > initial.bw_capacity):
         violations.append("replayed releases exceed capacity")

@@ -18,7 +18,6 @@ from .substrate import MultiDomainSubstrate, union_find
 class ParseError(Exception):
     def __init__(self, path: str, line_no: int, message: str):
         super().__init__(f"{path}:{line_no}: {message}")
-        self.line_no = line_no
 
 
 class ValidationError(Exception):

@@ -781,14 +781,39 @@ def test_validate_refuses_a_log_out_of_arrival_order(tmp_path, capsys):
          "--decisions", str(decisions)]
     )
     assert code == 2
-    # the last arrival is replayed first, and each request after it arrived earlier
-    late = [line.split(",")[0] for line in reversed(lines[:-1])]
+    # the stream checked starts at the first logged request, the last to arrive, so every
+    # later record lies past its end; the first one's arrival is the rebased stream's 0
+    first, *late = [line.split(",")[0] for line in reversed(lines)]
     summary = cli._summary_line(str(decisions), MetricsLedger(read_decision_log(decisions)))
     assert capsys.readouterr().out.splitlines() == [
-        *(f"vnr {vnr_id}: logged out of arrival order" for vnr_id in late),
+        *(f"vnr {vnr_id}: logged after the last request" for vnr_id in late),
+        f"vnr {first}: logged arrival differs from the request's",
         summary,
-        f"{len(late)} violations in {decisions}",
+        f"{len(lines)} violations in {decisions}",
     ]
+
+
+def test_validate_refuses_a_log_with_a_deleted_line(tmp_path, capsys):
+    substrate_path, vnrs_path = generate_tiny(tmp_path)
+    eval_out = tmp_path / "eval"
+    cli.main(
+        ["evaluate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
+         "--policy", "noderank", "--out-dir", str(eval_out)] + tiny_flags("evaluate")
+    )
+    decisions = eval_out / "decisions.csv"
+    header, *lines = decisions.read_text().splitlines()
+    # an accepted request in the middle of the log
+    i = next(i for i in range(len(lines) // 2, len(lines) - 1) if lines[i].split(",")[2] == "1")
+    deleted, after = (line.split(",")[0] for line in lines[i : i + 2])
+    decisions.write_text("\n".join([header, *lines[:i], *lines[i + 1 :]]) + "\n")
+    capsys.readouterr()
+    code = cli.main(
+        ["validate", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
+         "--decisions", str(decisions)]
+    )
+    assert code == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"vnr {after}: logged where request {deleted} arrives"
 
 
 def test_validate_flags_tampered_log(tmp_path, capsys):
@@ -824,7 +849,7 @@ NODES, LINKS = TINY["num_domains"] * TINY["nodes_per_domain"], TINY["num_links"]
 @pytest.mark.parametrize(
     "fault, message",
     [
-        ("logged_twice", "logged more than once"),
+        ("logged_twice", "logged after the last request"),
         ("foreign_path", "path for a link the request does not have"),
         # the first id past the end: an off-by-one bound would index past the arrays
         ("node_at_count", f"mapped to missing node {NODES}"),

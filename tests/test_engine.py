@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _helpers import exactly, indicator_acceptance, make_substrate, make_vnr
 from fedvne import cli, engine, workload
@@ -498,7 +500,7 @@ def test_replay_validate_flags_tampering():
     end = final.resource_vector()
     twice = copy.deepcopy(records[0])
     twice.revenue += 1.0
-    assert replay_validate(initial, vnrs, records + [twice], end) == ["vnr 0: logged more than once"]
+    assert replay_validate(initial, vnrs, records + [twice], end) == ["vnr 0: logged after the last request"]
     records[0].link_paths[(5, 6)] = [0]
     assert replay_validate(initial, vnrs, records, end) == [
         "vnr 0: path for a link the request does not have: (5, 6)"
@@ -527,7 +529,7 @@ def test_replay_validate_flags_tampering():
             {"bw": 20.0, "path": [0, 0, 0]},
             ["vnr 0: joint bandwidth on link 0 exceeds availability"],
         ),
-        ({"vnr_id": 7}, ["vnr 7: not present in the request stream"]),
+        ({"vnr_id": 7}, ["vnr 7: logged where request 0 arrives"]),
         # 0.1 + 0.1 + 0.1 subtracted as one joint total, then given back link
         # by link, leaves link 0 above its capacity (float rounding)
         (
@@ -541,11 +543,10 @@ def test_replay_validate_flags_tampering():
             {"final": np.zeros(5)},
             ["replayed resource vector differs from the run's final state"],
         ),
-        # logged as C, D, A: C holds 20 of link 0's 30 while A arrives, and
-        # replaying A after D's arrival would find C's bandwidth given back
+        # the stream C, A, D logged as C, D, A: D and A each sit where the other arrives
         (
-            {"earlier": ((1, 0.0, 5.0, 20.0), (2, 6.0, 7.0, 1.0)), "t": (1.0, 100.0), "bw": 20.0, "final": None},
-            ["vnr 0: logged out of arrival order"],
+            {"earlier": ((1, 0.0, 5.0, 20.0), (2, 6.0, 7.0, 1.0)), "t": (1.0, 100.0), "final": None},
+            ["vnr 2: logged where request 0 arrives", "vnr 0: logged where request 2 arrives"],
         ),
         ({"earlier": ((1, 0.0, 5.0, 1.0),), "final": None}, []),
         # a rejected record holds nothing, so it earns nothing and leaves an element unplaced
@@ -594,11 +595,47 @@ def test_replay_validate_names_each_violation(change, expected):
         t_s=t_s,
         t_e=t_e,
     )
-    # requests logged before vnr 0, each placed as vnr 0 was
+    # requests logged before vnr 0, each placed as vnr 0 was; the stream holds
+    # them all in arrival order
     earlier = [
         make_vnr(vnr_id, node_demands=(10.0, 10.0), link_demands=((0, 1, bw),), t_s=arrival, t_e=departure)
         for vnr_id, arrival, departure, bw in change.get("earlier", ())
     ]
     logged = [dataclasses.replace(records[0], vnr_id=v.vnr_id) for v in earlier]
     end = change.get("final", final.resource_vector())
-    assert replay_validate(sub, [*earlier, edited], [*logged, record], end) == expected
+    stream = sorted([*earlier, edited], key=lambda v: v.t_s)
+    assert replay_validate(sub, stream, [*logged, record], end) == expected
+
+
+@st.composite
+def small_streams(draw):
+    """2-6 requests of 1-3 nodes in a chain, sorted by arrival, some arriving together."""
+    arrivals = sorted(draw(st.lists(st.integers(0, 6), min_size=2, max_size=6)))
+    stream = []
+    for vnr_id, t_s in enumerate(arrivals):
+        cpu = draw(st.lists(st.sampled_from([5.0, 10.0, 20.0]), min_size=1, max_size=3))
+        links = [(a, a + 1, draw(st.sampled_from([5.0, 10.0, 15.0]))) for a in range(len(cpu) - 1)]
+        stream.append(make_vnr(vnr_id, cpu, links, t_s=float(t_s), t_e=float(t_s + draw(st.integers(1, 6)))))
+    return stream
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(vnrs=small_streams())
+def test_replay_validate_names_the_first_displaced_record(vnrs):
+    """Record i belongs to request i: a deleted, repeated or swapped record is refused at
+    the first place where the log and the stream part."""
+    sub = make_substrate([0, 0, 1, 1], [30.0] * 4, [(0, 1, 20.0), (1, 2, 20.0), (2, 3, 20.0), (0, 3, 20.0)])
+    final, _, records = run_simulation(sub.copy(), vnrs, NodeRankPolicy())
+    assert replay_validate(sub, vnrs, records, final.resource_vector()) == []
+
+    def first_verdict(edited):
+        return next(iter(replay_validate(sub, vnrs, edited)), None)
+
+    ids = [r.vnr_id for r in records]
+    for i in range(len(records)):
+        place = f"logged where request {ids[i + 1]} arrives" if i + 1 < len(ids) else "logged after the last request"
+        assert first_verdict([*records[: i + 1], records[i], *records[i + 1 :]]) == f"vnr {ids[i]}: {place}"
+        if i + 1 < len(ids):
+            displaced = f"vnr {ids[i + 1]}: logged where request {ids[i]} arrives"
+            assert first_verdict([*records[:i], *records[i + 1 :]]) == displaced
+            assert first_verdict([*records[:i], records[i + 1], records[i], *records[i + 2 :]]) == displaced

@@ -174,7 +174,7 @@ def test_load_substrate_parse_error_carries_line(tmp_path):
     path.write_text("2 1 1\n0 0 0.0 0.0 10.0\nnot a node line\n0 1 5.0\n")
     with pytest.raises(ParseError) as exc:
         load_substrate(path)
-    assert exc.value.line_no == 3
+    assert str(exc.value).startswith(f"{path}:3: ")
 
 
 def test_comment_lines_ignored(tmp_path):
@@ -206,7 +206,7 @@ def test_load_vnrs_rejects_duplicate_id(tmp_path):
     path.write_text("2\n0 1.0 2.0 1 0\n10.0\n0 3.0 4.0 1 0\n10.0\n")
     with pytest.raises(ParseError) as exc:
         load_vnrs(path)
-    assert exc.value.line_no == 4
+    assert str(exc.value).startswith(f"{path}:4: ")
     assert "duplicate request id 0" in str(exc.value)
 
 
@@ -230,7 +230,7 @@ def test_load_vnrs_rejects_surplus_fields_and_non_finite_numbers(tmp_path, text,
     path.write_text(text)
     with pytest.raises(ParseError) as exc:
         load_vnrs(path)
-    assert exc.value.line_no == line_no
+    assert str(exc.value).startswith(f"{path}:{line_no}: ")
 
 
 @pytest.mark.parametrize(
@@ -248,7 +248,7 @@ def test_load_substrate_rejects_non_finite_numbers(tmp_path, node_line, link_lin
     path.write_text(f"2 1 1\n{node_line}\n1 0 1.0 0.0 10.0\n{link_line}\n")
     with pytest.raises(ParseError) as exc:
         load_substrate(path)
-    assert exc.value.line_no == line_no
+    assert str(exc.value).startswith(f"{path}:{line_no}: ")
 
 
 @pytest.mark.parametrize("header", ["1 -1 1", "-1 0 1", "1 0 -1"])
@@ -257,7 +257,7 @@ def test_load_substrate_rejects_negative_counts(tmp_path, header):
     path.write_text(f"{header}\n0 0 0.0 0.0 10.0\n")
     with pytest.raises(ParseError) as exc:
         load_substrate(path)
-    assert exc.value.line_no == 1
+    assert str(exc.value).startswith(f"{path}:1: ")
     assert "header counts must be non-negative" in str(exc.value)
 
 
