@@ -187,9 +187,8 @@ def cmd_train(args) -> int:
     domains = sorted(result.domain_params)
     header = ["round_id", "global_loss", *(f"local_loss_d{d}" for d in domains)]
     header += [*(f"reward_mean_d{d}" for d in domains), "window_acc", "window_ltar2c"]
-    # uploads come in ascending domain order, one per domain
     rows = [
-        [round_id, fed_round.global_loss, *(u.local_loss for u in fed_round.uploads),
+        [round_id, fed_round.global_loss, *(fed_round.local_losses[d] for d in domains),
          *(fed_round.reward_means[d] for d in domains), window.acc, window.ltar2c]
         for round_id, (fed_round, window) in enumerate(result.round_rows, 1)
     ]
@@ -256,10 +255,11 @@ def cmd_validate(args) -> int:
     substrate = workload.load_substrate(args.substrate)
     vnrs = workload.load_vnrs(args.vnrs)
     records = engine.read_decision_log(args.decisions)
-    # one request per record from the first logged one on, on evaluate's and compare's clock;
+    # the requests from the earliest one logged to the file's end, on evaluate's and compare's clock;
     # replay_validate also takes unrebased streams, so the logged fields are checked here
-    start = next((i for i, v in enumerate(vnrs) if records and v.vnr_id == records[0].vnr_id), 0)
-    stream = workload.rebase_stream(vnrs[start : start + len(records)])
+    logged = {r.vnr_id for r in records}
+    start = next((i for i, v in enumerate(vnrs) if v.vnr_id in logged), 0)
+    stream = workload.rebase_stream(vnrs[start:])
     violations = engine.replay_validate(substrate, stream, records)
     for vnr, record in zip(stream, records):
         if record.vnr_id != vnr.vnr_id:

@@ -4,7 +4,7 @@ Only parameter messages cross domain boundaries: uploads carry (params,
 sample count, local loss) and the broadcast carries the aggregated global
 parameters. Raw states, traces, and request contents never leave the domain
 that produced them; for the round log, each round also reports every domain's
-mean episode reward since the previous round.
+local loss and mean episode reward since the previous round.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .metrics import left_sum
 
 @dataclass(frozen=True)
 class ParamUpload:
-    domain_id: int
     params: PolicyParams
     sample_count: int
     local_loss: float
@@ -27,9 +26,9 @@ class ParamUpload:
 
 @dataclass
 class FederationRound:
-    uploads: list[ParamUpload]
     global_params: PolicyParams
     global_loss: float
+    local_losses: dict[int, float]
     reward_means: dict[int, float]
 
 
@@ -57,38 +56,35 @@ def global_loss(uploads) -> float:
 
 
 class Coordinator:
-    """Runs synchronous rounds over a fixed set of registered domains."""
-
-    def __init__(self, domain_ids):
-        self.domain_ids = sorted(domain_ids)
-        if not self.domain_ids:
-            raise ValueError("coordinator needs at least one domain")
+    """Runs synchronous rounds over the domains whose agents it is handed."""
 
     def ready(self, agents: dict[int, DomainAgent]) -> bool:
-        return all(agents[d].pending_samples > 0 for d in self.domain_ids)
+        return all(agent.pending_samples > 0 for agent in agents.values())
 
     def run_round(self, agents: dict[int, DomainAgent]) -> FederationRound:
-        """Collect uploads, aggregate, and broadcast the global parameters.
+        """Collect uploads in ascending domain order, aggregate, and broadcast
+        the global parameters to every agent.
 
-        Raises ValueError (and leaves every agent untouched) if any
-        registered domain has not trained since the previous round.
+        Raises ValueError (and leaves every agent untouched) if any domain has
+        not trained since the previous round.
         """
         uploads = []
+        local_losses = {}
         reward_means = {}
-        for d in self.domain_ids:
+        for d in sorted(agents):
             agent = agents[d]
             if agent.pending_samples <= 0:
                 raise ValueError(f"domain {d} has not produced a training batch")
-            local_loss = agent.pending_loss_weighted / agent.pending_samples
-            uploads.append(ParamUpload(d, agent.params.copy(), agent.pending_samples, local_loss))
+            local_losses[d] = agent.pending_loss_weighted / agent.pending_samples
+            uploads.append(ParamUpload(agent.params, agent.pending_samples, local_losses[d]))
             reward_means[d] = float(np.mean(agent.pending_rewards))
         params = aggregate(uploads)
         loss = global_loss(uploads)
-        for d in self.domain_ids:
-            agents[d].apply_global(params)
+        for agent in agents.values():
+            agent.apply_global(params)
         return FederationRound(
-            uploads=uploads,
             global_params=params,
             global_loss=loss,
+            local_losses=local_losses,
             reward_means=reward_means,
         )

@@ -58,7 +58,7 @@ class Trainer:
         self.agents = {
             d: DomainAgent(d, init_params(rng)) for d in range(substrate.num_domains)
         }
-        self.coordinator = Coordinator(self.agents.keys())
+        self.coordinator = Coordinator()
         self.reject_reward = reject_reward
         self.policy = HflPolicy(self.agents)
         self.round_rows: list[tuple[FederationRound, Tally]] = []
@@ -79,9 +79,7 @@ class Trainer:
             global_params = self.round_rows[-1][0].global_params
         else:
             # no round ever completed; fall back to a plain mean of the agents
-            global_params = aggregate(
-                [ParamUpload(d, a.params.copy(), 1, 0.0) for d, a in sorted(self.agents.items())]
-            )
+            global_params = aggregate([ParamUpload(agent.params, 1, 0.0) for agent in self.agents.values()])
             check_params(global_params, self._diverged("global parameters"))
         return TrainResult(
             domain_params={d: a.params.copy() for d, a in self.agents.items()},

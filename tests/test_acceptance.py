@@ -362,12 +362,11 @@ def test_c5_federation_algebra():
     for _ in range(100):
         uploads = [
             ParamUpload(
-                d,
                 PolicyParams(np.array([rng.uniform(-3, 3) for _ in range(3)]), rng.uniform(-2, 2)),
                 rng.randint(1, 500),
                 rng.uniform(0, 2),
             )
-            for d in range(rng.randint(1, 8))
+            for _ in range(rng.randint(1, 8))
         ]
         merged = aggregate(uploads)
         # exact weighted mean
@@ -386,7 +385,7 @@ def test_c5_federation_algebra():
         assert abs(merged.bias - permuted.bias) <= 1e-12
         # idempotence on identical uploads
         same = [
-            ParamUpload(u.domain_id, uploads[0].params.copy(), u.sample_count, u.local_loss)
+            ParamUpload(uploads[0].params.copy(), u.sample_count, u.local_loss)
             for u in uploads
         ]
         merged_same = aggregate(same)
@@ -395,7 +394,7 @@ def test_c5_federation_algebra():
 
     agents = {d: ready_agent(d, [rng.uniform(-2, 2) for _ in range(3)], rng.uniform(-1, 1))
               for d in range(4)}
-    fed_round = Coordinator(agents.keys()).run_round(agents)
+    fed_round = Coordinator().run_round(agents)
     gap = max(
         float(np.max(np.abs(a.params.kernel - fed_round.global_params.kernel)))
         for a in agents.values()

@@ -14,8 +14,8 @@ from fedvne.federation import (
 )
 
 
-def upload(domain_id, kernel, bias, count, loss=0.0):
-    return ParamUpload(domain_id, PolicyParams(np.array(kernel, dtype=float), bias), count, loss)
+def upload(kernel, bias, count, loss=0.0):
+    return ParamUpload(PolicyParams(np.array(kernel, dtype=float), bias), count, loss)
 
 
 def agent_with_pending(domain_id, kernel, bias, reward=0.5):
@@ -28,28 +28,28 @@ def agent_with_pending(domain_id, kernel, bias, reward=0.5):
 
 
 def test_aggregate_idempotent_on_identical_uploads():
-    uploads = [upload(d, [0.3, -0.2, 0.5], 0.7, count) for d, count in enumerate((5, 9, 2))]
+    uploads = [upload([0.3, -0.2, 0.5], 0.7, count) for count in (5, 9, 2)]
     merged = aggregate(uploads)
     assert np.allclose(merged.kernel, [0.3, -0.2, 0.5], atol=1e-12)
     assert merged.bias == pytest.approx(0.7, abs=1e-12)
 
 
 def test_aggregate_symmetry_cancels():
-    uploads = [upload(0, [1.0, -2.0, 3.0], 0.0, 10), upload(1, [-1.0, 2.0, -3.0], 0.0, 10)]
+    uploads = [upload([1.0, -2.0, 3.0], 0.0, 10), upload([-1.0, 2.0, -3.0], 0.0, 10)]
     merged = aggregate(uploads)
     assert np.allclose(merged.kernel, 0.0, atol=1e-12)
 
 
 def test_aggregate_weighted_mean():
-    uploads = [upload(0, [0, 0, 0], 1.0, 25), upload(1, [0, 0, 0], 2.0, 75)]
+    uploads = [upload([0, 0, 0], 1.0, 25), upload([0, 0, 0], 2.0, 75)]
     assert aggregate(uploads).bias == pytest.approx(1.75, abs=1e-12)
 
 
 def test_weighted_mean_of_finite_uploads_is_finite_where_the_weighted_sum_overflows():
     # magnitude sums 9.8e306 (84 samples) and 5.1e306 (53), as in a training run at learning rate 1e308
     uploads = [
-        upload(0, [-3e306, -3e306, 1e305], -3.7e306, 84, loss=1.7e308),
-        upload(1, [-1.5e306, -1.5e306, 1e305], -2e306, 53, loss=1.7e308),
+        upload([-3e306, -3e306, 1e305], -3.7e306, 84, loss=1.7e308),
+        upload([-1.5e306, -1.5e306, 1e305], -2e306, 53, loss=1.7e308),
     ]
     for u in uploads:
         check_params(u.params, "upload")
@@ -65,7 +65,7 @@ def test_weighted_mean_of_finite_uploads_is_finite_where_the_weighted_sum_overfl
 
 def test_aggregate_requires_uploads():
     # an empty round carries no samples either
-    for uploads in ([], [upload(0, [0, 0, 0], 1.0, 0), upload(1, [0, 0, 0], 2.0, 0)]):
+    for uploads in ([], [upload([0, 0, 0], 1.0, 0), upload([0, 0, 0], 2.0, 0)]):
         with pytest.raises(ValueError, match=exactly("uploads carry no samples")):
             aggregate(uploads)
 
@@ -73,8 +73,8 @@ def test_aggregate_requires_uploads():
 def test_aggregate_permutation_invariant():
     rng = random.Random(13)
     uploads = [
-        upload(d, [rng.uniform(-2, 2) for _ in range(3)], rng.uniform(-1, 1), rng.randint(1, 99))
-        for d in range(6)
+        upload([rng.uniform(-2, 2) for _ in range(3)], rng.uniform(-1, 1), rng.randint(1, 99))
+        for _ in range(6)
     ]
     base = aggregate(uploads)
     shuffled = uploads[:]
@@ -87,8 +87,8 @@ def test_aggregate_permutation_invariant():
 def test_aggregate_homogeneous_degree_one():
     rng = random.Random(14)
     uploads = [
-        upload(d, [rng.uniform(-2, 2) for _ in range(3)], rng.uniform(-1, 1), rng.randint(1, 9))
-        for d in range(4)
+        upload([rng.uniform(-2, 2) for _ in range(3)], rng.uniform(-1, 1), rng.randint(1, 9))
+        for _ in range(4)
     ]
     scaled = [
         dataclasses.replace(
@@ -101,25 +101,25 @@ def test_aggregate_homogeneous_degree_one():
 
 
 def test_global_loss_cases():
-    assert global_loss([upload(0, [0, 0, 0], 0.0, 7, loss=0.42)]) == pytest.approx(0.42)
-    equal = [upload(0, [0, 0, 0], 0.0, 5, 0.2), upload(1, [0, 0, 0], 0.0, 5, 0.4)]
+    assert global_loss([upload([0, 0, 0], 0.0, 7, loss=0.42)]) == pytest.approx(0.42)
+    equal = [upload([0, 0, 0], 0.0, 5, 0.2), upload([0, 0, 0], 0.0, 5, 0.4)]
     assert global_loss(equal) == pytest.approx(0.3)
-    weighted = [upload(0, [0, 0, 0], 0.0, 1, 0.0), upload(1, [0, 0, 0], 0.0, 3, 1.0)]
+    weighted = [upload([0, 0, 0], 0.0, 1, 0.0), upload([0, 0, 0], 0.0, 3, 1.0)]
     assert global_loss(weighted) == pytest.approx(0.75)
-    for uploads in ([], [upload(0, [0, 0, 0], 0.0, 0, 0.5)]):
+    for uploads in ([], [upload([0, 0, 0], 0.0, 0, 0.5)]):
         with pytest.raises(ValueError, match=exactly("uploads carry no samples")):
             global_loss(uploads)
 
 
 def test_coordinator_requires_a_domain():
-    with pytest.raises(ValueError, match=exactly("coordinator needs at least one domain")):
-        Coordinator([])
+    with pytest.raises(ValueError, match=exactly("uploads carry no samples")):
+        Coordinator().run_round({})
 
 
 def test_run_round_single_domain_is_identity():
     agent = agent_with_pending(0, [0.4, 0.5, 0.6], 0.25)
     before = agent.params.copy()
-    coordinator = Coordinator([0])
+    coordinator = Coordinator()
     fed_round = coordinator.run_round({0: agent})
     assert np.allclose(fed_round.global_params.kernel, before.kernel, atol=1e-12)
     assert fed_round.global_params.bias == pytest.approx(before.bias, abs=1e-12)
@@ -127,7 +127,7 @@ def test_run_round_single_domain_is_identity():
 
 def test_run_round_broadcast_equalizes_exactly():
     agents = {d: agent_with_pending(d, [d, d * 2.0, -d], 0.1 * d) for d in range(4)}
-    coordinator = Coordinator(agents.keys())
+    coordinator = Coordinator()
     fed_round = coordinator.run_round(agents)
     for agent in agents.values():
         assert np.array_equal(agent.params.kernel, fed_round.global_params.kernel)
@@ -142,7 +142,7 @@ def test_run_round_broadcast_equalizes_exactly():
 
 def test_run_round_missing_upload_aborts():
     agents = {0: agent_with_pending(0, [1, 1, 1], 0.0), 1: DomainAgent(1, PolicyParams(np.zeros(3), 0.0))}
-    coordinator = Coordinator(agents.keys())
+    coordinator = Coordinator()
     before = agents[0].params.copy()
     with pytest.raises(ValueError, match=exactly("domain 1 has not produced a training batch")):
         coordinator.run_round(agents)
@@ -167,7 +167,7 @@ def test_two_round_trace_matches_hand_computation():
         0: DomainAgent(0, PolicyParams(np.zeros(3), 0.0)),
         1: DomainAgent(1, PolicyParams(np.full(3, 4.0), 0.0)),
     }
-    coordinator = Coordinator(agents.keys())
+    coordinator = Coordinator()
 
     local_step(agents[0])  # 0   -> 0.5
     local_step(agents[1])  # 4   -> 3.5
@@ -186,18 +186,39 @@ def test_run_round_reports_mean_pending_reward_per_domain():
     agents[0].buffer.append(DecisionTrace(state, [1], 1.0))
     agents[0].train(0.0)
     agents[1] = agent_with_pending(1, [0, 0, 0], 0.0, reward=0.0)
-    fed_round = Coordinator(agents.keys()).run_round(agents)
+    fed_round = Coordinator().run_round(agents)
     assert fed_round.reward_means == {0: 0.625, 1: 0.0}
     assert all(not a.pending_rewards for a in agents.values())
+
+
+def test_run_round_does_not_depend_on_the_order_agents_are_handed_in():
+    # 0.2 + 0.4 + 0.6 rounds differently taken from the right: the sums run in domain order
+    state = np.array([[0.1, 0.2, 0.3], [0.9, 0.8, 0.7]])
+
+    def agents():
+        ready = {}
+        for d, value in enumerate((0.1, 0.2, 0.3)):
+            ready[d] = DomainAgent(d, PolicyParams(np.full(3, value), value))
+            ready[d].buffer += [DecisionTrace(state, [0], d + 1.0), DecisionTrace(state, [1], 0.0)]
+            ready[d].train(0.0)
+        return ready
+
+    forward = Coordinator().run_round(agents())
+    backward = Coordinator().run_round(dict(reversed(agents().items())))
+    assert forward.global_params.kernel.tobytes() == backward.global_params.kernel.tobytes()
+    assert forward.global_params.bias.hex() == backward.global_params.bias.hex()
+    assert forward.global_loss.hex() == backward.global_loss.hex()
+    assert list(forward.local_losses.items()) == list(backward.local_losses.items())
+    assert list(forward.reward_means.items()) == list(backward.reward_means.items())
 
 
 def test_uploads_carry_only_parameter_messages():
     # the upload type is the whole cross-domain surface: params, count, loss
     field_names = {f.name for f in dataclasses.fields(ParamUpload)}
-    assert field_names == {"domain_id", "params", "sample_count", "local_loss"}
+    assert field_names == {"params", "sample_count", "local_loss"}
 
 
 def test_global_loss_sums_left_to_right():
     # 1e16 + 1.0 rounds back to 1e16; a compensated sum would give 1.0 / 3
-    uploads = [upload(d, [0.0, 0.0, 0.0], 0.0, 1, loss) for d, loss in enumerate([1e16, 1.0, -1e16])]
+    uploads = [upload([0.0, 0.0, 0.0], 0.0, 1, loss) for loss in [1e16, 1.0, -1e16]]
     assert global_loss(uploads) == 0.0
