@@ -188,8 +188,8 @@ def cmd_train(args) -> int:
     header = ["round_id", "global_loss", *(f"local_loss_d{d}" for d in domains)]
     header += [*(f"reward_mean_d{d}" for d in domains), "window_acc", "window_ltar2c"]
     rows = [
-        [round_id, fed_round.global_loss, *(fed_round.local_losses[d] for d in domains),
-         *(fed_round.reward_means[d] for d in domains), window.acc, window.ltar2c]
+        [round_id, fed_round.global_loss, *(fed_round.local_losses.get(d) for d in domains),
+         *(fed_round.reward_means.get(d) for d in domains), window.acc, window.ltar2c]
         for round_id, (fed_round, window) in enumerate(result.round_rows, 1)
     ]
     round_log_path = out_dir / "round_log.csv"
@@ -197,8 +197,7 @@ def cmd_train(args) -> int:
 
     print(f"{checkpoint_path}")
     print(f"{round_log_path} rounds={len(result.round_rows)}")
-    if result.round_rows:
-        print(f"final global_loss={engine.csv_cell(result.round_rows[-1][0].global_loss)}")
+    print(f"final global_loss={engine.csv_cell(result.round_rows[-1][0].global_loss)}")
     return 0
 
 

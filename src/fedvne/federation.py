@@ -2,9 +2,10 @@
 
 Only parameter messages cross domain boundaries: uploads carry (params,
 sample count, local loss) and the broadcast carries the aggregated global
-parameters. Raw states, traces, and request contents never leave the domain
-that produced them; for the round log, each round also reports every domain's
-local loss and mean episode reward since the previous round.
+parameters; a domain that has not trained since the previous round uploads
+nothing (weight 0) and still receives the broadcast. Raw states, traces, and
+request contents never leave the domain that produced them; for the round
+log, each round also reports each trained domain's local loss and mean reward.
 """
 
 from __future__ import annotations
@@ -58,26 +59,22 @@ def global_loss(uploads) -> float:
 class Coordinator:
     """Runs synchronous rounds over the domains whose agents it is handed."""
 
-    def ready(self, agents: dict[int, DomainAgent]) -> bool:
-        return all(agent.pending_samples > 0 for agent in agents.values())
-
     def run_round(self, agents: dict[int, DomainAgent]) -> FederationRound:
-        """Collect uploads in ascending domain order, aggregate, and broadcast
-        the global parameters to every agent.
+        """Collect uploads in ascending domain order from the agents that trained
+        since the previous round, aggregate, and broadcast the global
+        parameters to every agent.
 
-        Raises ValueError (and leaves every agent untouched) if any domain has
-        not trained since the previous round.
+        Raises ValueError (and leaves every agent untouched) if no agent trained.
         """
         uploads = []
         local_losses = {}
         reward_means = {}
         for d in sorted(agents):
             agent = agents[d]
-            if agent.pending_samples <= 0:
-                raise ValueError(f"domain {d} has not produced a training batch")
-            local_losses[d] = agent.pending_loss_weighted / agent.pending_samples
-            uploads.append(ParamUpload(agent.params, agent.pending_samples, local_losses[d]))
-            reward_means[d] = float(np.mean(agent.pending_rewards))
+            if agent.pending_samples > 0:
+                local_losses[d] = agent.pending_loss_weighted / agent.pending_samples
+                uploads.append(ParamUpload(agent.params, agent.pending_samples, local_losses[d]))
+                reward_means[d] = float(np.mean(agent.pending_rewards))
         params = aggregate(uploads)
         loss = global_loss(uploads)
         for agent in agents.values():

@@ -2,12 +2,10 @@
 
 Each epoch replays the training stream on a fresh copy of the substrate.
 Every ``batch_size`` completed episodes, each domain with buffered traces
-takes one gradient step; a federation round runs as soon as every domain
-has trained since the previous round (a domain that saw no placements keeps
-the round deferred until it catches up). The result keeps each round with a
-``Tally`` over the episodes of its window, not the episodes' records: a
-domain that never trains holds every round back, so a window can span every
-episode of every epoch.
+takes one gradient step, and if any domain took one, a federation round runs
+over every domain. The result keeps each round with a ``Tally`` over the
+episodes since the previous round, not the episodes' records. A run in which
+no round ran is refused.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ import numpy as np
 
 from .agent import DecisionTrace, DomainAgent, PolicyParams, check_params, episode_reward, init_params
 from .engine import run_simulation
-from .federation import Coordinator, FederationRound, ParamUpload, aggregate
+from .federation import Coordinator, FederationRound
 from .metrics import Tally
 from .policies import HflPolicy
 from .substrate import MultiDomainSubstrate
@@ -75,15 +73,12 @@ class Trainer:
             self._epoch = epoch
             run_simulation(self.template.copy(), self.vnrs, self.policy, on_record=self._on_record)
             self._boundary()  # flush a partial final batch of the epoch
-        if self.round_rows:
-            global_params = self.round_rows[-1][0].global_params
-        else:
-            # no round ever completed; fall back to a plain mean of the agents
-            global_params = aggregate([ParamUpload(agent.params, 1, 0.0) for agent in self.agents.values()])
-            check_params(global_params, self._diverged("global parameters"))
+        if not self.round_rows:
+            cause = "no request placed a node in any epoch" if self.vnrs else "the training split is empty"
+            raise ValueError(f"no federation round ran: {cause}")
         return TrainResult(
             domain_params={d: a.params.copy() for d, a in self.agents.items()},
-            global_params=global_params,
+            global_params=self.round_rows[-1][0].global_params,
             round_rows=self.round_rows,
         )
 
@@ -105,12 +100,12 @@ class Trainer:
 
     def _boundary(self) -> None:
         self._since_boundary = 0
-        for d in sorted(self.agents):
-            if self.agents[d].buffer:
-                self.agents[d].train(self.learning_rate)
-                check_params(self.agents[d].params, self._diverged(f"domain {d}"))
-        if not self.coordinator.ready(self.agents):
+        trained = [d for d in sorted(self.agents) if self.agents[d].buffer]
+        if not trained:
             return
+        for d in trained:
+            self.agents[d].train(self.learning_rate)
+            check_params(self.agents[d].params, self._diverged(f"domain {d}"))
         fed_round = self.coordinator.run_round(self.agents)
         check_params(fed_round.global_params, self._diverged("global parameters"))
         if not np.isfinite([fed_round.global_loss, *fed_round.reward_means.values()]).all():

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import fedvne
 from _helpers import config_flags, exactly
-from fedvne import cli
+from fedvne import cli, workload
 from fedvne.agent import MAX_PARAM_MAGNITUDE
 from fedvne.config import ConfigError, ExperimentConfig, apply_overrides
 from fedvne.engine import read_decision_log
@@ -492,6 +492,56 @@ def test_train_overflow_exits_two_and_leaves_no_output_dir(tmp_path, capsys, fla
         )
     assert code == 2
     assert capsys.readouterr().err == f"error: training diverged in {message}\n"
+    assert not out.exists()
+
+
+def set_node_cpu(substrate_path, cpu, domain=None):
+    """Rewrite the cpu of every node of ``domain`` (of every node when None) in a substrate file."""
+    lines = substrate_path.read_text().splitlines()
+    for i in range(1, int(lines[0].split()[0]) + 1):
+        fields = lines[i].split()
+        if domain is None or fields[1] == str(domain):
+            lines[i] = " ".join([*fields[:4], str(cpu)])
+    substrate_path.write_text("\n".join(lines) + "\n")
+
+
+def test_a_domain_that_can_host_nothing_gets_every_round_s_broadcast(tmp_path, capsys):
+    substrate_path, vnrs_path = generate_tiny(tmp_path)
+    set_node_cpu(substrate_path, 0.5, domain=1)  # below the smallest demand, 1
+    capsys.readouterr()
+    out = tmp_path / "train"
+    code = cli.main(
+        ["train", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
+         "--out-dir", str(out)] + tiny_flags("train")
+    )
+    assert code == 0
+    assert f"rounds={TINY['train_count'] * TINY['epochs'] // TINY['batch_size']}" in capsys.readouterr().out
+    header, *rows = (line.split(",") for line in (out / "round_log.csv").read_text().splitlines())
+    for row in (dict(zip(header, cells)) for cells in rows):
+        assert (row["local_loss_d1"], row["reward_mean_d1"]) == ("", "")
+        assert row["local_loss_d0"] and row["reward_mean_d0"]
+    checkpoint = (out / "checkpoint.txt").read_text().splitlines()
+    assert checkpoint[1] == checkpoint[-1]
+
+
+@pytest.mark.parametrize(
+    "overrides, cpu, cause",
+    [({"train_count": 0}, None, "the training split is empty"),
+     ({}, 0.5, "no request placed a node in any epoch")],
+    ids=["empty-split", "nothing-placed"],
+)
+def test_train_without_a_round_exits_two_and_leaves_no_output_dir(tmp_path, capsys, overrides, cpu, cause):
+    substrate_path, vnrs_path = generate_tiny(tmp_path)
+    if cpu is not None:
+        set_node_cpu(substrate_path, cpu)  # every node below every demand
+    capsys.readouterr()
+    out = tmp_path / "train"
+    code = cli.main(
+        ["train", "--substrate", str(substrate_path), "--vnrs", str(vnrs_path),
+         "--out-dir", str(out)] + tiny_flags("train", **overrides)
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: no federation round ran: {cause}\n"
     assert not out.exists()
 
 
@@ -1269,11 +1319,16 @@ def run_pipeline(root: Path, config: dict) -> dict[str, bytes]:
     assert code in (0, 1)
     if code == 0:
         inputs = ["--substrate", str(data / "substrate.txt"), "--vnrs", str(data / "vnrs.txt")]
+        # a round runs iff some training request's largest demand fits the largest node:
+        # while nothing is placed, every node keeps its capacity, whatever the policy
+        capacity = workload.load_substrate(data / "substrate.txt").cpu_capacity.max()
+        split = workload.load_vnrs(data / "vnrs.txt")[: config["train_count"]]
+        rounds = any(max(vnr.node_demands) <= capacity for vnr in split)
         train = ["train", *inputs, "--epochs", "1", "--out-dir", str(trained)]
-        assert cli.main(train + config_flags("train", config)) == 0
+        assert cli.main(train + config_flags("train", config)) == (0 if rounds else 2)
+        policies = ["--checkpoint", str(trained / "checkpoint.txt")] if rounds else ["--policies", "noderank,random"]
         assert cli.main(
-            ["compare", *inputs, "--checkpoint", str(trained / "checkpoint.txt"),
-             "--out-dir", str(compared)] + config_flags("compare", config)
+            ["compare", *inputs, *policies, "--out-dir", str(compared)] + config_flags("compare", config)
         ) == 0
         for log in sorted(compared.glob("decisions_*.csv")):
             report = io.StringIO()

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _helpers import exactly
 from fedvne.agent import DecisionTrace, DomainAgent, PolicyParams, check_params
@@ -140,17 +142,63 @@ def test_run_round_broadcast_equalizes_exactly():
     assert gap == 0.0
 
 
-def test_run_round_missing_upload_aborts():
-    agents = {0: agent_with_pending(0, [1, 1, 1], 0.0), 1: DomainAgent(1, PolicyParams(np.zeros(3), 0.0))}
-    coordinator = Coordinator()
-    before = agents[0].params.copy()
-    with pytest.raises(ValueError, match=exactly("domain 1 has not produced a training batch")):
-        coordinator.run_round(agents)
-    assert np.array_equal(agents[0].params.kernel, before.kernel)  # round left no trace
-    # after the lagging domain trains, the retried round succeeds
-    agents[1] = agent_with_pending(1, [0, 0, 0], 0.0)
-    fed_round = coordinator.run_round(agents)
-    assert np.array_equal(agents[1].params.kernel, fed_round.global_params.kernel)
+def test_run_round_gives_an_idle_domain_weight_0_and_the_broadcast():
+    agents = {0: agent_with_pending(0, [0.1, 0.2, 0.3], 0.7), 1: DomainAgent(1, PolicyParams(np.zeros(3), 0.0))}
+    fed_round = Coordinator().run_round(agents)
+    # domain 1 has not trained: it uploads nothing, so the round is domain 0's alone
+    assert fed_round.global_params.kernel.tolist() == [0.1, 0.2, 0.3]
+    assert fed_round.global_params.bias == 0.7
+    assert list(fed_round.local_losses) == list(fed_round.reward_means) == [0]
+    for agent in agents.values():
+        assert agent.params.kernel.tobytes() == fed_round.global_params.kernel.tobytes()
+        assert agent.params.bias.hex() == fed_round.global_params.bias.hex()
+
+
+unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def pending_agents(draw):
+    """2-5 agents by domain, and the non-empty set of domains that trained once with a zero step."""
+    count = draw(st.integers(2, 5))
+    trained = draw(st.sets(st.integers(0, count - 1), min_size=1))
+    params = {
+        d: PolicyParams(np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))), draw(unit))
+        for d in range(count)
+    }
+    traces = {}
+    for d in sorted(trained):
+        nodes = draw(st.integers(1, 4))
+        state = np.array(draw(st.lists(st.lists(unit, min_size=3, max_size=3), min_size=nodes, max_size=nodes)))
+        rows = draw(st.lists(st.integers(0, nodes - 1), min_size=1, max_size=nodes, unique=True))
+        traces[d] = DecisionTrace(state, rows, draw(unit))
+
+    def build(domains):
+        agents = {}
+        for d in domains:
+            agents[d] = DomainAgent(d, params[d].copy())
+            if d in traces:
+                agents[d].buffer.append(traces[d])
+                agents[d].train(0.0)
+        return agents
+
+    return build, count, trained
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=pending_agents())
+def test_an_idle_domain_changes_no_bit_of_the_round(case):
+    build, count, trained = case
+    everyone, only_trained = build(range(count)), build(sorted(trained))
+    full, part = Coordinator().run_round(everyone), Coordinator().run_round(only_trained)
+    assert full.global_params.kernel.tobytes() == part.global_params.kernel.tobytes()
+    assert full.global_params.bias.hex() == part.global_params.bias.hex()
+    assert full.global_loss.hex() == part.global_loss.hex()
+    assert list(full.local_losses) == list(full.reward_means) == sorted(trained)
+    assert (full.local_losses, full.reward_means) == (part.local_losses, part.reward_means)
+    for agent in everyone.values():
+        assert agent.params.kernel.tobytes() == full.global_params.kernel.tobytes()
+        assert agent.params.bias.hex() == full.global_params.bias.hex()
 
 
 def test_two_round_trace_matches_hand_computation():

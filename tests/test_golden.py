@@ -1,9 +1,10 @@
 """Golden checksums of every deterministic output of one small end-to-end run.
 
-The digests below were recorded once and must not move unless an output
-format changes on purpose; a change that alters any of them changes what
-the simulator decides or writes. ``compare_timing.csv`` holds wall-clock
-times and is the one output left out. They hold on one numeric path:
+The digests below move only when what the simulator decides or writes
+changes on purpose. The hfl-dependent ones were last reset when a
+federation round began to run at every batch boundary where any domain
+trained. ``compare_timing.csv`` holds wall-clock times and is the one
+output left out. They hold on one numeric path:
 numpy's AVX-512 loops and OpenBLAS's SkylakeX kernel. The inputs and the
 noderank and random logs hold on every path; the hfl outputs, the
 checkpoint and round log, and the compare tables built from them move with
@@ -30,18 +31,18 @@ CONFIG = dict(
 )
 
 GOLDEN = {
-    "compare/compare_acc.csv": "4123349fbb4aaeb954c62ce667478a2d0b9e6d8b770e2dc84793a1550e9c3387",
-    "compare/compare_ltar.csv": "e63aeb915b8d450debc7670da0a8ff822307c4d12c0c1387b839eed1c8fed5f3",
-    "compare/compare_ltar2c.csv": "901a07309d08409776b246d30b9bd22083179d0cacfb24ddea4bb9e769a60978",
-    "compare/decisions_hfl.csv": "b13e6826f3c93b58ae071755be2f7c52e6999deb6578327ee6559ee5378abb92",
+    "compare/compare_acc.csv": "269aae21148bfc561be13ee591707d2a38ee0da9af221e9e3bf4b78a84529d5b",
+    "compare/compare_ltar.csv": "58b48240f65de785d228531054297e56a0958f2822c4628035eb46e892418771",
+    "compare/compare_ltar2c.csv": "df4a7946af7c98fc945d5cfecfc22bb194ecc77d09361f99fc88035804bd77a0",
+    "compare/decisions_hfl.csv": "d84e523dc19de38a86232ccc7b428e5ae868422cc689561b71a7482c50d3df07",
     "compare/decisions_noderank.csv": "59dd30c786f1c4e9d0881bbab37a7ca725f06ae2cee7893743f512ef4732c491",
     "compare/decisions_random.csv": "112cb65ca1193f2d24809ff5474531eff512b3bcbba696881b0de8eab37e17ff",
     "data/substrate.txt": "ce7d697977bb21462bfeb17bf391f243fef635830918182c0a6aeb6df8be28d6",
     "data/vnrs.txt": "d40e92b6c34676fd005dc4cb0db2e33afaa730c18be3369f91504e9da26b48d7",
-    "eval/decisions.csv": "b13e6826f3c93b58ae071755be2f7c52e6999deb6578327ee6559ee5378abb92",
-    "eval/metrics.csv": "6ebdb8c6b74010cae64e141d22b67e5d395ad1d9396d4c9238f67e131ac176ee",
-    "train/checkpoint.txt": "a3117f753f6b26072f825191101adc70e1bcd08378126fb1324b64f67288b35b",
-    "train/round_log.csv": "582ef0c023670e65bc02bd8b2ee18abe71d0ec62aa72539f1a9182564a3a4669",
+    "eval/decisions.csv": "d84e523dc19de38a86232ccc7b428e5ae868422cc689561b71a7482c50d3df07",
+    "eval/metrics.csv": "4a512bf671897dafd1bbeb39f1e158368039c6e08219b122991c6be57a4aee50",
+    "train/checkpoint.txt": "2275958206ca2a725581e5bf69b94250a1b4696c308aea424837e2ac834c0892",
+    "train/round_log.csv": "7fe4f0a60450bcb455326f9e31acc563cfa9562c09e2cde7def373ce38814a65",
 }
 
 
