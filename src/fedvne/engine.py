@@ -60,41 +60,34 @@ def min_hop_path(
     the first level whose new nodes the other side has already reached. Until
     then the two reached sets are disjoint, so every meeting node lies at the
     same pair of distances ``(a, b)`` from ``src`` and ``dst``, ``a + b`` is
-    the shortest length, and the meeting nodes are exactly the nodes at
-    position ``a`` of the shortest paths. The nodes at positions below ``a``
-    are found by walking back from the meeting set one level at a time;
-    beyond ``a`` a node is on a shortest path exactly when its distance to
-    ``dst`` drops by one per hop. The path then follows, from ``src``, the
-    first neighbor in ascending id order that stays on a shortest path, which
-    is the lexicographically smallest choice at every position. Which
-    frontier grows first affects only the running time: the result depends
-    only on the subgraph of feasible links. Distances live in two per-call
-    lists indexed by node id: 1 + the distance from that side, 0 if unreached.
+    the shortest length, and the meeting nodes all lie in the frontier of the
+    side that did not grow the last level. Which frontier grows first affects
+    only the running time. Search state lives in two per-call lists indexed
+    by node id, 0 while a node is unreached: ``came_from`` holds 1 + the node
+    that first reached it from ``src``, and ``from_dst`` 1 + its distance
+    from ``dst``.
+
+    One invariant decides the answer: ``src``'s frontier is always in the
+    lexicographic order of its nodes' smallest paths from ``src``, and each
+    such path is the node's chain of first discoverers, since every level is
+    grown in frontier order, each adjacency is read in ascending neighbor id
+    and a node keeps its first discovery. So the answer follows the chain to
+    the first meeting node in ``src``'s frontier order, then steps towards
+    ``dst`` through the first neighbor whose ``dst`` distance is one lower.
+    When ``src``'s side grew the last level, that node is the first meeting
+    neighbor found. When ``dst``'s side grew it, the growth stops after the
+    frontier node that found the first meeting node, and the rest of that
+    frontier only marks the other meeting nodes; the answer's is the first
+    marked node of ``src``'s frontier. No other node of the last level is
+    needed: the walk on towards ``dst`` looks only for lower distances. This
+    makes the growth order load-bearing: sorting a level, or reading an
+    adjacency in another order, changes the paths returned.
 
     A link is feasible when its available bandwidth is at least the demand.
     Every link test reads one per-call mask, ``fits``, the bytes of
     ``bw_available >= bw_demand``: indexing it yields a cached small int, where
     a float read would build a new float per adjacency entry. It equals ``not
     bw < bw_demand`` for every finite value, and the loaders admit no other.
-
-    The last level stops growing once the frontier node that found the first
-    meeting node has been scanned. This is exact for two reasons. Every
-    meeting node lies in the other side's current frontier: had a node of this
-    frontier a feasible link to an earlier level of the other side, an earlier
-    level would already have met. And nothing after the growth reads a
-    non-meeting node of the last level: the walk back from the meeting set
-    looks for ``src`` distances below the meeting nodes', and the walk on
-    towards ``dst`` for ``dst`` distances below the meeting node's own.
-    When ``dst``'s side grew the last level, the rest of its frontier is then
-    scanned only to collect the other meeting nodes, any of which may be the
-    answer's. When ``src``'s side grew it, no scan is needed: ``src``'s
-    frontier is always in the lexicographic order of each node's smallest
-    path from ``src``, since every level is grown in frontier order, each
-    adjacency is read in ascending neighbor id and a node keeps its first
-    discovery. So the first frontier node that meets carries the answer's
-    prefix, and its meeting neighbors, all collected, hold the answer's
-    meeting node. This makes the growth order load-bearing: sorting a level,
-    or reading an adjacency in another order, changes the paths returned.
 
     Between two domains the search first reads the domains' border links
     (``substrate.node_borders``) and returns None when every border link of
@@ -114,28 +107,30 @@ def min_hop_path(
                     break
             else:
                 return None
-    from_src = [0] * len(adjacency)
+    came_from = [0] * len(adjacency)
     from_dst = [0] * len(adjacency)
-    from_src[src] = from_dst[dst] = 1
+    came_from[src] = src + 1
+    from_dst[dst] = 1
     src_frontier = [src]
     dst_frontier = [dst]
-    meeting: set[int] = set()
+    meeting: list[int] = []
     while not meeting:
         if len(src_frontier) <= len(dst_frontier):
-            frontier, reached, other = src_frontier, from_src, from_dst
+            frontier, reached, other = src_frontier, came_from, from_dst
         else:
-            frontier, reached, other = dst_frontier, from_dst, from_src
-        tag = reached[frontier[0]] + 1
+            frontier, reached, other = dst_frontier, from_dst, came_from
+        tag = from_dst[frontier[0]] + 1  # read only when dst's side grows
         grown = []
         nodes = iter(frontier)
         for here in nodes:
+            mark = here + 1 if reached is came_from else tag
             for neighbor, link_id in adjacency[here]:
                 if reached[neighbor] or not fits[link_id]:
                     continue
-                reached[neighbor] = tag
+                reached[neighbor] = mark
                 grown.append(neighbor)
                 if other[neighbor]:
-                    meeting.add(neighbor)
+                    meeting.append(neighbor)
             if meeting:
                 break
         if not grown:
@@ -144,34 +139,28 @@ def min_hop_path(
             src_frontier = grown
         else:
             dst_frontier = grown
-    if reached is from_dst:
-        # the rest of the last level only collects the other meeting nodes
+    if reached is came_from:
+        meet = meeting[0]
+    else:
+        # the rest of the last level only marks the other meeting nodes
         for here in nodes:
             for neighbor, link_id in adjacency[here]:
                 if other[neighbor] and not reached[neighbor] and fits[link_id]:
                     reached[neighbor] = tag
-                    meeting.add(neighbor)
-
-    # on-path nodes at each distance from src, from the meeting set back to src
-    meet_tag = from_src[next(iter(meeting))]
-    on_path = [meeting]
-    for tag in range(meet_tag - 1, 1, -1):
-        layer: set[int] = set()
-        for here in on_path[-1]:
-            for neighbor, link_id in adjacency[here]:
-                if from_src[neighbor] == tag and fits[link_id]:
-                    layer.add(neighbor)
-        on_path.append(layer)
-    on_path.reverse()
+        meet = next(node for node in src_frontier if from_dst[node])
 
     path = []
-    here = src
-    for layer in on_path:
-        for neighbor, link_id in adjacency[here]:
-            if neighbor in layer and fits[link_id]:
+    here = meet
+    while here != src:
+        back = came_from[here] - 1
+        # the substrate refuses duplicate links, so this link is the one that found here
+        for neighbor, link_id in adjacency[back]:
+            if neighbor == here:
                 path.append(link_id)
-                here = neighbor
                 break
+        here = back
+    path.reverse()
+    here = meet
     for tag in range(from_dst[here] - 1, 0, -1):
         for neighbor, link_id in adjacency[here]:
             if from_dst[neighbor] == tag and fits[link_id]:
@@ -321,7 +310,7 @@ def _first_violation(vnr, record: EmbeddingRecord, cpu, bw, link_ends) -> str | 
         for link_id in path:
             if not (0 <= link_id < len(bw)):
                 return f"path uses missing link {link_id}"
-            x, y = (int(e) for e in link_ends[link_id])
+            x, y = link_ends.item(link_id, 0), link_ends.item(link_id, 1)
             if here == x:
                 here = y
             elif here == y:
