@@ -1,9 +1,11 @@
-"""Per-domain policy: state extraction, scoring, ranking, and training.
+"""Per-domain policy: state extraction, scoring, training, and checkpoints.
 
 Each domain runs the same tiny model: a 3-feature linear layer (kernel plus
 bias) over the domain's state, followed by a softmax that turns node
 scores into allocation probabilities. Training is one policy-gradient step
 per batch of completed episodes, with the batch-mean reward as baseline.
+A ``DomainAgent`` holds nothing but a domain's id and parameters; it stays a
+class because the benchmark builds ``DomainAgent(d, params)`` itself.
 """
 
 from __future__ import annotations
@@ -158,36 +160,13 @@ def train_step(params: PolicyParams, traces, learning_rate: float) -> tuple[Poli
     return updated, float(loss)
 
 
+@dataclass
 class DomainAgent:
-    """Holds one domain's parameters, trace buffer, and upload bookkeeping.
+    """One domain's parameters, which ``HflPolicy`` ranks the domain's nodes with;
+    in training, each federation round's broadcast replaces them."""
 
-    Traces accumulate between training steps; training consumes the buffer
-    and stashes the step's statistics for the next federation round. The
-    coordinator reads the pending fields to build an upload and calls
-    ``apply_global`` to install the broadcast parameters.
-    """
-
-    def __init__(self, domain_id: int, params: PolicyParams):
-        self.domain_id = domain_id
-        self.params = params
-        self.buffer: list[DecisionTrace] = []
-        self.pending_samples = 0
-        self.pending_loss_weighted = 0.0
-        self.pending_rewards: list[float] = []
-
-    def train(self, learning_rate: float) -> None:
-        self.params, loss = train_step(self.params, self.buffer, learning_rate)
-        samples = sum(len(t.rows) for t in self.buffer)
-        self.pending_samples += samples
-        self.pending_loss_weighted += loss * samples
-        self.pending_rewards.extend(t.reward for t in self.buffer)
-        self.buffer = []
-
-    def apply_global(self, params: PolicyParams) -> None:
-        self.params = params.copy()
-        self.pending_samples = 0
-        self.pending_loss_weighted = 0.0
-        self.pending_rewards = []
+    domain_id: int
+    params: PolicyParams
 
 
 # -- checkpoints -------------------------------------------------------------

@@ -182,15 +182,16 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     checkpoint_path = out_dir / "checkpoint.txt"
-    save_checkpoint(checkpoint_path, result.domain_params, result.global_params)
+    # the last round broadcast the global parameters to every domain
+    domains = range(substrate.num_domains)
+    save_checkpoint(checkpoint_path, {d: result.global_params for d in domains}, result.global_params)
 
-    domains = sorted(result.domain_params)
     header = ["round_id", "global_loss", *(f"local_loss_d{d}" for d in domains)]
     header += [*(f"reward_mean_d{d}" for d in domains), "window_acc", "window_ltar2c"]
     rows = [
         [round_id, fed_round.global_loss, *(fed_round.local_losses.get(d) for d in domains),
-         *(fed_round.reward_means.get(d) for d in domains), window.acc, window.ltar2c]
-        for round_id, (fed_round, window) in enumerate(result.round_rows, 1)
+         *(reward_means.get(d) for d in domains), window.acc, window.ltar2c]
+        for round_id, (fed_round, reward_means, window) in enumerate(result.round_rows, 1)
     ]
     round_log_path = out_dir / "round_log.csv"
     engine.write_csv(round_log_path, header, rows)

@@ -3,9 +3,10 @@
 Only parameter messages cross domain boundaries: uploads carry (params,
 sample count, local loss) and the broadcast carries the aggregated global
 parameters; a domain that has not trained since the previous round uploads
-nothing (weight 0) and still receives the broadcast. Raw states, traces, and
-request contents never leave the domain that produced them; for the round
-log, each round also reports each trained domain's local loss and mean reward.
+nothing (weight 0) and still receives the broadcast. The coordinator reads
+nothing but the uploads it is handed, so raw states, traces, and request
+contents never leave the domain that produced them; for the round log, each
+round also reports each uploading domain's local loss.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ class FederationRound:
     global_params: PolicyParams
     global_loss: float
     local_losses: dict[int, float]
-    reward_means: dict[int, float]
 
 
 def weighted_mean(uploads, value):
@@ -57,31 +57,18 @@ def global_loss(uploads) -> float:
 
 
 class Coordinator:
-    """Runs synchronous rounds over the domains whose agents it is handed."""
+    """Runs synchronous rounds over the uploads and agents it is handed."""
 
-    def run_round(self, agents: dict[int, DomainAgent]) -> FederationRound:
-        """Collect uploads in ascending domain order from the agents that trained
-        since the previous round, aggregate, and broadcast the global
-        parameters to every agent.
+    def run_round(self, agents: dict[int, DomainAgent], uploads: dict[int, ParamUpload]) -> FederationRound:
+        """Aggregate the uploads, keyed by domain, in ascending domain order and
+        broadcast a copy of the global parameters to every agent.
 
-        Raises ValueError (and leaves every agent untouched) if no agent trained.
+        Raises ValueError (and leaves every agent untouched) if no upload carries samples.
         """
-        uploads = []
-        local_losses = {}
-        reward_means = {}
-        for d in sorted(agents):
-            agent = agents[d]
-            if agent.pending_samples > 0:
-                local_losses[d] = agent.pending_loss_weighted / agent.pending_samples
-                uploads.append(ParamUpload(agent.params, agent.pending_samples, local_losses[d]))
-                reward_means[d] = float(np.mean(agent.pending_rewards))
-        params = aggregate(uploads)
-        loss = global_loss(uploads)
+        local_losses = {d: uploads[d].local_loss for d in sorted(uploads)}
+        ordered = [uploads[d] for d in local_losses]
+        params = aggregate(ordered)
+        loss = global_loss(ordered)
         for agent in agents.values():
-            agent.apply_global(params)
-        return FederationRound(
-            global_params=params,
-            global_loss=loss,
-            local_losses=local_losses,
-            reward_means=reward_means,
-        )
+            agent.params = params.copy()
+        return FederationRound(global_params=params, global_loss=loss, local_losses=local_losses)

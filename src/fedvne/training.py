@@ -1,11 +1,13 @@
 """Training loop: per-domain batches interleaved with federation rounds.
 
 Each epoch replays the training stream on a fresh copy of the substrate.
-Every ``batch_size`` completed episodes, each domain with buffered traces
-takes one gradient step, and if any domain took one, a federation round runs
-over every domain. The result keeps each round with a ``Tally`` over the
-episodes since the previous round, not the episodes' records. A run in which
-no round ran is refused.
+The trainer keeps one trace buffer per domain. Every ``batch_size`` completed
+episodes, each domain with buffered traces takes one gradient step on its
+buffer and uploads the stepped parameters, sample count and loss; if any
+domain did, a federation round aggregates the uploads and broadcasts to every
+domain. The result keeps each round with its domains' mean trace rewards and
+a ``Tally`` over the episodes since the previous round, not the episodes'
+records. A run in which no round ran is refused.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import agent
 from .agent import DecisionTrace, DomainAgent, PolicyParams, check_params, episode_reward, init_params
 from .engine import run_simulation
-from .federation import Coordinator, FederationRound
+from .federation import Coordinator, FederationRound, ParamUpload
 from .metrics import Tally
 from .policies import HflPolicy
 from .substrate import MultiDomainSubstrate
@@ -25,10 +28,10 @@ from .substrate import MultiDomainSubstrate
 
 @dataclass
 class TrainResult:
-    domain_params: dict[int, PolicyParams]
+    # every round broadcasts to every domain, so each domain ends the run holding these
     global_params: PolicyParams
-    # each round with the tally of the episodes in its window
-    round_rows: list[tuple[FederationRound, Tally]] = field(default_factory=list)
+    # each round with its uploading domains' mean trace rewards and the tally of the episodes in its window
+    round_rows: list[tuple[FederationRound, dict[int, float], Tally]] = field(default_factory=list)
 
 
 class Trainer:
@@ -56,10 +59,10 @@ class Trainer:
         self.agents = {
             d: DomainAgent(d, init_params(rng)) for d in range(substrate.num_domains)
         }
-        self.coordinator = Coordinator()
+        self.buffers: list[list[DecisionTrace]] = [[] for _ in self.agents]
         self.reject_reward = reject_reward
         self.policy = HflPolicy(self.agents)
-        self.round_rows: list[tuple[FederationRound, Tally]] = []
+        self.round_rows: list[tuple[FederationRound, dict[int, float], Tally]] = []
         self._window = Tally()
         self._since_boundary = 0
         # each node's domain and its row in that domain's state, as plain ints
@@ -76,11 +79,7 @@ class Trainer:
         if not self.round_rows:
             cause = "no request placed a node in any epoch" if self.vnrs else "the training split is empty"
             raise ValueError(f"no federation round ran: {cause}")
-        return TrainResult(
-            domain_params={d: a.params.copy() for d, a in self.agents.items()},
-            global_params=self.round_rows[-1][0].global_params,
-            round_rows=self.round_rows,
-        )
+        return TrainResult(global_params=self.round_rows[-1][0].global_params, round_rows=self.round_rows)
 
     def _on_record(self, vnr, record) -> None:
         # one decision trace per domain the attempt placed nodes in, over the
@@ -92,7 +91,7 @@ class Trainer:
             node_id = record.node_map[v]
             rows.setdefault(self._domain_of[node_id], []).append(self._row_of[node_id])
         for d, chosen in rows.items():
-            self.agents[d].buffer.append(DecisionTrace(self.policy.states[d], chosen, reward))
+            self.buffers[d].append(DecisionTrace(self.policy.states[d], chosen, reward))
         self._window.add(record)
         self._since_boundary += 1
         if self._since_boundary >= self.batch_size:
@@ -100,17 +99,23 @@ class Trainer:
 
     def _boundary(self) -> None:
         self._since_boundary = 0
-        trained = [d for d in sorted(self.agents) if self.agents[d].buffer]
-        if not trained:
+        uploads, reward_means = {}, {}
+        for d, traces in enumerate(self.buffers):
+            if not traces:
+                continue
+            # through the module, so a wrapper installed on agent.train_step sees the call
+            params, loss = agent.train_step(self.agents[d].params, traces, self.learning_rate)
+            check_params(params, self._diverged(f"domain {d}"))
+            uploads[d] = ParamUpload(params, sum(len(t.rows) for t in traces), loss)
+            reward_means[d] = float(np.mean([t.reward for t in traces]))
+            self.buffers[d] = []
+        if not uploads:
             return
-        for d in trained:
-            self.agents[d].train(self.learning_rate)
-            check_params(self.agents[d].params, self._diverged(f"domain {d}"))
-        fed_round = self.coordinator.run_round(self.agents)
+        fed_round = Coordinator().run_round(self.agents, uploads)
         check_params(fed_round.global_params, self._diverged("global parameters"))
-        if not np.isfinite([fed_round.global_loss, *fed_round.reward_means.values()]).all():
+        if not np.isfinite([fed_round.global_loss, *reward_means.values()]).all():
             raise ValueError(f"{self._diverged('round log')}: losses and mean rewards must be finite")
-        self.round_rows.append((fed_round, self._window))
+        self.round_rows.append((fed_round, reward_means, self._window))
         self._window = Tally()
 
     def _diverged(self, whose: str) -> str:

@@ -81,7 +81,7 @@ def evaluations(instances, trained):
         test = workload.rebase_stream(vnrs[cfg.train_count : cfg.train_count + cfg.test_count])
         per_policy = {}
         result, _ = trained[seed]
-        agents = {d: DomainAgent(d, p.copy()) for d, p in result.domain_params.items()}
+        agents = {d: DomainAgent(d, result.global_params.copy()) for d in range(substrate.num_domains)}
         for name, policy in (
             ("hfl", HflPolicy(agents)),
             ("noderank", NodeRankPolicy()),
@@ -350,11 +350,10 @@ def test_c4_gradient_check():
 
 
 def ready_agent(domain_id, kernel, bias):
+    """An agent and the upload of its one zero step, which has not moved its params."""
     agent = DomainAgent(domain_id, PolicyParams(np.array(kernel, dtype=float), float(bias)))
-    state = np.full((2, 3), 0.5)
-    agent.buffer.append(DecisionTrace(state, [0], 1.0))
-    agent.train(0.0)
-    return agent
+    params, loss = train_step(agent.params, [DecisionTrace(np.full((2, 3), 0.5), [0], 1.0)], 0.0)
+    return agent, ParamUpload(params, 1, loss)
 
 
 def test_c5_federation_algebra():
@@ -392,9 +391,10 @@ def test_c5_federation_algebra():
         assert np.max(np.abs(merged_same.kernel - uploads[0].params.kernel)) <= 1e-12
         assert abs(merged_same.bias - uploads[0].params.bias) <= 1e-12
 
-    agents = {d: ready_agent(d, [rng.uniform(-2, 2) for _ in range(3)], rng.uniform(-1, 1))
-              for d in range(4)}
-    fed_round = Coordinator().run_round(agents)
+    ready = {d: ready_agent(d, [rng.uniform(-2, 2) for _ in range(3)], rng.uniform(-1, 1))
+             for d in range(4)}
+    agents = {d: agent for d, (agent, _) in ready.items()}
+    fed_round = Coordinator().run_round(agents, {d: upload for d, (_, upload) in ready.items()})
     gap = max(
         float(np.max(np.abs(a.params.kernel - fed_round.global_params.kernel)))
         for a in agents.values()
@@ -512,7 +512,7 @@ def test_round_log_loss_trend(trained):
     non_increasing = 0
     for seed in SEEDS:
         result, _ = trained[seed]
-        losses = np.array([r.global_loss for r, _ in result.round_rows])
+        losses = np.array([r.global_loss for r, _, _ in result.round_rows])
         half = losses[len(losses) // 2 :]
         slope = np.polyfit(np.arange(len(half)), half, 1)[0]
         non_increasing += slope <= 0.0

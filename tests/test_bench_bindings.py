@@ -1,7 +1,9 @@
 """The benchmark must find every fedvne name it binds, imports or patches.
 
 A rename or deletion of such a name otherwise shows up only in a benchmark
-run; these checks fail in about a second instead.
+run; these checks fail in about a second instead. A name can also resolve
+while fedvne no longer calls it there, say when a module imports a bound
+function by name; a run of every command with the spans installed sees that.
 """
 
 import importlib
@@ -10,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from fedvne import cli
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -36,6 +40,10 @@ RUN_NAMES = [
 ]
 
 
+# the CI end-to-end run's tiny config, as config keys
+TINY = dict(num_domains=2, nodes_per_domain=5, num_links=12, vnr_count=60, train_count=30, test_count=30)
+
+
 def load_spans():
     spec = importlib.util.spec_from_file_location("spans", SPANS)
     module = importlib.util.module_from_spec(spec)
@@ -60,3 +68,25 @@ def test_every_run_name_resolves(module_name, path):
     for part in path.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_every_binding_is_called_by_the_commands(tmp_path):
+    spans = load_spans()
+    tracer = spans.Tracer()
+    restore, missing = spans.install(tracer)
+    tracer.rep = 0
+    data, run = tmp_path / "data", tmp_path / "run"
+    inputs = ["--substrate", str(data / "substrate.txt"), "--vnrs", str(data / "vnrs.txt")]
+    tiny = [arg for key, value in TINY.items() for arg in (f"--{key.replace('_', '-')}", str(value))]
+    try:
+        assert cli.main(["generate", *tiny, "--out-dir", str(data)]) == 0
+        assert cli.main(["train", *inputs, "--train-count", "30", "--epochs", "1", "--out-dir", str(run)]) == 0
+        assert cli.main(["compare", *inputs, *tiny, "--checkpoint", str(run / "checkpoint.txt"),
+                         "--out-dir", str(run)]) == 0
+        assert cli.main(["validate", *inputs, "--decisions", str(run / "decisions_hfl.csv")]) == 0
+    finally:
+        tracer.rep = None
+        restore()
+    assert missing == []
+    called = tracer.totals().get(0, {})
+    assert [name for name, _, _ in spans.BINDINGS if name not in called] == []

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import exactly
-from fedvne.agent import DecisionTrace, DomainAgent, PolicyParams, check_params
+from fedvne.agent import DecisionTrace, DomainAgent, PolicyParams, check_params, train_step
 from fedvne.federation import (
     Coordinator,
     ParamUpload,
@@ -20,13 +20,22 @@ def upload(kernel, bias, count, loss=0.0):
     return ParamUpload(PolicyParams(np.array(kernel, dtype=float), bias), count, loss)
 
 
-def agent_with_pending(domain_id, kernel, bias, reward=0.5):
-    """An agent that has trained once and is ready to upload."""
+def step_upload(params, traces):
+    """The upload of one zero step on ``traces``, built as the trainer builds it."""
+    stepped, loss = train_step(params, traces, 0.0)
+    return ParamUpload(stepped, sum(len(t.rows) for t in traces), loss)
+
+
+def agent_with_pending(domain_id, kernel, bias):
+    """An agent and the upload of its one step, which has not moved its params."""
     agent = DomainAgent(domain_id, PolicyParams(np.array(kernel, dtype=float), bias))
     state = np.full((2, 3), 0.5)
-    agent.buffer.append(DecisionTrace(state, [0], reward))
-    agent.train(0.0)  # zero step: upload bookkeeping without moving params
-    return agent
+    return agent, step_upload(agent.params, [DecisionTrace(state, [0], 0.5)])
+
+
+def split(ready):
+    """``{d: (agent, upload)}`` as the agents and uploads ``run_round`` takes."""
+    return {d: a for d, (a, _) in ready.items()}, {d: u for d, (_, u) in ready.items()}
 
 
 def test_aggregate_idempotent_on_identical_uploads():
@@ -115,22 +124,22 @@ def test_global_loss_cases():
 
 def test_coordinator_requires_a_domain():
     with pytest.raises(ValueError, match=exactly("uploads carry no samples")):
-        Coordinator().run_round({})
+        Coordinator().run_round({}, {})
 
 
 def test_run_round_single_domain_is_identity():
-    agent = agent_with_pending(0, [0.4, 0.5, 0.6], 0.25)
+    agent, pending = agent_with_pending(0, [0.4, 0.5, 0.6], 0.25)
     before = agent.params.copy()
     coordinator = Coordinator()
-    fed_round = coordinator.run_round({0: agent})
+    fed_round = coordinator.run_round({0: agent}, {0: pending})
     assert np.allclose(fed_round.global_params.kernel, before.kernel, atol=1e-12)
     assert fed_round.global_params.bias == pytest.approx(before.bias, abs=1e-12)
 
 
 def test_run_round_broadcast_equalizes_exactly():
-    agents = {d: agent_with_pending(d, [d, d * 2.0, -d], 0.1 * d) for d in range(4)}
+    agents, uploads = split({d: agent_with_pending(d, [d, d * 2.0, -d], 0.1 * d) for d in range(4)})
     coordinator = Coordinator()
-    fed_round = coordinator.run_round(agents)
+    fed_round = coordinator.run_round(agents, uploads)
     for agent in agents.values():
         assert np.array_equal(agent.params.kernel, fed_round.global_params.kernel)
         assert agent.params.bias == fed_round.global_params.bias
@@ -143,12 +152,13 @@ def test_run_round_broadcast_equalizes_exactly():
 
 
 def test_run_round_gives_an_idle_domain_weight_0_and_the_broadcast():
-    agents = {0: agent_with_pending(0, [0.1, 0.2, 0.3], 0.7), 1: DomainAgent(1, PolicyParams(np.zeros(3), 0.0))}
-    fed_round = Coordinator().run_round(agents)
+    agents, uploads = split({0: agent_with_pending(0, [0.1, 0.2, 0.3], 0.7)})
+    agents[1] = DomainAgent(1, PolicyParams(np.zeros(3), 0.0))
+    fed_round = Coordinator().run_round(agents, uploads)
     # domain 1 has not trained: it uploads nothing, so the round is domain 0's alone
     assert fed_round.global_params.kernel.tolist() == [0.1, 0.2, 0.3]
     assert fed_round.global_params.bias == 0.7
-    assert list(fed_round.local_losses) == list(fed_round.reward_means) == [0]
+    assert list(fed_round.local_losses) == [0]
     for agent in agents.values():
         assert agent.params.kernel.tobytes() == fed_round.global_params.kernel.tobytes()
         assert agent.params.bias.hex() == fed_round.global_params.bias.hex()
@@ -159,7 +169,7 @@ unit = st.floats(0.0, 1.0)
 
 @st.composite
 def pending_agents(draw):
-    """2-5 agents by domain, and the non-empty set of domains that trained once with a zero step."""
+    """2-5 agents by domain, and the non-empty set of domains that upload one zero step's result."""
     count = draw(st.integers(2, 5))
     trained = draw(st.sets(st.integers(0, count - 1), min_size=1))
     params = {
@@ -174,13 +184,8 @@ def pending_agents(draw):
         traces[d] = DecisionTrace(state, rows, draw(unit))
 
     def build(domains):
-        agents = {}
-        for d in domains:
-            agents[d] = DomainAgent(d, params[d].copy())
-            if d in traces:
-                agents[d].buffer.append(traces[d])
-                agents[d].train(0.0)
-        return agents
+        agents = {d: DomainAgent(d, params[d].copy()) for d in domains}
+        return agents, {d: step_upload(agents[d].params, [traces[d]]) for d in domains if d in traces}
 
     return build, count, trained
 
@@ -189,13 +194,13 @@ def pending_agents(draw):
 @given(case=pending_agents())
 def test_an_idle_domain_changes_no_bit_of_the_round(case):
     build, count, trained = case
-    everyone, only_trained = build(range(count)), build(sorted(trained))
-    full, part = Coordinator().run_round(everyone), Coordinator().run_round(only_trained)
+    (everyone, full_uploads), only_trained = build(range(count)), build(sorted(trained))
+    full, part = Coordinator().run_round(everyone, full_uploads), Coordinator().run_round(*only_trained)
     assert full.global_params.kernel.tobytes() == part.global_params.kernel.tobytes()
     assert full.global_params.bias.hex() == part.global_params.bias.hex()
     assert full.global_loss.hex() == part.global_loss.hex()
-    assert list(full.local_losses) == list(full.reward_means) == sorted(trained)
-    assert (full.local_losses, full.reward_means) == (part.local_losses, part.reward_means)
+    assert list(full.local_losses) == sorted(trained)
+    assert full.local_losses == part.local_losses
     for agent in everyone.values():
         assert agent.params.kernel.tobytes() == full.global_params.kernel.tobytes()
         assert agent.params.bias.hex() == full.global_params.bias.hex()
@@ -206,10 +211,8 @@ def test_two_round_trace_matches_hand_computation():
     target = 2.0
 
     def local_step(agent):
-        agent.params.kernel = agent.params.kernel - 0.25 * (agent.params.kernel - target)
-        state = np.full((1, 3), 0.5)
-        agent.buffer.append(DecisionTrace(state, [0], 1.0))
-        agent.train(0.0)
+        stepped = PolicyParams(agent.params.kernel - 0.25 * (agent.params.kernel - target), agent.params.bias)
+        return step_upload(stepped, [DecisionTrace(np.full((1, 3), 0.5), [0], 1.0)])
 
     agents = {
         0: DomainAgent(0, PolicyParams(np.zeros(3), 0.0)),
@@ -217,26 +220,13 @@ def test_two_round_trace_matches_hand_computation():
     }
     coordinator = Coordinator()
 
-    local_step(agents[0])  # 0   -> 0.5
-    local_step(agents[1])  # 4   -> 3.5
-    first = coordinator.run_round(agents)
+    # 0 -> 0.5 and 4 -> 3.5
+    first = coordinator.run_round(agents, {d: local_step(agents[d]) for d in agents})
     assert np.allclose(first.global_params.kernel, 2.0)  # equal counts: (0.5 + 3.5) / 2
 
-    local_step(agents[0])  # 2 -> 2 (already at the optimum)
-    local_step(agents[1])
-    second = coordinator.run_round(agents)
+    # 2 -> 2 (already at the optimum)
+    second = coordinator.run_round(agents, {d: local_step(agents[d]) for d in agents})
     assert np.allclose(second.global_params.kernel, 2.0)
-
-
-def test_run_round_reports_mean_pending_reward_per_domain():
-    agents = {0: agent_with_pending(0, [0, 0, 0], 0.0, reward=0.25)}
-    state = np.full((2, 3), 0.5)
-    agents[0].buffer.append(DecisionTrace(state, [1], 1.0))
-    agents[0].train(0.0)
-    agents[1] = agent_with_pending(1, [0, 0, 0], 0.0, reward=0.0)
-    fed_round = Coordinator().run_round(agents)
-    assert fed_round.reward_means == {0: 0.625, 1: 0.0}
-    assert all(not a.pending_rewards for a in agents.values())
 
 
 def test_run_round_does_not_depend_on_the_order_agents_are_handed_in():
@@ -246,18 +236,17 @@ def test_run_round_does_not_depend_on_the_order_agents_are_handed_in():
     def agents():
         ready = {}
         for d, value in enumerate((0.1, 0.2, 0.3)):
-            ready[d] = DomainAgent(d, PolicyParams(np.full(3, value), value))
-            ready[d].buffer += [DecisionTrace(state, [0], d + 1.0), DecisionTrace(state, [1], 0.0)]
-            ready[d].train(0.0)
+            agent = DomainAgent(d, PolicyParams(np.full(3, value), value))
+            traces = [DecisionTrace(state, [0], d + 1.0), DecisionTrace(state, [1], 0.0)]
+            ready[d] = agent, step_upload(agent.params, traces)
         return ready
 
-    forward = Coordinator().run_round(agents())
-    backward = Coordinator().run_round(dict(reversed(agents().items())))
+    forward = Coordinator().run_round(*split(agents()))
+    backward = Coordinator().run_round(*split(dict(reversed(agents().items()))))
     assert forward.global_params.kernel.tobytes() == backward.global_params.kernel.tobytes()
     assert forward.global_params.bias.hex() == backward.global_params.bias.hex()
     assert forward.global_loss.hex() == backward.global_loss.hex()
     assert list(forward.local_losses.items()) == list(backward.local_losses.items())
-    assert list(forward.reward_means.items()) == list(backward.reward_means.items())
 
 
 def test_uploads_carry_only_parameter_messages():

@@ -12,7 +12,7 @@ from _helpers import (
     train_with_episodes,
 )
 from fedvne import engine, workload
-from fedvne.agent import DomainAgent, PolicyParams
+from fedvne.agent import DecisionTrace, DomainAgent, PolicyParams, extract_state, train_step
 from fedvne.config import ExperimentConfig
 from fedvne.metrics import Tally
 from fedvne.policies import HflPolicy, ranked_by_score
@@ -94,13 +94,12 @@ def test_trainer_routes_traces_to_owning_domains():
     sub = workload.generate_substrate(cfg, 19)
     vnr = make_vnr(node_demands=(10.0, 12.0), link_demands=((0, 1, 5.0),), t_s=0.0, t_e=4.0)
     trainer = Trainer(sub, [vnr], learning_rate=1.0, batch_size=10, epochs=1, seed=19)
-    agents = trainer.agents
     record = engine.attempt_embedding(sub, vnr, trainer.policy(sub, vnr), {})
     assert record.accepted
     trainer._on_record(vnr, record)
     placed = 0
-    for d, agent in agents.items():
-        for trace in agent.buffer:
+    for d, buffer in enumerate(trainer.buffers):
+        for trace in buffer:
             assert trace.reward == record.revenue / record.cost
             assert trace.state is trainer.policy.states[d]
             for row in trace.rows:
@@ -128,8 +127,8 @@ def test_trainer_is_deterministic():
 
     (first, first_episodes), (second, second_episodes) = run(), run()
     assert np.array_equal(first.global_params.kernel, second.global_params.kernel)
-    assert [r.global_loss for r, _ in first.round_rows] == [
-        r.global_loss for r, _ in second.round_rows
+    assert [r.global_loss for r, _, _ in first.round_rows] == [
+        r.global_loss for r, _, _ in second.round_rows
     ]
     assert first_episodes == second_episodes
 
@@ -153,9 +152,45 @@ def test_trainer_single_domain_collapse():
     trainer = Trainer(sub, vnrs, learning_rate=1.0, batch_size=10, epochs=1, seed=6)
     result = trainer.run()
     # with one participant the global model is that participant's model
-    assert np.array_equal(result.global_params.kernel, result.domain_params[0].kernel)
-    assert result.global_params.bias == result.domain_params[0].bias
+    assert np.array_equal(result.global_params.kernel, trainer.agents[0].params.kernel)
+    assert result.global_params.bias == trainer.agents[0].params.bias
     assert len(result.round_rows) >= 1
+
+
+def test_trainer_boundary_uploads_each_trained_domains_step():
+    cfg = small_config(num_domains=3)
+    sub = workload.generate_substrate(cfg, 29)
+    trainer = Trainer(sub, [], learning_rate=1.0, batch_size=10, epochs=1, seed=8)
+    trainer._epoch = 1
+    states = extract_state(sub)
+    for d in (0, 2):  # domain 1 stays idle
+        trainer.buffers[d] += [DecisionTrace(states[d], [0, 2], 0.25 + d), DecisionTrace(states[d], [1], 0.5)]
+    losses = {d: train_step(trainer.agents[d].params, trainer.buffers[d], 1.0)[1] for d in (0, 2)}
+    assert 0.0 not in losses.values()
+    rewards = {d: float(np.mean([t.reward for t in trainer.buffers[d]])) for d in (0, 2)}
+    window = trainer._window
+    trainer._boundary()
+    ((fed_round, reward_means, tally),) = trainer.round_rows
+    assert list(fed_round.local_losses) == list(reward_means) == [0, 2]
+    assert [fed_round.local_losses[d].hex() for d in (0, 2)] == [losses[d].hex() for d in (0, 2)]
+    assert [reward_means[d] for d in (0, 2)] == [rewards[d] for d in (0, 2)]
+    assert tally is window
+    assert trainer.buffers == [[], [], []]
+    for agent in trainer.agents.values():
+        assert agent.params.kernel.tobytes() == fed_round.global_params.kernel.tobytes()
+        assert agent.params.bias.hex() == fed_round.global_params.bias.hex()
+
+
+def test_trainer_run_leaves_every_domain_holding_the_global_parameters():
+    # the checkpoint writer gives every domain the global line on this ground
+    cfg = small_config()
+    sub = workload.generate_substrate(cfg, 31)
+    vnrs = workload.generate_vnr_stream(cfg, 32)[: cfg.train_count]
+    trainer = Trainer(sub, vnrs, learning_rate=1.0, batch_size=7, epochs=2, seed=9)
+    result = trainer.run()
+    for agent in trainer.agents.values():
+        assert agent.params.kernel.tobytes() == result.global_params.kernel.tobytes()
+        assert agent.params.bias.hex() == result.global_params.bias.hex()
 
 
 def test_trainer_round_windows_cover_episodes():
@@ -165,7 +200,7 @@ def test_trainer_round_windows_cover_episodes():
     trainer = Trainer(sub, vnrs, learning_rate=1.0, batch_size=10, epochs=2, seed=7)
     result, episodes = train_with_episodes(trainer)
     start = 0
-    for _, window in result.round_rows:
+    for _, _, window in result.round_rows:
         # the windows split the episodes in order; each tally holds its slice's
         # running sums, added one episode at a time from 0.0
         chunk = episodes[start : start + window.records]
